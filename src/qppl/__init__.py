@@ -11,21 +11,19 @@ classical mode runs the unsigned counterpart language.
 from .syntax import (
     And, Assign, Const, Expression, If, Measure, New, Not, Or, ParseError,
     Program, QNeg, QRand, RandBit, Statement, Var, XorAssign, assigned_vars,
-    expr_source, free_vars, parse, statement_source, unparse,
+    bundled_programs, expr_source, free_vars, parse, statement_source, unparse,
 )
 from .validator import CLASSICAL, Diagnostic, QUANTUM, has_errors, validate
 from .state import (
     Branch, CapacityError, Environment, MAX_LIVE_BITS, TwoLayerState,
-    assert_valid_state, basis_label, extend, initial_state, inner_product,
+    assert_valid_state, basis_label, extend, initial_state,
     output_distribution, state_from_json, state_to_json, to_density,
 )
 from .engine import (
-    apply_if, apply_measure, apply_new, apply_qneg, apply_qrand, apply_return,
-    apply_xor_assign, comp_matrix, eval_expr, run, truth_table,
+    apply_measure, apply_qrand, apply_return, comp_matrix, run, truth_table,
 )
 from .density import check_equivalence, run_density
-from .classical import ClassicalState, run_classical, statement_matrix
-from .cli import bundled_programs, sample
+from .classical import ClassicalState, run_classical
 
 __version__ = "0.1.0"
 
@@ -34,12 +32,10 @@ __all__ = [
     "Const", "Diagnostic", "Environment", "Expression", "If", "MAX_LIVE_BITS",
     "Measure", "New", "Not", "Or", "ParseError", "Program", "QNeg", "QRand",
     "QUANTUM", "RandBit", "Statement", "TwoLayerState", "Var", "XorAssign",
-    "apply_if", "apply_measure", "apply_new", "apply_qneg", "apply_qrand",
-    "apply_return", "apply_xor_assign", "assert_valid_state", "assigned_vars",
-    "basis_label", "bundled_programs", "check_equivalence", "comp_matrix",
-    "eval_expr", "expr_source", "extend", "free_vars", "has_errors",
-    "initial_state", "inner_product", "output_distribution", "parse", "run",
-    "run_classical", "run_density", "sample", "state_from_json",
-    "state_to_json", "statement_matrix", "statement_source", "to_density",
-    "truth_table", "unparse", "validate",
+    "apply_measure", "apply_qrand", "apply_return", "assert_valid_state",
+    "assigned_vars", "basis_label", "bundled_programs", "check_equivalence",
+    "comp_matrix", "expr_source", "extend", "free_vars", "has_errors",
+    "initial_state", "output_distribution", "parse", "run", "run_classical",
+    "run_density", "state_from_json", "state_to_json", "statement_source",
+    "to_density", "truth_table", "unparse", "validate",
 ]

@@ -1,27 +1,24 @@
 """Classical stochastic execution: one layer, nonnegative weights.
 
 The state is a single probability distribution over worlds (weights sum
-to 1 rather than having unit length). Destructive assignment merges
-worlds, rand_bit splits them half and half, and conditionals act on the
-worlds where the condition holds. Every statement is a column-stochastic
-linear map.
+to 1 rather than having unit length). Statements go through the engine's
+kernel, ``engine.apply_comp``, the same one that moves quantum amplitudes:
+destructive assignment merges worlds, rand_bit splits them half and half,
+and conditionals act on the worlds where the condition holds. Every
+statement is a column-stochastic linear map. Return sums out the
+discarded variables along the engine's split index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .engine import truth_table
-from .syntax import (
-    Assign, If, Measure, New, Program, QNeg, QRand, RandBit, Statement,
-    XorAssign, statement_source,
-)
+from .engine import QUANTUM_ONLY, apply_comp, split_index
+from .syntax import Program, statement_source
 from .state import Environment
-
-DIST_TOL = 1e-10
 
 
 @dataclass
@@ -31,47 +28,6 @@ class ClassicalState:
 
     def distribution(self) -> dict[int, float]:
         return {int(k): float(self.probs[k]) for k in np.flatnonzero(self.probs)}
-
-
-def apply_statement(probs: np.ndarray, stmt: Statement, env: Environment) -> np.ndarray:
-    if isinstance(stmt, Assign):
-        shift = env.shift(stmt.target)
-        bit = 1 << shift
-        dest = (np.arange(env.dim) & ~bit) | (truth_table(stmt.rhs, env) << shift)
-        out = np.zeros_like(probs)
-        np.add.at(out, dest, probs)
-        return out
-    if isinstance(stmt, RandBit):
-        bit = 1 << env.shift(stmt.target)
-        base = np.arange(env.dim) & ~bit
-        out = np.zeros_like(probs)
-        np.add.at(out, base, probs * 0.5)
-        np.add.at(out, base | bit, probs * 0.5)
-        return out
-    if isinstance(stmt, XorAssign):
-        shift = env.shift(stmt.target)
-        dest = np.arange(env.dim) ^ (truth_table(stmt.rhs, env) << shift)
-        return probs[dest]
-    if isinstance(stmt, If):
-        mask = truth_table(stmt.cond, env).astype(float)
-        inside = probs * mask
-        for inner in stmt.body:
-            inside = apply_statement(inside, inner, env)
-        return inside + probs * (1.0 - mask)
-    if isinstance(stmt, (QRand, QNeg, Measure, New)):
-        raise ValueError(f"quantum statement in a classical run: {statement_source(stmt)}")
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
-    kept = tuple(n for n in state.env.names if n in set(returns))
-    n = state.env.n_bits
-    keep_positions = {state.env.position(name) for name in kept}
-    t = state.probs.reshape((2,) * n) if n else state.probs
-    drop = tuple(q for q in range(n) if q not in keep_positions)
-    if drop:
-        t = t.sum(axis=drop)
-    return ClassicalState(Environment(kept), np.asarray(t).reshape(-1))
 
 
 Observer = Callable[[str, ClassicalState], None]
@@ -86,23 +42,14 @@ def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalS
     if observer:
         observer("", state)
     for stmt in p.body:
-        state = ClassicalState(env, apply_statement(state.probs, stmt, env))
+        state = ClassicalState(env, apply_comp(state.probs, stmt, env, QUANTUM_ONLY))
         if observer:
             observer(statement_source(stmt), state)
     if p.returns is not None:
-        state = _marginalize(state, p.returns)
+        kept = tuple(n for n in env.names if n in set(p.returns))
+        marginal = state.probs[split_index(env, kept)].sum(axis=0)
+        state = ClassicalState(Environment(kept), marginal)
         if observer:
             suffix = " " + ", ".join(p.returns) if p.returns else ""
             observer(f"return{suffix}", state)
     return state
-
-
-def statement_matrix(stmt: Statement, env: Environment) -> np.ndarray:
-    """Stochastic matrix of one statement, probed by point distributions."""
-    dim = env.dim
-    matrix = np.zeros((dim, dim))
-    for k in range(dim):
-        point = np.zeros(dim)
-        point[k] = 1.0
-        matrix[:, k] = apply_statement(point, stmt, env)
-    return matrix

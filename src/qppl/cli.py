@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -29,29 +28,23 @@ def _format_amp(a: float) -> str:
     return f"{a:.6g}"
 
 
-def _branch_line(branch: state_mod.Branch, n_bits: int) -> str:
-    terms = [
-        f"{_format_amp(branch.amps[k])}|{state_mod.basis_label(int(k), n_bits)}⟩"
-        for k in np.flatnonzero(branch.amps)
-    ]
-    return f"p={branch.p:.6g}: " + " + ".join(terms)
+def _kets(vec: np.ndarray, n_bits: int) -> str:
+    """Nonzero entries of a world vector (amplitudes or probabilities) as kets."""
+    return " + ".join(f"{_format_amp(vec[k])}|{state_mod.basis_label(int(k), n_bits)}⟩"
+                      for k in np.flatnonzero(vec))
 
 
 def _print_quantum_trace(label: str, st: state_mod.TwoLayerState, out):
     if label:
         print(label, file=out)
     for branch in st.branches:
-        print("  " + _branch_line(branch, st.env.n_bits), file=out)
+        print(f"  p={branch.p:.6g}: " + _kets(branch.amps, st.env.n_bits), file=out)
 
 
 def _print_classical_trace(label: str, st: classical.ClassicalState, out):
     if label:
         print(label, file=out)
-    terms = [
-        f"{_format_amp(st.probs[k])}|{state_mod.basis_label(int(k), st.env.n_bits)}⟩"
-        for k in np.flatnonzero(st.probs)
-    ]
-    print("  " + " + ".join(terms), file=out)
+    print("  " + _kets(st.probs, st.env.n_bits), file=out)
 
 
 def sample(dist: dict[int, float], seed: int, shots: int) -> list[int]:
@@ -69,21 +62,11 @@ def _print_distribution(dist: dict[int, float], n_bits: int, out):
         print(f"{state_mod.basis_label(k, n_bits)}: {dist[k]:.6f}", file=out)
 
 
-def bundled_programs() -> dict[str, str]:
-    """Name -> source text of the example corpus shipped with the package."""
-    out: dict[str, str] = {}
-    root = resources.files("qppl.programs")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".qppl"):
-            out[entry.name.removesuffix(".qppl")] = entry.read_text(encoding="utf-8")
-    return out
-
-
 def _resolve_source(file_arg: str) -> tuple[str, str]:
     path = Path(file_arg)
     if path.exists():
         return path.name, path.read_text(encoding="utf-8")
-    bundled = bundled_programs()
+    bundled = syntax.bundled_programs()
     name = file_arg.removesuffix(".qppl")
     if name in bundled:
         return name + ".qppl", bundled[name]
@@ -160,7 +143,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_examples(_args) -> int:
-    for name, source in bundled_programs().items():
+    for name, source in syntax.bundled_programs().items():
         first = source.splitlines()[0].lstrip("# ").strip() if source else ""
         print(f"{name:24} {first}")
     return 0
@@ -204,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "oracle", False) and args.mode != validator.QUANTUM:
         parser.error("--oracle requires quantum mode")
+    for flag in ("shots", "seed"):
+        if (getattr(args, flag, None) or 0) < 0:
+            parser.error(f"--{flag} must be non-negative")
     return args.func(args)
 
 

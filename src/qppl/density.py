@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import _measurement_keys, comp_matrix, run
+from .engine import comp_matrix, measurement_keys, run
 from .state import CapacityError, Environment, to_density
 from .syntax import Measure, New, Program, Statement
 
@@ -21,7 +21,7 @@ DENSITY_MAX_BITS = 10
 
 
 def _project_measurement(rho: np.ndarray, env: Environment, names) -> np.ndarray:
-    keys = _measurement_keys(env, names)
+    keys = measurement_keys(env, names)
     return rho * (keys[:, None] == keys[None, :])
 
 
@@ -32,6 +32,9 @@ def _embed(rho: np.ndarray, m: int) -> np.ndarray:
     return big
 
 
+# Deliberately not built on engine.split_index: the engine's return gather is
+# checked only against this partial trace in the equivalence sweep, and one
+# shared layout bug would pass both sides.
 def _trace_out(rho: np.ndarray, env: Environment, keep: tuple[str, ...]) -> np.ndarray:
     n = env.n_bits
     keep_positions = {env.position(name) for name in keep}

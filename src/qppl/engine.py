@@ -1,13 +1,15 @@
 """Execution of validated programs under the two-layer semantics.
 
-Computational statements act linearly on each branch's amplitude vector
-and never touch the classical layer. ``if`` is applied by masking: the
-body's action runs on the worlds where the condition holds and the rest
-pass through untouched, which is exactly the block form of the statement's
-matrix without ever materializing it. Measurement splits each branch into
-one branch per observed value, squaring the amplitude mass into classical
-probability. Returning measures the discarded variables first and then
-drops their (now definite) bit positions.
+``apply_comp`` is the one statement kernel. It maps a world vector to a
+world vector: signed amplitudes here and in ``comp_matrix``, probabilities
+in classical mode. ``if`` is applied by masking: the body runs on the
+worlds where the condition holds and the rest pass through, the block form
+of the statement's matrix without materializing it. ``split_index`` holds
+the bit layout that measurement, return, the classical return and the
+density oracle's projector read. Measurement splits each branch into one
+branch per observed value, squaring amplitude mass into classical
+probability; return measures the discarded variables and keeps the
+returned worlds of each outcome.
 
 Runs are deterministic; sampling happens only when rendering output.
 """
@@ -34,123 +36,136 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 Observer = Callable[[str, TwoLayerState], None]
 
 
-def eval_expr(e: Expression, basis: int, env: Environment) -> int:
-    """Evaluate a boolean expression in one world."""
-    if isinstance(e, Var):
-        return env.bit(basis, e.name)
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Not):
-        return 1 - eval_expr(e.operand, basis, env)
-    if isinstance(e, And):
-        return eval_expr(e.left, basis, env) & eval_expr(e.right, basis, env)
-    if isinstance(e, Or):
-        return eval_expr(e.left, basis, env) | eval_expr(e.right, basis, env)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def truth_table(e: Expression, env: Environment) -> np.ndarray:
     """Boolean value of the expression in every world, as a 0/1 array."""
-    idx = np.arange(env.dim)
-    def rec(node) -> np.ndarray:
-        if isinstance(node, Var):
-            return (idx >> env.shift(node.name)) & 1
-        if isinstance(node, Const):
-            return np.full(env.dim, node.value, dtype=np.int64)
-        if isinstance(node, Not):
-            return 1 - rec(node.operand)
-        if isinstance(node, And):
-            return rec(node.left) & rec(node.right)
-        if isinstance(node, Or):
-            return rec(node.left) | rec(node.right)
-        raise TypeError(f"not an expression: {node!r}")
-    return rec(e)
+    return _table(e, np.arange(env.dim), env)
+
+
+def _table(node: Expression, idx: np.ndarray, env: Environment) -> np.ndarray:
+    # A module-level recursion: a nested closure calling itself would be a
+    # reference cycle holding the 2**n index array until the cycle collector runs.
+    if isinstance(node, Var):
+        return (idx >> env.shift(node.name)) & 1
+    if isinstance(node, Const):
+        return np.full(len(idx), node.value, dtype=np.int64)
+    if isinstance(node, Not):
+        return 1 - _table(node.operand, idx, env)
+    if isinstance(node, And):
+        return _table(node.left, idx, env) & _table(node.right, idx, env)
+    if isinstance(node, Or):
+        return _table(node.left, idx, env) | _table(node.right, idx, env)
+    raise TypeError(f"not an expression: {node!r}")
 
 
 # ---------------------------------------------------------------------------
-# Branch-level actions
+# The statement kernel, shared by both modes
 # ---------------------------------------------------------------------------
 
-def _vec_qrand(amps: np.ndarray, shift: int) -> np.ndarray:
+CLASSICAL_ONLY = (Assign, RandBit)
+QUANTUM_ONLY = (QRand, QNeg, Measure, New)
+
+
+def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
+    """Mix each pair of worlds that differ only in the target bit.
+
+    Signed, the pair goes through the Hadamard matrix (qrand); unsigned,
+    both worlds get the pair's average mass (rand_bit).
+    """
     bit = 1 << shift
-    idx = np.arange(len(amps))
+    idx = np.arange(len(vec))
     lo = idx[(idx & bit) == 0]
     hi = lo | bit
-    out = np.empty_like(amps)
-    out[lo] = (amps[lo] + amps[hi]) * _SQRT_HALF
-    out[hi] = (amps[lo] - amps[hi]) * _SQRT_HALF
+    out = np.empty_like(vec)
+    if signed:
+        out[lo] = (vec[lo] + vec[hi]) * _SQRT_HALF
+        out[hi] = (vec[lo] - vec[hi]) * _SQRT_HALF
+    else:
+        out[lo] = out[hi] = (vec[lo] + vec[hi]) * 0.5
     return out
 
 
-def _vec_xor(amps: np.ndarray, shift: int, rhs_bits: np.ndarray) -> np.ndarray:
-    # The permutation k -> k XOR (rhs << shift) is an involution because the
-    # right-hand side never reads the target bit.
-    idx = np.arange(len(amps))
-    return amps[idx ^ (rhs_bits << shift)]
+def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
+               foreign: tuple[type, ...]) -> np.ndarray:
+    """Apply one computational statement to a world vector.
 
-
-def apply_comp_to_vector(amps: np.ndarray, stmt: Statement, env: Environment) -> np.ndarray:
-    if isinstance(stmt, QRand):
-        return _vec_qrand(amps, env.shift(stmt.target))
+    The vector holds amplitudes in quantum mode and probabilities in
+    classical mode; both go through this one kernel. A 2-D array is a
+    stack of column vectors, advanced together. ``foreign`` is the caller's
+    tuple of the other mode's statement kinds (CLASSICAL_ONLY or
+    QUANTUM_ONLY); meeting one at any depth raises ValueError.
+    """
+    if isinstance(stmt, foreign):
+        raise ValueError(f"statement of the other mode: {statement_source(stmt)}")
+    if isinstance(stmt, (QRand, RandBit)):
+        return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
     if isinstance(stmt, QNeg):
-        return -amps
+        return -vec
     if isinstance(stmt, XorAssign):
-        return _vec_xor(amps, env.shift(stmt.target), truth_table(stmt.rhs, env))
+        # The permutation k -> k XOR (rhs << shift) is an involution because
+        # the right-hand side never reads the target bit.
+        shift = env.shift(stmt.target)
+        return vec[np.arange(len(vec)) ^ (truth_table(stmt.rhs, env) << shift)]
+    if isinstance(stmt, Assign):
+        # Destructive: worlds that differ only in the target bit merge.
+        shift = env.shift(stmt.target)
+        dest = (np.arange(len(vec)) & ~(1 << shift)) | (truth_table(stmt.rhs, env) << shift)
+        out = np.zeros_like(vec)
+        np.add.at(out, dest, vec)
+        return out
     if isinstance(stmt, If):
         mask = truth_table(stmt.cond, env).astype(float)
-        if amps.ndim == 2:  # stack of column vectors; mask rows
+        if vec.ndim == 2:  # stack of column vectors; mask rows
             mask = mask[:, None]
-        inside = amps * mask
+        inside = vec * mask
         for inner in stmt.body:
-            inside = apply_comp_to_vector(inside, inner, env)
-        return inside + amps * (1.0 - mask)
-    if isinstance(stmt, (Assign, RandBit)):
-        raise ValueError(f"classical statement in a quantum run: {statement_source(stmt)}")
+            inside = apply_comp(inside, inner, env, foreign)
+        return inside + vec * (1.0 - mask)
     raise TypeError(f"not a computational statement: {stmt!r}")
 
 
-def _map_branches(state: TwoLayerState, f) -> TwoLayerState:
-    return TwoLayerState(state.env, [Branch(b.p, f(b.amps)) for b in state.branches])
-
-
-def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
-    shift = state.env.shift(target)
-    return _map_branches(state, lambda a: _vec_qrand(a, shift))
-
-
-def apply_qneg(state: TwoLayerState) -> TwoLayerState:
-    return _map_branches(state, lambda a: -a)
-
-
-def apply_xor_assign(state: TwoLayerState, target: str, rhs: Expression) -> TwoLayerState:
-    shift = state.env.shift(target)
-    rhs_bits = truth_table(rhs, state.env)
-    return _map_branches(state, lambda a: _vec_xor(a, shift, rhs_bits))
-
-
-def apply_if(state: TwoLayerState, cond: Expression,
-             body: Sequence[Statement]) -> TwoLayerState:
-    stmt = If(cond, tuple(body))
-    return _map_branches(state, lambda a: apply_comp_to_vector(a, stmt, state.env))
-
-
 # ---------------------------------------------------------------------------
-# Measurement, allocation, return
+# Bit layout, measurement, return
 # ---------------------------------------------------------------------------
 
-def _measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
-    """Observed value of the measured variables in every world.
+def split_index(env: Environment, names: Sequence[str]) -> np.ndarray:
+    """World index of every (other variables, named variables) value pair.
 
-    Bits are packed in environment order, earliest declared variable most
-    significant, matching the order used for projector construction.
+    Entry [r, y] is the world where the variables outside ``names`` take
+    the value r and the named ones the value y, each group packed in
+    environment order with the earliest declared variable most significant.
+    Raises KeyError if a named variable is not live.
     """
-    ordered = [n for n in env.names if n in set(names)]
-    idx = np.arange(env.dim)
-    keys = np.zeros(env.dim, dtype=np.int64)
-    m = len(ordered)
-    for i, name in enumerate(ordered):
-        keys |= ((idx >> env.shift(name)) & 1) << (m - 1 - i)
+    named = set(names)
+    if not named <= set(env.names):
+        raise KeyError(f"variables not live: {sorted(named - set(env.names))}")
+    # Axis i of the (2,)*n view is the bit of env.names[i].
+    axes = ([i for i, n in enumerate(env.names) if n not in named]
+            + [i for i, n in enumerate(env.names) if n in named])
+    worlds = np.arange(env.dim).reshape((2,) * env.n_bits).transpose(axes)
+    return worlds.reshape(env.dim >> len(named), 1 << len(named))
+
+
+def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
+    """Observed value of the named variables in every world."""
+    index = split_index(env, names)
+    keys = np.empty(env.dim, dtype=np.int64)
+    keys[index] = np.arange(index.shape[1])
     return keys
+
+
+def _split_branches(state: TwoLayerState, keys: np.ndarray, take) -> list[Branch]:
+    """One branch per parent branch and key y of nonzero mass, holding
+    take(amps, y) rescaled to unit norm."""
+    new_branches: list[Branch] = []
+    for b in state.branches:
+        mass = np.bincount(keys, weights=b.amps * b.amps)
+        for y in np.flatnonzero(mass > 0):
+            q2 = mass[y]
+            p = b.p * q2
+            if p <= PRUNE_EPS:
+                continue
+            new_branches.append(Branch(p, take(b.amps, y) / np.sqrt(q2)))
+    return prune_branches(new_branches)
 
 
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
@@ -161,61 +176,27 @@ def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     showing y; their amplitudes are rescaled by 1/Q_jy. Zero-mass outcomes
     are dropped. New branches are ordered by (parent branch, y ascending).
     """
-    names = tuple(names)
-    missing = set(names) - set(state.env.names)
-    if missing:
-        raise KeyError(f"cannot measure undeclared variables: {sorted(missing)}")
     if len(set(names)) != len(names):
         raise ValueError("measured variables must be distinct")
-    keys = _measurement_keys(state.env, names)
-    new_branches: list[Branch] = []
-    for b in state.branches:
-        mass = np.bincount(keys, weights=b.amps * b.amps)
-        for y in np.flatnonzero(mass > 0):
-            q2 = mass[y]
-            p = b.p * q2
-            if p <= PRUNE_EPS:
-                continue
-            amps = np.where(keys == y, b.amps, 0.0) / np.sqrt(q2)
-            new_branches.append(Branch(p, amps))
-    return TwoLayerState(state.env, prune_branches(new_branches))
-
-
-def apply_new(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
-    return extend(state, names)
+    keys = measurement_keys(state.env, names)
+    return TwoLayerState(state.env, _split_branches(
+        state, keys, lambda amps, y: np.where(keys == y, amps, 0.0)))
 
 
 def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
     """Measure everything not returned, then delete those bit positions.
 
-    After the measurement each branch holds a definite value on the
-    discarded variables, so deletion is an exact re-indexing. The surviving
-    environment lists the returned variables in declaration order.
+    Each outcome of the measurement fixes the discarded variables, so its
+    branch is one row of the split index: a gather of the 2**k returned
+    worlds. The surviving environment lists the returned variables in
+    declaration order.
     """
-    returns = tuple(returns)
-    missing = set(returns) - set(state.env.names)
-    if missing:
-        raise KeyError(f"cannot return undeclared variables: {sorted(missing)}")
+    index = split_index(state.env, returns)
     kept = tuple(n for n in state.env.names if n in set(returns))
     discarded = [n for n in state.env.names if n not in set(returns)]
-    measured = apply_measure(state, discarded)
-
-    k = len(kept)
-    ret_idx = np.arange(1 << k)
-    gather = np.zeros(1 << k, dtype=np.int64)
-    for i, name in enumerate(kept):
-        gather |= ((ret_idx >> (k - 1 - i)) & 1) << state.env.shift(name)
-    discard_mask = 0
-    for name in discarded:
-        discard_mask |= 1 << state.env.shift(name)
-
-    env = Environment(kept)
-    branches = []
-    for b in measured.branches:
-        support = np.flatnonzero(b.amps)
-        fixed = int(support[0]) & discard_mask
-        branches.append(Branch(b.p, b.amps[gather | fixed]))
-    return TwoLayerState(env, branches)
+    branches = _split_branches(state, measurement_keys(state.env, discarded),
+                               lambda amps, row: amps[index[row]])
+    return TwoLayerState(Environment(kept), branches)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +205,17 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
 
 def _apply_statement(state: TwoLayerState, stmt: Statement) -> TwoLayerState:
     if isinstance(stmt, New):
-        return apply_new(state, stmt.names)
+        return extend(state, stmt.names)
     if isinstance(stmt, Measure):
         return apply_measure(state, stmt.names)
     env = state.env
     return TwoLayerState(env, [
-        Branch(b.p, apply_comp_to_vector(b.amps, stmt, env)) for b in state.branches
+        Branch(b.p, apply_comp(b.amps, stmt, env, CLASSICAL_ONLY)) for b in state.branches
     ])
+
+
+def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
+    return _apply_statement(state, QRand(target))
 
 
 def run(p: Program, *, observer: Observer | None = None,
@@ -272,5 +257,5 @@ def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:
             f"comp_matrix supports at most {COMP_MATRIX_MAX_BITS} bits, got {env.n_bits}")
     matrix = np.eye(env.dim)
     for stmt in body:
-        matrix = apply_comp_to_vector(matrix, stmt, env)
+        matrix = apply_comp(matrix, stmt, env, CLASSICAL_ONLY)
     return matrix

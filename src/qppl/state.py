@@ -83,9 +83,6 @@ class TwoLayerState:
     env: Environment
     branches: list[Branch]
 
-    def copy(self) -> "TwoLayerState":
-        return TwoLayerState(self.env, [Branch(b.p, b.amps.copy()) for b in self.branches])
-
 
 def initial_state(inputs: Sequence[str]) -> TwoLayerState:
     """All inputs zero, with classical and quantum certainty."""
@@ -93,12 +90,6 @@ def initial_state(inputs: Sequence[str]) -> TwoLayerState:
     amps = np.zeros(env.dim)
     amps[0] = 1.0
     return TwoLayerState(env, [Branch(1.0, amps)])
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Iterable, Union
 
 Loc = tuple[int, int]  # 1-based (line, column)
@@ -661,9 +662,6 @@ def _stmt_canonical(s: Statement) -> str:
         return "new " + ", ".join(s.names)
     if isinstance(s, Measure):
         return f"measure({', '.join(s.names)})"
-    if isinstance(s, If):
-        body = "; ".join(_stmt_canonical(b) for b in s.body)
-        return f"if {expr_source(s.cond)}: {body}"
     raise TypeError(f"not a statement: {s!r}")
 
 
@@ -691,3 +689,13 @@ def unparse(p: Program) -> str:
         suffix = " " + ", ".join(p.returns) if p.returns else ""
         lines.append(f"  return{suffix}")
     return "\n".join(lines) + "\n"
+
+
+def bundled_programs() -> dict[str, str]:
+    """Name -> source text of the example corpus shipped with the package."""
+    out: dict[str, str] = {}
+    root = resources.files("qppl.programs")
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".qppl"):
+            out[entry.name.removesuffix(".qppl")] = entry.read_text(encoding="utf-8")
+    return out

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qppl
-from qppl import CLASSICAL, Environment, parse, run_classical, statement_matrix, validate
-from qppl.classical import apply_statement
+from qppl import CLASSICAL, Environment, parse, run_classical, validate
+from qppl.engine import QUANTUM_ONLY, apply_comp
 from qppl.randprog import random_classical_program
 
 
@@ -24,7 +24,7 @@ class TestRunClassical:
         env = Environment(("x", "y"))
         probs = np.array([0.5, 0.0, 0.5, 0.0])
         stmt = parse("def main(x, y : bit):\n  y := x").body[0]
-        out = apply_statement(probs, stmt, env)
+        out = apply_comp(probs, stmt, env, QUANTUM_ONLY)
         np.testing.assert_allclose(out, [0.5, 0.0, 0.0, 0.5])
 
     def test_overwrite_discards_history(self):
@@ -48,6 +48,14 @@ class TestRunClassical:
         with pytest.raises(ValueError):
             run_classical(parse("def main(x : bit):\n  qrand_bit(x)"))
 
+    def test_quantum_statement_inside_if_raises(self):
+        with pytest.raises(ValueError):
+            run_classical(parse("def main(x : bit):\n  if x:\n    qnegate()"))
+
+    def test_measure_raises(self):
+        with pytest.raises(ValueError):
+            run_classical(parse("def main(x : bit):\n  measure(x)"))
+
 
 class TestStochasticity:
     def test_statement_matrices_are_column_stochastic(self):
@@ -63,7 +71,7 @@ class TestStochasticity:
         for snippet in snippets:
             src = "def main(a, b, c : bit):\n  " + snippet.replace("\n", "\n  ")
             stmt = parse(src).body[0]
-            m = statement_matrix(stmt, env)
+            m = apply_comp(np.eye(env.dim), stmt, env, QUANTUM_ONLY)
             assert np.all(m >= 0), snippet
             np.testing.assert_allclose(m.sum(axis=0), np.ones(env.dim), atol=1e-12)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,13 @@ class TestShots:
     def test_golden_sequence(self):
         # Frozen once from seed 123; guards the sampling stream.
         assert cli.sample({0: 0.5, 1: 0.5}, 123, 10) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("flags", [["--shots", "-1"], ["--shots", "3", "--seed", "-3"]])
+    def test_negative_numbers_are_usage_errors(self, invoke, flags):
+        code, out, err = invoke("run", "interference", *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be non-negative" in err and "Traceback" not in err
 
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
@@ -175,3 +186,11 @@ class TestExamples:
         assert code == 0
         listed = [line.split()[0] for line in out.splitlines()]
         assert listed == sorted(corpus)
+
+
+class TestImport:
+    def test_import_qppl_leaves_cli_unloaded(self):
+        src = str(Path(qppl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, qppl; qppl.bundled_programs(); assert 'qppl.cli' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -1,38 +1,79 @@
+import gc
+
 import numpy as np
 import pytest
 
 import qppl
 from qppl import (
-    And, Const, Environment, Not, Or, QNeg, QRand, Var, XorAssign,
-    apply_if, apply_measure, apply_new, apply_qneg, apply_qrand, apply_return,
-    apply_xor_assign, comp_matrix, eval_expr, output_distribution, parse, run,
-    to_density,
+    And, Branch, Const, Environment, If, Not, Or, QNeg, QRand, TwoLayerState, Var,
+    XorAssign, apply_measure, apply_qrand, apply_return, comp_matrix, extend,
+    output_distribution, parse, run, to_density, truth_table,
 )
+from qppl.engine import CLASSICAL_ONLY, apply_comp, split_index
 from qppl.randprog import random_comp_program, random_program
 from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
 
 S = 1 / RT2
 
 
+def step(state, stmt):
+    """One computational statement on every branch, through the engine's kernel."""
+    return TwoLayerState(state.env, [
+        Branch(b.p, apply_comp(b.amps, stmt, state.env, CLASSICAL_ONLY))
+        for b in state.branches
+    ])
+
+
+def world_value(e, k, env):
+    """An expression's value in world k, evaluated bit by bit with env.bit."""
+    if isinstance(e, Var):
+        return env.bit(k, e.name)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Not):
+        return 1 - world_value(e.operand, k, env)
+    if isinstance(e, And):
+        return world_value(e.left, k, env) & world_value(e.right, k, env)
+    assert isinstance(e, Or), e
+    return world_value(e.left, k, env) | world_value(e.right, k, env)
+
+
 class TestEvalExpr:
+    """truth_table against the per-world evaluation above."""
+
     def test_and(self):
         env = Environment(("x", "y"))
-        assert eval_expr(And(Var("x"), Var("y")), 0b11, env) == 1
+        expr = And(Var("x"), Var("y"))
+        assert truth_table(expr, env)[0b11] == world_value(expr, 0b11, env) == 1
 
     def test_not(self):
         env = Environment(("x",))
-        assert eval_expr(Not(Var("x")), 0b0, env) == 1
+        expr = Not(Var("x"))
+        assert truth_table(expr, env)[0b0] == world_value(expr, 0b0, env) == 1
 
     def test_or_with_constant(self):
         env = Environment(("x", "y"))
-        assert eval_expr(Or(Const(0), Var("y")), 0b10, env) == 0
+        expr = Or(Const(0), Var("y"))
+        assert truth_table(expr, env)[0b10] == world_value(expr, 0b10, env) == 0
 
     def test_truth_table_matches_pointwise_eval(self):
         env = Environment(("a", "b", "c"))
         expr = Or(And(Var("a"), Not(Var("c"))), Var("b"))
-        table = qppl.truth_table(expr, env)
+        table = truth_table(expr, env)
         for k in range(env.dim):
-            assert table[k] == eval_expr(expr, k, env)
+            assert table[k] == world_value(expr, k, env)
+
+    def test_truth_table_leaves_no_reference_cycle(self):
+        # A cycle would keep the 2**n index array alive until the collector runs.
+        env = Environment(tuple(f"v{i}" for i in range(16)))
+        expr = Or(And(Var("v0"), Not(Var("v7"))), Or(Const(1), Var("v15")))
+        gc.collect()
+        gc.disable()
+        try:
+            truth_table(expr, env)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestQRand:
@@ -61,24 +102,23 @@ class TestQRand:
 
 class TestQNeg:
     def test_negates_amplitudes(self):
-        st = make_state(["x"], [(1.0, [1, 0])])
-        assert_state_close(apply_qneg(st), [(1.0, [-1, 0])])
+        final = run(parse("def main(x : bit):\n  qnegate()"))
+        assert_state_close(final, [(1.0, [-1, 0])])
 
     def test_invisible_in_density(self):
         st = make_state(["x"], [(0.5, [S, S]), (0.5, [1, 0])])
-        np.testing.assert_allclose(to_density(apply_qneg(st)), to_density(st), atol=1e-15)
+        np.testing.assert_allclose(to_density(step(st, QNeg())), to_density(st), atol=1e-15)
 
     def test_conditioned_on_x_flips_one_side(self):
         st = make_state(["x"], [(1.0, [S, S])])
         cond = parse("def main(x : bit):\n  if x == 1:\n    qnegate()").body[0]
-        out = apply_if(st, cond.cond, cond.body)
-        assert_state_close(out, [(1.0, [S, -S])])
+        assert_state_close(step(st, cond), [(1.0, [S, -S])])
 
 
 class TestXorAssign:
     def test_copies_set_bit(self):
         st = make_state(["x", "y"], [(1.0, [0, 0, 1, 0])])
-        assert_state_close(apply_xor_assign(st, "y", Var("x")), [(1.0, [0, 0, 0, 1])])
+        assert_state_close(step(st, XorAssign("y", Var("x"))), [(1.0, [0, 0, 0, 1])])
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(9)
@@ -86,39 +126,36 @@ class TestXorAssign:
         v /= np.linalg.norm(v)
         st = make_state(["x", "y", "z"], [(1.0, v)])
         rhs = Or(Var("x"), Not(Var("z")))
-        back = apply_xor_assign(apply_xor_assign(st, "y", rhs), "y", rhs)
+        back = step(step(st, XorAssign("y", rhs)), XorAssign("y", rhs))
         np.testing.assert_array_equal(back.branches[0].amps, v)
 
     def test_acts_per_world(self):
         st = make_state(["x", "y"], [(1.0, [S, 0, S, 0])])
-        assert_state_close(apply_xor_assign(st, "y", Var("x")), [(1.0, [S, 0, 0, S])])
+        assert_state_close(step(st, XorAssign("y", Var("x"))), [(1.0, [S, 0, 0, S])])
 
 
 class TestIf:
     def test_sign_flip_on_selected_worlds(self):
         st = make_state(["x", "y"], [(1.0, [S, 0, S, 0])])
         cond = parse("def main(x, y : bit):\n  if x == 1:\n    qnegate()").body[0]
-        out = apply_if(st, cond.cond, cond.body)
-        assert_state_close(out, [(1.0, [S, 0, -S, 0])])
+        assert_state_close(step(st, cond), [(1.0, [S, 0, -S, 0])])
 
     def test_false_condition_is_identity(self):
         rng = np.random.default_rng(13)
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         st = make_state(["x", "y"], [(1.0, v)])
-        out = apply_if(st, Const(0), (QRand("x"), QNeg()))
+        out = step(st, If(Const(0), (QRand("x"), QNeg())))
         np.testing.assert_array_equal(out.branches[0].amps, v)
 
     def test_identity_oracle_column_signs(self):
-        st = make_state(["x"], [(1.0, [S, S])])
-        prog = parse("def main(x : bit):\n  if x == 1:\n    qnegate()")
-        out = apply_if(st, prog.body[0].cond, prog.body[0].body)
-        assert_state_close(out, [(1.0, [S, -S])])
+        final = run(parse("def main(x : bit):\n  qrand_bit(x)\n  if x == 1:\n    qnegate()"))
+        assert_state_close(final, [(1.0, [S, -S])])
 
     def test_body_with_xor(self):
         # if x: y ^= 1 flips y only in the x=1 worlds.
         st = make_state(["x", "y"], [(1.0, [S, 0, S, 0])])
-        out = apply_if(st, Var("x"), (XorAssign("y", Const(1)),))
+        out = step(st, If(Var("x"), (XorAssign("y", Const(1)),)))
         assert_state_close(out, [(1.0, [S, 0, 0, S])])
 
 
@@ -197,7 +234,7 @@ class TestMeasure:
 class TestNewAndReturn:
     def test_new_extends_environment(self):
         st = make_state(["x"], [(1.0, [0, 1])])
-        out = apply_new(st, ["y"])
+        out = extend(st, ["y"])
         assert out.env.names == ("x", "y")
         assert_state_close(out, [(1.0, [0, 0, 1, 0])])
 
@@ -267,6 +304,11 @@ class TestRun:
         with pytest.raises(ValueError):
             run(p)
 
+    def test_classical_statement_rejected_inside_if(self):
+        p = parse("def main(x, y : bit):\n  if x:\n    if y:\n      y := 1")
+        with pytest.raises(ValueError):
+            run(p)
+
     def test_observer_sees_every_statement(self, corpus):
         labels = []
         run(parse(corpus["interference"]), observer=lambda label, _: labels.append(label))
@@ -278,6 +320,24 @@ class TestRun:
             "y ^= x",
             "return x, y",
         ]
+
+
+class TestSplitIndex:
+    def test_rows_and_columns_pack_variables_in_declaration_order(self):
+        env = Environment(("a", "b", "c", "d"))
+        named, other = ["d", "b"], ["a", "c"]
+        index = split_index(env, named)
+        assert index.shape == (4, 4)
+        for r in range(4):
+            for y in range(4):
+                w = index[r, y]
+                assert [env.bit(w, n) for n in other] == [(r >> 1) & 1, r & 1]
+                assert [env.bit(w, n) for n in ("b", "d")] == [(y >> 1) & 1, y & 1]
+        assert sorted(index.ravel()) == list(range(env.dim))
+
+    def test_undeclared_names_rejected(self):
+        with pytest.raises(KeyError):
+            split_index(Environment(("x",)), ["w"])
 
 
 class TestCompMatrix:

@@ -5,7 +5,7 @@ import pytest
 
 import qppl
 from qppl import (
-    CapacityError, Environment, extend, initial_state, inner_product,
+    CapacityError, Environment, extend, initial_state,
     output_distribution, state_from_json, state_to_json, to_density,
 )
 from conftest import RT2, assert_state_close, make_state
@@ -55,37 +55,6 @@ class TestEnvironment:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             Environment(("x",)).shift("w")
-
-
-class TestInnerProduct:
-    def test_norm_of_valid_branch_is_one(self):
-        st = make_state(["x"], [(1.0, [S, S])])
-        assert inner_product(st.branches[0].amps, st.branches[0].amps) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_states(self):
-        assert inner_product(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_opposite_sign_superpositions_are_orthogonal(self):
-        # (1/sqrt2)(1) * (1/sqrt2)(1) + (1/sqrt2)(1) * (-1/sqrt2)(1) = 0
-        plus = np.array([S, S])
-        minus = np.array([S, -S])
-        assert inner_product(plus, minus) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(np.array([1.0]), np.array([1.0, 0.0]))
-
-    def test_polarization_identity(self):
-        # u.v == ((|u+v|^2 - |u|^2 - |v|^2) / 2 exactly as an algebraic identity.
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            u = rng.standard_normal(8)
-            v = rng.standard_normal(8)
-            lhs = inner_product(u, v)
-            rhs = 0.5 * (
-                inner_product(u + v, u + v) - inner_product(u, u) - inner_product(v, v)
-            )
-            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestExtend:
