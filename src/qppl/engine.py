@@ -9,7 +9,11 @@ the bit layout that measurement, return, the classical return and the
 density oracle's projector read. Measurement splits each branch into one
 branch per observed value, squaring amplitude mass into classical
 probability; return measures the discarded variables and keeps the
-returned worlds of each outcome.
+returned worlds of each outcome. After either split, branches whose
+amplitudes are equal up to a global sign are merged into their first
+occurrence, in first-occurrence order, so measuring one bit k times holds
+2 branches rather than 2**k. A split that would hold more than
+MAX_SPLIT_BYTES of amplitudes raises CapacityError before it is built.
 
 Runs are deterministic; sampling happens only when rendering output.
 """
@@ -25,11 +29,15 @@ from .syntax import (
     QRand, RandBit, Statement, Var, XorAssign, statement_source,
 )
 from .state import (
-    Branch, CapacityError, Environment, PRUNE_EPS, TwoLayerState,
+    Branch, CapacityError, Environment, MAX_SPLIT_BYTES, PRUNE_EPS, TwoLayerState,
     assert_valid_state, extend, initial_state, prune_branches,
 )
 
 COMP_MATRIX_MAX_BITS = 10
+# Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
+# a power of two, so scaling onto it is exact) are merged. A merge moves no
+# density entry by more than about 1e-12.
+MERGE_GRID = 2.0 ** -40
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -69,19 +77,22 @@ def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     """Mix each pair of worlds that differ only in the target bit.
 
     Signed, the pair goes through the Hadamard matrix (qrand); unsigned,
-    both worlds get the pair's average mass (rand_bit).
+    both worlds get the pair's average mass (rand_bit). The world axis is
+    viewed as (higher bits, target bit, lower bits), so each half of every
+    pair is a strided slice and no index array is built; trailing axes
+    (the columns of ``comp_matrix``) ride along.
     """
-    bit = 1 << shift
-    idx = np.arange(len(vec))
-    lo = idx[(idx & bit) == 0]
-    hi = lo | bit
-    out = np.empty_like(vec)
+    pairs = vec.reshape(-1, 2, 1 << shift, *vec.shape[1:])
+    zero, one = pairs[:, 0], pairs[:, 1]
+    out = np.empty_like(pairs)
+    np.add(zero, one, out=out[:, 0])
     if signed:
-        out[lo] = (vec[lo] + vec[hi]) * _SQRT_HALF
-        out[hi] = (vec[lo] - vec[hi]) * _SQRT_HALF
+        np.subtract(zero, one, out=out[:, 1])
+        out *= _SQRT_HALF
     else:
-        out[lo] = out[hi] = (vec[lo] + vec[hi]) * 0.5
-    return out
+        out[:, 0] *= 0.5
+        out[:, 1] = out[:, 0]
+    return out.reshape(vec.shape)
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -153,19 +164,68 @@ def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
     return keys
 
 
-def _split_branches(state: TwoLayerState, keys: np.ndarray, take) -> list[Branch]:
+def _sign_free_key(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes as integer multiples of MERGE_GRID, negated if the first
+    nonzero one is negative; integers have no -0.0."""
+    key = np.rint(amps * (1.0 / MERGE_GRID)).astype(np.int64)
+    if key[np.argmax(key != 0)] < 0:
+        np.negative(key, out=key)
+    return key
+
+
+def _merge_up_to_sign(branches: list[Branch]) -> list[Branch]:
+    """Fold each branch whose amplitudes equal an earlier one's up to a
+    global sign into that earlier branch, adding its probability.
+
+    Exact for every observable: the state is seen only through its density
+    matrix, the sum of p * a a^T, and a a^T is unchanged when a becomes -a.
+    The first occurrence keeps its vector and its place. Keys are hashed to
+    ints and a hash hit is confirmed by comparing keys, so no per-branch
+    bytes are held.
+    """
+    if len(branches) < 2:
+        return branches
+    merged: list[Branch] = []
+    slots: dict[int, list[int]] = {}
+    for b in branches:
+        key = _sign_free_key(b.amps)
+        same_hash = slots.setdefault(hash(key.tobytes()), [])
+        for j in same_hash:
+            if np.array_equal(_sign_free_key(merged[j].amps), key):
+                merged[j].p += b.p
+                break
+        else:
+            same_hash.append(len(merged))
+            merged.append(b)
+    return merged
+
+
+def _split_branches(state: TwoLayerState, keys: np.ndarray, take,
+                    out_dim: int) -> list[Branch]:
     """One branch per parent branch and key y of nonzero mass, holding
-    take(amps, y) rescaled to unit norm."""
-    new_branches: list[Branch] = []
+    take(amps, y) rescaled to unit norm, with branches equal up to sign
+    merged.
+
+    This is the only place where branches are created, so it is the only
+    place that merges: computational statements and ``new`` are isometries
+    on each branch, so branches that are distinct after a split stay
+    distinct. The outcomes are counted first, and CapacityError is raised
+    before any is built if their ``out_dim`` float64 amplitudes would
+    exceed MAX_SPLIT_BYTES.
+    """
+    outcomes = []
     for b in state.branches:
         mass = np.bincount(keys, weights=b.amps * b.amps)
-        for y in np.flatnonzero(mass > 0):
-            q2 = mass[y]
-            p = b.p * q2
-            if p <= PRUNE_EPS:
-                continue
-            new_branches.append(Branch(p, take(b.amps, y) / np.sqrt(q2)))
-    return prune_branches(new_branches)
+        ys = np.flatnonzero(b.p * mass > PRUNE_EPS)
+        outcomes.append((b, ys, mass[ys]))
+    count = sum(len(ys) for _, ys, _ in outcomes)
+    if count * out_dim * 8 > MAX_SPLIT_BYTES:
+        raise CapacityError(
+            f"{count} branches of {out_dim} amplitudes need {count * out_dim * 8 >> 20} MiB, "
+            f"over the {MAX_SPLIT_BYTES >> 20} MiB limit")
+    new_branches = [Branch(b.p * q2, take(b.amps, y) / np.sqrt(q2))
+                    for b, ys, masses in outcomes for y, q2 in zip(ys, masses)]
+    return _merge_up_to_sign(prune_branches(new_branches))
 
 
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
@@ -174,13 +234,16 @@ def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     Each branch j becomes one branch per value y with probability
     p_j * Q_jy**2, where Q_jy**2 is the squared amplitude mass of the worlds
     showing y; their amplitudes are rescaled by 1/Q_jy. Zero-mass outcomes
-    are dropped. New branches are ordered by (parent branch, y ascending).
+    are dropped. New branches are ordered by (parent branch, y ascending),
+    and then each branch equal up to sign to an earlier one is merged into
+    it: the earlier branch keeps its amplitudes and place, and gains the
+    later one's probability.
     """
     if len(set(names)) != len(names):
         raise ValueError("measured variables must be distinct")
     keys = measurement_keys(state.env, names)
     return TwoLayerState(state.env, _split_branches(
-        state, keys, lambda amps, y: np.where(keys == y, amps, 0.0)))
+        state, keys, lambda amps, y: np.where(keys == y, amps, 0.0), state.env.dim))
 
 
 def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
@@ -195,7 +258,7 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
     kept = tuple(n for n in state.env.names if n in set(returns))
     discarded = [n for n in state.env.names if n not in set(returns)]
     branches = _split_branches(state, measurement_keys(state.env, discarded),
-                               lambda amps, row: amps[index[row]])
+                               lambda amps, row: amps[index[row]], index.shape[1])
     return TwoLayerState(Environment(kept), branches)
 
 

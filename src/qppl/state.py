@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_LIVE_BITS = 24      # dense vectors; refuse anything bigger up front
+MAX_SPLIT_BYTES = 1 << 30  # amplitudes one measure or return may create
 STATE_TOL = 1e-10       # norm and total-probability invariants
 PRUNE_EPS = 1e-12       # branch probabilities at or below this are dropped
 

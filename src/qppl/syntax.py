@@ -23,6 +23,8 @@ parsing, so parsed trees contain only the core constructors. Precedence,
 tightest first: not, and, or, then the comparison operators (left
 associative). ``#`` starts a comment running to the end of the line.
 Indentation must use spaces; tabs in indentation are rejected.
+Expressions, parentheses and ``if`` blocks may each nest at most
+MAX_NESTING (64) levels deep; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -287,6 +289,7 @@ class _TokenCursor:
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.parens = 0  # parentheses open at the current position
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -339,64 +342,98 @@ def _xor_tree(a: Expression, b: Expression, loc: Loc) -> Expression:
     return Or(And(a, Not(b, loc), loc), And(Not(a, loc), b, loc), loc)
 
 
+# Deepest nesting the parser accepts, counted three ways: operators on the
+# longest root-to-leaf path of an expression tree, open parentheses, and
+# `if` blocks. The expression walkers (free_vars, truth_table, expr_source)
+# recurse once per tree level and the parser five times per parenthesis and
+# three times per block, so even all three at the limit stay far inside
+# Python's default recursion limit of 1000 frames.
+MAX_NESTING = 64
+
+
+def _check_nesting(depth: int, what: str, tok: _Token) -> None:
+    if depth > MAX_NESTING:
+        raise ParseError(f"{what} nested deeper than {MAX_NESTING} levels",
+                         tok.line, tok.col)
+
+
 def _parse_expression(cur: _TokenCursor) -> Expression:
-    expr = _parse_or(cur)
+    return _parse_comparison(cur)[0]
+
+
+# The functions below return an expression together with its depth.
+
+def _parse_comparison(cur: _TokenCursor) -> tuple[Expression, int]:
+    expr, depth = _parse_or(cur)
     while True:
         tok = cur.peek()
         if tok is None or tok.kind not in ("==", "!=", "^"):
-            return expr
+            return expr, depth
         cur.next()
-        rhs = _parse_or(cur)
+        rhs, rhs_depth = _parse_or(cur)
         loc = (tok.line, tok.col)
-        xorred = _xor_tree(expr, rhs, loc)
-        expr = Not(xorred, loc) if tok.kind == "==" else xorred
+        expr, depth = _xor_tree(expr, rhs, loc), max(depth, rhs_depth) + 3
+        if tok.kind == "==":
+            expr, depth = Not(expr, loc), depth + 1
+        _check_nesting(depth, "expression", tok)
 
 
-def _parse_or(cur: _TokenCursor) -> Expression:
-    expr = _parse_and(cur)
+def _parse_or(cur: _TokenCursor) -> tuple[Expression, int]:
+    expr, depth = _parse_and(cur)
     while True:
         tok = cur.peek()
         if tok is None or not (tok.kind == "NAME" and tok.text == "or"):
-            return expr
+            return expr, depth
         cur.next()
-        expr = Or(expr, _parse_and(cur), (tok.line, tok.col))
+        rhs, rhs_depth = _parse_and(cur)
+        expr, depth = Or(expr, rhs, (tok.line, tok.col)), max(depth, rhs_depth) + 1
+        _check_nesting(depth, "expression", tok)
 
 
-def _parse_and(cur: _TokenCursor) -> Expression:
-    expr = _parse_not(cur)
+def _parse_and(cur: _TokenCursor) -> tuple[Expression, int]:
+    expr, depth = _parse_not(cur)
     while True:
         tok = cur.peek()
         if tok is None or not (tok.kind == "NAME" and tok.text == "and"):
-            return expr
+            return expr, depth
         cur.next()
-        expr = And(expr, _parse_not(cur), (tok.line, tok.col))
+        rhs, rhs_depth = _parse_not(cur)
+        expr, depth = And(expr, rhs, (tok.line, tok.col)), max(depth, rhs_depth) + 1
+        _check_nesting(depth, "expression", tok)
 
 
-def _parse_not(cur: _TokenCursor) -> Expression:
-    tok = cur.peek()
-    if tok is not None and tok.kind == "NAME" and tok.text == "not":
-        cur.next()
-        return Not(_parse_not(cur), (tok.line, tok.col))
-    return _parse_atom(cur)
+def _parse_not(cur: _TokenCursor) -> tuple[Expression, int]:
+    # A loop, not a recursion, so a long run of `not` reaches the depth check.
+    nots: list[_Token] = []
+    while (tok := cur.peek()) is not None and tok.kind == "NAME" and tok.text == "not":
+        nots.append(cur.next())
+    expr, depth = _parse_atom(cur)
+    for tok in reversed(nots):
+        expr, depth = Not(expr, (tok.line, tok.col)), depth + 1
+        _check_nesting(depth, "expression", tok)
+    return expr, depth
 
 
-def _parse_atom(cur: _TokenCursor) -> Expression:
+def _parse_atom(cur: _TokenCursor) -> tuple[Expression, int]:
     tok = cur.next()
     if tok.kind == "NUM":
         if tok.text not in ("0", "1"):
             raise ParseError(f"only the bits 0 and 1 are valid constants, found {tok.text!r}",
                              tok.line, tok.col)
-        return Const(int(tok.text), (tok.line, tok.col))
+        return Const(int(tok.text), (tok.line, tok.col)), 0
     if tok.kind == "NAME":
         if tok.text in KEYWORDS:
             raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-        return Var(tok.text, (tok.line, tok.col))
+        return Var(tok.text, (tok.line, tok.col)), 0
     if tok.kind == "(":
-        expr = _parse_expression(cur)
+        cur.parens += 1
+        _check_nesting(cur.parens, "parentheses", tok)
+        expr, depth = _parse_comparison(cur)
         closing = cur.next()
         if closing.kind != ")":
             raise ParseError(f"expected ')', found {closing.text!r}", closing.line, closing.col)
-        return expr
+        cur.parens -= 1
+        return expr, depth
     raise ParseError(f"expected an expression, found {tok.text!r}", tok.line, tok.col)
 
 
@@ -423,6 +460,7 @@ class _Parser:
     def __init__(self, lines: list[_Line]):
         self.lines = lines
         self.i = 0
+        self.if_depth = 0  # `if` blocks open around the current line
 
     def parse_program(self) -> Program:
         if not self.lines:
@@ -512,7 +550,10 @@ class _Parser:
             cur.expect(":")
             cur.expect_end()
             self.i += 1
+            self.if_depth += 1
+            _check_nesting(self.if_depth, "'if' blocks", head)
             body = self._parse_if_body(line)
+            self.if_depth -= 1
             return [If(cond, tuple(body), loc, src)]
 
         if head.text in ("qrand_bit", "qrand"):

@@ -173,6 +173,26 @@ class TestCheckAndErrors:
         assert code == 2
         assert "capacity" in err
 
+    @pytest.mark.parametrize("rhs", ["not " * 5000 + "y", "(" * 3000 + "y" + ")" * 3000])
+    def test_deep_nesting_is_a_syntax_error(self, invoke, tmp_path, rhs):
+        path = tmp_path / "deep.qppl"
+        path.write_text(f"def main(x, y : bit):\n  x ^= {rhs}\n", encoding="utf-8")
+        for command in ("check", "run"):
+            code, out, err = invoke(command, str(path))
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and ":2:" in err and "error[SYNTAX]" in err
+            assert "nested deeper than" in err
+
+    def test_split_over_the_memory_bound_exits_two(self, invoke, tmp_path):
+        names = ", ".join(f"v{i}" for i in range(14))
+        coins = "".join(f"  qrand_bit(v{i})\n" for i in range(14))
+        path = tmp_path / "wide.qppl"
+        path.write_text(f"def main():\n  new {names}\n{coins}  measure({names})\n{coins}",
+                        encoding="utf-8")
+        code, out, err = invoke("run", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 16384 branches") and "MiB" in err
+
     def test_warnings_do_not_fail_the_run(self, invoke):
         code, out, err = invoke("run", "alloc_return", "--dist")
         assert code == 0

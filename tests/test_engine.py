@@ -1,15 +1,17 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qppl
 from qppl import (
-    And, Branch, Const, Environment, If, Not, Or, QNeg, QRand, TwoLayerState, Var,
-    XorAssign, apply_measure, apply_qrand, apply_return, comp_matrix, extend,
-    output_distribution, parse, run, to_density, truth_table,
+    And, Branch, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
+    RandBit, TwoLayerState, Var, XorAssign, apply_measure, apply_qrand, apply_return,
+    check_equivalence, comp_matrix, extend, output_distribution, parse, run,
+    to_density, truth_table,
 )
-from qppl.engine import CLASSICAL_ONLY, apply_comp, split_index
+from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp, split_index
 from qppl.randprog import random_comp_program, random_program
 from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
 
@@ -98,6 +100,44 @@ class TestQRand:
             st = make_state(names, [(1.0, v)])
             twice = apply_qrand(apply_qrand(st, "b"), "b")
             np.testing.assert_allclose(twice.branches[0].amps, v, atol=1e-12)
+
+
+def coin_reference(vec, env, target, signed):
+    """qrand (signed) or rand_bit on each world k, reading its pair partner."""
+    out = np.empty_like(vec)
+    for k in range(env.dim):
+        other = k ^ (1 << env.shift(target))
+        zero, one = vec[min(k, other)], vec[max(k, other)]
+        if not signed:
+            out[k] = (zero + one) * 0.5
+        elif env.bit(k, target) == 0:
+            out[k] = (zero + one) * S
+        else:
+            out[k] = (zero - one) * S
+    return out
+
+
+class TestCoinKernel:
+    ENV = Environment(("a", "b", "c", "d"))
+
+    @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
+    def test_qrand_on_a_vector(self, target):
+        v = np.random.default_rng(3).standard_normal(16)
+        got = apply_comp(v, QRand(target), self.ENV, CLASSICAL_ONLY)
+        np.testing.assert_array_equal(got, coin_reference(v, self.ENV, target, True))
+
+    @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
+    def test_qrand_on_matrix_columns(self, target):
+        m = np.random.default_rng(4).standard_normal((16, 5))
+        got = apply_comp(m, QRand(target), self.ENV, CLASSICAL_ONLY)
+        np.testing.assert_array_equal(got, coin_reference(m, self.ENV, target, True))
+
+    @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
+    def test_rand_bit_on_probabilities(self, target):
+        probs = np.random.default_rng(5).random(16)
+        probs /= probs.sum()
+        got = apply_comp(probs, RandBit(target), self.ENV, QUANTUM_ONLY)
+        np.testing.assert_array_equal(got, coin_reference(probs, self.ENV, target, False))
 
 
 class TestQNeg:
@@ -231,6 +271,109 @@ class TestMeasure:
             apply_measure(st, ["w"])
 
 
+def merge_reference(pairs, grid=2.0 ** -40):
+    """Merge (p, amps) pairs whose amplitudes agree up to sign on the grid,
+    written with tuples and a list scan instead of the engine's hashing."""
+    merged = []
+    for p, amps in pairs:
+        key = tuple(int(k) for k in np.rint(np.asarray(amps) / grid))
+        first = next((k for k in key if k != 0), 0)
+        if first < 0:
+            key = tuple(-k for k in key)
+        for entry in merged:
+            if entry[0] == key:
+                entry[1] += p
+                break
+        else:
+            merged.append([key, p, amps])
+    return [(p, amps) for _, p, amps in merged]
+
+
+def loop_program(rounds):
+    return parse("def main():\n  new x\n" + "  qrand_bit(x)\n  measure(x)\n" * rounds)
+
+
+class TestBranchMerge:
+    def test_repeated_measurement_keeps_two_branches(self):
+        final = run(loop_program(16))
+        assert len(final.branches) == 2
+        assert [b.p for b in final.branches] == [pytest.approx(0.5, abs=1e-12)] * 2
+        np.testing.assert_allclose(np.abs(final.branches[0].amps), [1, 0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(final.branches[1].amps), [0, 1], atol=1e-12)
+
+    def test_opposite_signs_merge(self):
+        st = make_state(["x"], [(0.5, [0, 1]), (0.5, [0, -1])])
+        assert_state_close(apply_measure(st, []), [(1.0, [0, 1])])
+
+    def test_vectors_a_nanounit_apart_stay_separate(self):
+        t = np.pi / 4 + 1e-9
+        st = make_state(["x"], [(0.5, [S, S]), (0.5, [np.cos(t), np.sin(t)])])
+        assert len(apply_measure(st, []).branches) == 2
+
+    def test_first_occurrence_keeps_its_vector_and_place(self):
+        a, b, c = [-1, 0, 0, 0], [0, S, -S, 0], [0, 0, 0, 1]
+        neg = lambda v: [-x for x in v]
+        st = make_state(["x", "y"], [(0.1, a), (0.2, b), (0.3, neg(a)), (0.15, c),
+                                     (0.25, neg(b))])
+        out = apply_measure(st, [])
+        assert_state_close(out, [(0.4, a), (0.45, b), (0.15, c)], tol=1e-12)
+
+    def test_split_across_parents_matches_merged_brute_force(self):
+        rng = np.random.default_rng(8)
+        names = ("a", "b", "c")
+        for _ in range(10):
+            v = rng.standard_normal(8)
+            v /= np.linalg.norm(v)
+            # Equal on worlds with c = 0, opposite on worlds with c = 1.
+            flipped = v * np.array([1, -1] * 4)
+            st = make_state(names, [(0.3, v), (0.2, flipped), (0.5, -v)])
+            for chosen in (["c"], ["a", "c"], ["b", "c"]):
+                got = apply_measure(st, chosen)
+                expected = merge_reference(brute_force_measure(st, chosen))
+                assert len(got.branches) < len(brute_force_measure(st, chosen))
+                assert_state_close(got, expected, tol=1e-12)
+
+    @pytest.mark.parametrize("source", [
+        "def main():\n  new x\n" + "  qrand_bit(x)\n  qnegate()\n  measure(x)\n" * 8,
+        "def main():\n  new x, y\n  qrand_bit(x)\n  measure(x)\n  qrand_bit(x)\n"
+        "  y ^= x\n  measure(y)\n  qrand_bit(x)\n  measure(x)\n  return y\n",
+        "def main():\n  new x, y\n  qrand_bit(x)\n  qrand_bit(y)\n  measure(x, y)\n"
+        "  qrand_bit(x)\n  if y:\n    qnegate()\n  measure(x)\n  return\n",
+    ])
+    def test_programs_with_duplicates_match_the_density_oracle(self, source):
+        p = parse(source)
+        assert check_equivalence(p) <= 1e-10
+        run(p, check_invariants=True)
+
+    def test_split_over_the_byte_bound_raises_before_allocating(self, monkeypatch):
+        names = [f"x{i}" for i in range(10)]
+        st = make_state(names, [(1.0, np.full(1 << 10, 2.0 ** -5))])
+        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="need 8 MiB"):
+                apply_measure(st, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_byte_bound_counts_outcomes_times_output_length(self, monkeypatch):
+        st = make_state(["x", "y", "z"], [(1.0, np.full(8, 8 ** -0.5))])
+        # Measuring all three bits: 8 outcomes of 8 amplitudes.
+        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 8 * 8)
+        assert len(apply_measure(st, ["x", "y", "z"]).branches) == 8
+        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 8 * 8 - 1)
+        with pytest.raises(CapacityError):
+            apply_measure(st, ["x", "y", "z"])
+        # Returning nothing: 8 outcomes of 1 amplitude, merged into one.
+        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 1 * 8)
+        assert len(apply_return(st, []).branches) == 1
+        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 1 * 8 - 1)
+        with pytest.raises(CapacityError):
+            apply_return(st, [])
+
+
 class TestNewAndReturn:
     def test_new_extends_environment(self):
         st = make_state(["x"], [(1.0, [0, 1])])
@@ -253,7 +396,8 @@ class TestNewAndReturn:
         st = make_state(["x"], [(1.0, [S, S])])
         out = apply_return(st, [])
         assert out.env.names == ()
-        assert_state_close(out, [(0.5, [1]), (0.5, [1])])
+        # Both outcomes leave the empty state [1]; they merge into one branch.
+        assert_state_close(out, [(1.0, [1])])
 
     def test_discarded_entangled_variable_decoheres(self):
         # (|00> + |11>)/sqrt2 with y discarded leaves an even classical mix on x.

@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from qppl import (
     And, Assign, Const, If, Measure, New, Not, Or, ParseError, Program, QNeg,
-    QRand, RandBit, Var, XorAssign, assigned_vars, free_vars, parse, unparse,
+    QRand, RandBit, Var, XorAssign, assigned_vars, free_vars, has_errors,
+    output_distribution, parse, run, unparse, validate,
 )
+from qppl.syntax import MAX_NESTING
 from qppl.randprog import random_classical_program, random_program
 
 
@@ -171,6 +173,56 @@ class TestParseErrors:
 
     def test_qrand_takes_one_variable(self):
         self.check("def main(x, y : bit):\n  qrand_bit(x, y)", "exactly one")
+
+
+def copy_program(rhs):
+    """qrand_bit(y), then x ^= rhs; the rhs is expected to equal y."""
+    return f"def main(x, y, z : bit):\n  qrand_bit(y)\n  x ^= {rhs}\n"
+
+
+def nested_ifs(levels):
+    lines = ["def main(x, y, z : bit):", "  qrand_bit(y)"]
+    lines += ["  " * (i + 1) + "if 1:" for i in range(levels)]
+    lines.append("  " * (levels + 1) + "x ^= y")
+    return "\n".join(lines) + "\n"
+
+
+class TestNestingLimit:
+    AT_LIMIT = {
+        "not": copy_program("not " * MAX_NESTING + "y"),
+        "parentheses": copy_program("(" * MAX_NESTING + "y" + ")" * MAX_NESTING),
+        "and chain": copy_program(" and ".join(["y"] * (MAX_NESTING + 1))),
+        "mixed": copy_program("(" * (MAX_NESTING // 2) + "not " * (MAX_NESTING - 2)
+                              + "(y or z and 0)" + ")" * (MAX_NESTING // 2)),
+        "if": nested_ifs(MAX_NESTING),
+    }
+
+    @pytest.mark.parametrize("kind", list(AT_LIMIT))
+    def test_program_at_the_limit_parses_validates_runs_and_round_trips(self, kind):
+        program = parse(self.AT_LIMIT[kind])
+        assert not has_errors(validate(program))
+        # x copies y: worlds xyz = 000 and 110, half each.
+        assert output_distribution(run(program)) == pytest.approx({0b000: 0.5, 0b110: 0.5})
+        assert parse(unparse(program)) == program
+
+    @pytest.mark.parametrize("source,what,col", [
+        (copy_program("not " * (MAX_NESTING + 1) + "y"), "expression", 8),
+        (copy_program("(" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1)),
+         "parentheses", 8 + MAX_NESTING),
+        (copy_program(" and ".join(["y"] * (MAX_NESTING + 2))), "expression",
+         8 + 6 * MAX_NESTING + 2),
+    ])
+    def test_one_level_more_is_a_parse_error_at_the_offending_token(self, source, what, col):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert exc.value.message == f"{what} nested deeper than {MAX_NESTING} levels"
+        assert (exc.value.line, exc.value.col) == (3, col)
+
+    def test_one_block_more_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse(nested_ifs(MAX_NESTING + 1))
+        assert "'if' blocks nested deeper" in exc.value.message
+        assert (exc.value.line, exc.value.col) == (3 + MAX_NESTING, 2 * MAX_NESTING + 3)
 
 
 class TestAnalyses:
