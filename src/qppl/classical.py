@@ -5,8 +5,8 @@ to 1 rather than having unit length). Statements go through the engine's
 kernel, ``engine.apply_comp``, the same one that moves quantum amplitudes:
 destructive assignment merges worlds, rand_bit splits them half and half,
 and conditionals act on the worlds where the condition holds. Every
-statement is a column-stochastic linear map. Return sums out the
-discarded variables along the engine's split index.
+statement is a column-stochastic linear map. Return sums the
+distribution over the discarded variables' axes of its (2,)*n view.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import QUANTUM_ONLY, apply_comp, split_index
+from .engine import QUANTUM_ONLY, apply_comp
 from .syntax import Program, statement_source
 from .state import Environment
 
@@ -47,7 +47,8 @@ def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalS
             observer(statement_source(stmt), state)
     if p.returns is not None:
         kept = tuple(n for n in env.names if n in set(p.returns))
-        marginal = state.probs[split_index(env, kept)].sum(axis=0)
+        discarded = tuple(i for i, n in enumerate(env.names) if n not in set(p.returns))
+        marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
         state = ClassicalState(Environment(kept), marginal)
         if observer:
             suffix = " " + ", ".join(p.returns) if p.returns else ""

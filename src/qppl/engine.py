@@ -2,11 +2,17 @@
 
 ``apply_comp`` is the one statement kernel. It maps a world vector to a
 world vector: signed amplitudes here and in ``comp_matrix``, probabilities
-in classical mode. ``if`` is applied by masking: the body runs on the
-worlds where the condition holds and the rest pass through, the block form
-of the statement's matrix without materializing it. ``split_index`` holds
-the bit layout that measurement, return, the classical return and the
-density oracle's projector read. Measurement splits each branch into one
+in classical mode. It works on the (2,)*n view of the vector, one axis per
+live variable and the columns of a stack trailing, and builds no index
+array. An expression's truth table has a length-2 axis only for each
+variable the expression reads, so it holds 2**|FV| entries and is
+broadcast against the worlds. ``x ^= E`` swaps the two halves of x's axis
+where E holds; ``x := E`` moves the worlds where E differs from x to
+their partner across that axis; ``if`` masks: the body runs on the worlds
+where the condition holds and the rest pass through, the block form of
+the statement's matrix without materializing it. ``split_index`` holds
+the bit layout that measurement, return and the density oracle's
+projector read. Measurement splits each branch into one
 branch per observed value, squaring amplitude mass into classical
 probability; return measures the discarded variables and keeps the
 returned worlds of each outcome. After either split, branches whose
@@ -20,6 +26,7 @@ Runs are deterministic; sampling happens only when rendering output.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,26 +50,68 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 Observer = Callable[[str, TwoLayerState], None]
 
+# Trailing world axes a mask is expanded over when it reads a low-order
+# bit: numpy's inner loop runs over the axes that every operand walks
+# evenly, and a broadcast table that varies on the last axis cuts it to 2.
+_INNER_AXES = 8
+
 
 def truth_table(e: Expression, env: Environment) -> np.ndarray:
     """Boolean value of the expression in every world, as a 0/1 array."""
-    return _table(e, np.arange(env.dim), env)
+    table = np.empty((2,) * env.n_bits, dtype=np.int64)
+    table[...] = _table(e, env, {})
+    return table.reshape(env.dim)
 
 
-def _table(node: Expression, idx: np.ndarray, env: Environment) -> np.ndarray:
-    # A module-level recursion: a nested closure calling itself would be a
-    # reference cycle holding the 2**n index array until the cycle collector runs.
+def _table(node: Expression, env: Environment, memo: dict[int, np.ndarray]) -> np.ndarray:
+    """Boolean value of the expression on the (2,)*n view of the worlds.
+
+    Axis i has length 2 if the expression reads env.names[i] and length 1
+    otherwise, so the table holds 2**|FV| entries and is broadcast against
+    the world vector, never expanded to 2**n. ``memo`` maps id(node) of
+    each And/Or node to its table: the comparison sugar puts each operand
+    into the tree twice, and a chain of k comparisons would otherwise cost
+    2**k evaluations. It is a module-level function, as a closure calling
+    itself would be a reference cycle.
+    """
     if isinstance(node, Var):
-        return (idx >> env.shift(node.name)) & 1
-    if isinstance(node, Const):
-        return np.full(len(idx), node.value, dtype=np.int64)
+        return _bit_table(env.n_bits, env.position(node.name))
     if isinstance(node, Not):
-        return 1 - _table(node.operand, idx, env)
-    if isinstance(node, And):
-        return _table(node.left, idx, env) & _table(node.right, idx, env)
-    if isinstance(node, Or):
-        return _table(node.left, idx, env) | _table(node.right, idx, env)
+        return ~_table(node.operand, env, memo)
+    if isinstance(node, (And, Or)):
+        table = memo.get(id(node))
+        if table is None:
+            left, right = _table(node.left, env, memo), _table(node.right, env, memo)
+            table = memo[id(node)] = left & right if isinstance(node, And) else left | right
+        return table
+    if isinstance(node, Const):
+        return np.full((1,) * env.n_bits, bool(node.value))
     raise TypeError(f"not an expression: {node!r}")
+
+
+@lru_cache(maxsize=1024)
+def _bit_table(n_bits: int, pos: int) -> np.ndarray:
+    """Table of the variable on axis ``pos``; read-only, as it is shared."""
+    table = np.array([False, True]).reshape((1,) * pos + (2,) + (1,) * (n_bits - pos - 1))
+    table.flags.writeable = False
+    return table
+
+
+def _mask(table: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A table shaped to broadcast against the world view of ``vec``.
+
+    If the table reads one of the last _INNER_AXES bits of a wider state,
+    those axes are expanded, which costs at most 2**(|FV| + _INNER_AXES)
+    entries and keeps numpy's inner loops 2**_INNER_AXES long. Length-1
+    axes are appended for the columns of a stack.
+    """
+    n = table.ndim
+    if n > _INNER_AXES and max(table.shape[n - _INNER_AXES:]) == 2:
+        table = np.ascontiguousarray(
+            np.broadcast_to(table, table.shape[:n - _INNER_AXES] + (2,) * _INNER_AXES))
+    if vec.ndim > 1:
+        table = table.reshape(table.shape + (1,) * (vec.ndim - 1))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +160,34 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
     if isinstance(stmt, QNeg):
         return -vec
-    if isinstance(stmt, XorAssign):
-        # The permutation k -> k XOR (rhs << shift) is an involution because
-        # the right-hand side never reads the target bit.
-        shift = env.shift(stmt.target)
-        return vec[np.arange(len(vec)) ^ (truth_table(stmt.rhs, env) << shift)]
-    if isinstance(stmt, Assign):
-        # Destructive: worlds that differ only in the target bit merge.
-        shift = env.shift(stmt.target)
-        dest = (np.arange(len(vec)) & ~(1 << shift)) | (truth_table(stmt.rhs, env) << shift)
-        out = np.zeros_like(vec)
-        np.add.at(out, dest, vec)
-        return out
+    if not isinstance(stmt, (XorAssign, Assign, If)):
+        raise TypeError(f"not a computational statement: {stmt!r}")
+    worlds = vec.reshape((2,) * env.n_bits + vec.shape[1:])
     if isinstance(stmt, If):
-        mask = truth_table(stmt.cond, env).astype(float)
-        if vec.ndim == 2:  # stack of column vectors; mask rows
-            mask = mask[:, None]
-        inside = vec * mask
+        # Linear in the vector: the body may write the condition's variables
+        # in classical mode, so it must not be run on the whole vector.
+        # Multiplying by a boolean mask selects, and is faster than np.where.
+        mask = _mask(_table(stmt.cond, env, {}), vec)
+        inside = (worlds * mask).reshape(vec.shape)
         for inner in stmt.body:
             inside = apply_comp(inside, inner, env, foreign)
-        return inside + vec * (1.0 - mask)
-    raise TypeError(f"not a computational statement: {stmt!r}")
+        return inside + (worlds * ~mask).reshape(vec.shape)
+    pos = env.position(stmt.target)
+    value = _table(stmt.rhs, env, {})
+    flip = (slice(None),) * pos + (slice(None, None, -1),)
+    if isinstance(stmt, XorAssign) and value.shape[pos] == 1:
+        # The right-hand side does not read the target, so the statement
+        # swaps the two halves of the target axis wherever it holds.
+        return np.where(_mask(value, vec), worlds[flip], worlds).reshape(vec.shape)
+    # Otherwise each world whose target bit must change moves to its partner
+    # across the target axis, and worlds may merge: for x := E, where E
+    # differs from x; for x ^= E (in classical mode E may read x), where E
+    # holds.
+    move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
+    move = _mask(move, vec)
+    out = worlds * ~move
+    out += (worlds * move)[flip]
+    return out.reshape(vec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +222,15 @@ def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
 
 def _sign_free_key(amps: np.ndarray) -> np.ndarray:
     """Amplitudes as integer multiples of MERGE_GRID, negated if the first
-    nonzero one is negative; integers have no -0.0."""
+    nonzero one is negative (row by row for a 2-D array); integers have no
+    -0.0."""
     key = np.rint(amps * (1.0 / MERGE_GRID)).astype(np.int64)
-    if key[np.argmax(key != 0)] < 0:
-        np.negative(key, out=key)
+    lead = np.argmax(key != 0, axis=-1)
+    if key.ndim == 1:
+        if key[lead] < 0:
+            np.negative(key, out=key)
+    else:
+        key[key[np.arange(len(key)), lead] < 0] *= -1
     return key
 
 
@@ -200,11 +261,12 @@ def _merge_up_to_sign(branches: list[Branch]) -> list[Branch]:
     return merged
 
 
-def _split_branches(state: TwoLayerState, keys: np.ndarray, take,
+def _split_branches(state: TwoLayerState, keys: np.ndarray, split,
                     out_dim: int) -> list[Branch]:
-    """One branch per parent branch and key y of nonzero mass, holding
-    take(amps, y) rescaled to unit norm, with branches equal up to sign
-    merged.
+    """Split every branch by key: split(branch, ys, masses) returns the
+    branches of the keys ys of nonzero mass, with masses[i] the squared
+    amplitude of the worlds keyed ys[i]. Branches equal up to sign are
+    then merged.
 
     This is the only place where branches are created, so it is the only
     place that merges: computational statements and ``new`` are isometries
@@ -223,9 +285,19 @@ def _split_branches(state: TwoLayerState, keys: np.ndarray, take,
         raise CapacityError(
             f"{count} branches of {out_dim} amplitudes need {count * out_dim * 8 >> 20} MiB, "
             f"over the {MAX_SPLIT_BYTES >> 20} MiB limit")
-    new_branches = [Branch(b.p * q2, take(b.amps, y) / np.sqrt(q2))
-                    for b, ys, masses in outcomes for y, q2 in zip(ys, masses)]
+    new_branches = [nb for b, ys, masses in outcomes for nb in split(b, ys, masses)]
     return _merge_up_to_sign(prune_branches(new_branches))
+
+
+def _group_rows(rows: np.ndarray, ps: np.ndarray) -> list[Branch]:
+    """One branch per set of rows equal up to sign: the set's first row,
+    with the set's summed probability, in first-occurrence order."""
+    if len(rows) < 2:
+        return [Branch(float(p), row) for p, row in zip(ps, rows)]
+    first: dict[bytes, int] = {}
+    group = [first.setdefault(key.tobytes(), i) for i, key in enumerate(_sign_free_key(rows))]
+    totals = np.bincount(group, weights=ps, minlength=len(rows))
+    return [Branch(float(totals[i]), rows[i].copy()) for i in first.values()]
 
 
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
@@ -242,8 +314,13 @@ def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     if len(set(names)) != len(names):
         raise ValueError("measured variables must be distinct")
     keys = measurement_keys(state.env, names)
-    return TwoLayerState(state.env, _split_branches(
-        state, keys, lambda amps, y: np.where(keys == y, amps, 0.0), state.env.dim))
+
+    def split(b, ys, masses):
+        # The outcomes of one branch have disjoint supports, so none of
+        # them are equal up to sign.
+        return [Branch(b.p * q2, np.where(keys == y, b.amps, 0.0) / np.sqrt(q2))
+                for y, q2 in zip(ys, masses)]
+    return TwoLayerState(state.env, _split_branches(state, keys, split, state.env.dim))
 
 
 def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
@@ -251,14 +328,20 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
 
     Each outcome of the measurement fixes the discarded variables, so its
     branch is one row of the split index: a gather of the 2**k returned
-    worlds. The surviving environment lists the returned variables in
+    worlds. A branch's outcomes are gathered as one matrix, and rows equal
+    up to sign are grouped before any branch is built, so returning
+    nothing from a uniform state builds one branch, not 2**n.
+    The surviving environment lists the returned variables in
     declaration order.
     """
     index = split_index(state.env, returns)
     kept = tuple(n for n in state.env.names if n in set(returns))
     discarded = [n for n in state.env.names if n not in set(returns)]
-    branches = _split_branches(state, measurement_keys(state.env, discarded),
-                               lambda amps, row: amps[index[row]], index.shape[1])
+
+    def split(b, ys, masses):
+        return _group_rows(b.amps[index[ys]] / np.sqrt(masses)[:, None], b.p * masses)
+    branches = _split_branches(state, measurement_keys(state.env, discarded), split,
+                               index.shape[1])
     return TwoLayerState(Environment(kept), branches)
 
 

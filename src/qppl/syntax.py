@@ -175,14 +175,24 @@ class Program:
 
 def free_vars(e: Expression) -> set[str]:
     """Names read by an expression."""
+    return _free_vars(e, {})
+
+
+def _free_vars(e: Expression, memo: dict[int, set[str]]) -> set[str]:
+    # ``memo`` maps id(node) of each And/Or node to its names: the
+    # comparison sugar puts each operand into the tree twice, so a chain of
+    # k comparisons would otherwise be walked along 2**k paths.
     if isinstance(e, Var):
         return {e.name}
+    if isinstance(e, Not):
+        return _free_vars(e.operand, memo)
+    if isinstance(e, (And, Or)):
+        names = memo.get(id(e))
+        if names is None:
+            names = memo[id(e)] = _free_vars(e.left, memo) | _free_vars(e.right, memo)
+        return names
     if isinstance(e, Const):
         return set()
-    if isinstance(e, Not):
-        return free_vars(e.operand)
-    if isinstance(e, (And, Or)):
-        return free_vars(e.left) | free_vars(e.right)
     raise TypeError(f"not an expression: {e!r}")
 
 

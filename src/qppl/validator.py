@@ -51,12 +51,15 @@ class _Checker:
         line, col = loc or (0, 0)
         self.out.append(Diagnostic("warning", code, message, line, col))
 
-    def check_expr_vars(self, e, loc: Loc | None):
-        for name in sorted(free_vars(e)):
+    def check_expr_vars(self, e, loc: Loc | None) -> set[str]:
+        """Report undeclared names read by ``e``; returns the names it reads."""
+        names = free_vars(e)
+        for name in sorted(names):
             self.read.add(name)
             if name not in self.declared:
                 self.error("UNDECLARED_VARIABLE", f"variable '{name}' is not declared",
                            _var_loc(e, name) or loc)
+        return names
 
     def check_target(self, name: str, loc: Loc | None):
         if name not in self.declared:
@@ -77,8 +80,8 @@ class _Checker:
     def check_statement(self, s: Statement, in_conditional: bool):
         if isinstance(s, XorAssign):
             self.check_target(s.target, s.loc)
-            self.check_expr_vars(s.rhs, s.loc)
-            if self.mode == QUANTUM and s.target in free_vars(s.rhs):
+            reads = self.check_expr_vars(s.rhs, s.loc)
+            if self.mode == QUANTUM and s.target in reads:
                 self.error("XOR_SELF_REFERENCE",
                            f"'{s.target}' may not appear on the right-hand side of its own "
                            f"XOR-assignment", s.loc)
@@ -95,9 +98,9 @@ class _Checker:
             if self.classical_only("rand_bit", s.loc):
                 self.check_target(s.target, s.loc)
         elif isinstance(s, If):
-            self.check_expr_vars(s.cond, s.loc)
+            reads = self.check_expr_vars(s.cond, s.loc)
             if self.mode == QUANTUM:
-                overlap = free_vars(s.cond) & _safe_assigned(s.body)
+                overlap = reads & _safe_assigned(s.body)
                 if overlap:
                     names = ", ".join(f"'{n}'" for n in sorted(overlap))
                     self.error("COND_ASSIGNS_CONDITION_VAR",
@@ -145,14 +148,20 @@ def _safe_assigned(body) -> set[str]:
     return assigned_vars(comp)
 
 
-def _var_loc(e, name: str) -> Loc | None:
+def _var_loc(e, name: str, searched: set[int] | None = None) -> Loc | None:
+    # ``searched`` holds id(node) of the And/Or nodes already searched in
+    # vain, so subtrees shared by the comparison sugar are searched once.
     from .syntax import And, Not, Or, Var
     if isinstance(e, Var):
         return e.loc if e.name == name else None
     if isinstance(e, Not):
-        return _var_loc(e.operand, name)
+        return _var_loc(e.operand, name, searched)
     if isinstance(e, (And, Or)):
-        return _var_loc(e.left, name) or _var_loc(e.right, name)
+        searched = set() if searched is None else searched
+        if id(e) in searched:
+            return None
+        searched.add(id(e))
+        return _var_loc(e.left, name, searched) or _var_loc(e.right, name, searched)
     return None
 
 

@@ -44,6 +44,31 @@ class TestRunClassical:
         assert final.env.names == ("y",)
         assert final.distribution() == pytest.approx({0: 0.5, 1: 0.5})
 
+    def test_return_sums_out_the_discarded_bits(self):
+        returned = 0
+        for seed in range(60):
+            p = random_classical_program(seed, max_bits=5, max_statements=20)
+            seen = []
+            final = run_classical(p, observer=lambda _, st: seen.append(st))
+            if p.returns is None:
+                continue
+            returned += 1
+            before = seen[-2]
+            expected = np.zeros(final.env.dim)
+            for k in range(before.env.dim):
+                y = 0
+                for name in final.env.names:
+                    y = (y << 1) | before.env.bit(k, name)
+                expected[y] += before.probs[k]
+            np.testing.assert_allclose(final.probs, expected, rtol=0, atol=1e-15)
+        assert returned > 20
+
+    def test_xor_reading_its_own_target(self):
+        # Classical mode lets x ^= E read x: x becomes x xor E, so with x = 1
+        # it is cleared exactly where y holds.
+        src = "def main(x, y : bit):\n  x := 1\n  y := rand_bit()\n  x ^= x and y"
+        assert run_classical(parse(src)).distribution() == pytest.approx({0b01: 0.5, 0b10: 0.5})
+
     def test_quantum_statement_raises(self):
         with pytest.raises(ValueError):
             run_classical(parse("def main(x : bit):\n  qrand_bit(x)"))
@@ -64,6 +89,9 @@ class TestStochasticity:
             "a := b",
             "a := rand_bit()",
             "a ^= b or c",
+            "a ^= a",
+            "a ^= a or b",
+            "a := not a and c",
             "if a and b:\n    c := rand_bit()",
             "if not a:\n    b := c\n    c := 1",
             "if a:\n    a := b",

@@ -3,15 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qppl
 from qppl import (
-    And, Branch, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
+    And, Assign, Branch, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
     RandBit, TwoLayerState, Var, XorAssign, apply_measure, apply_qrand, apply_return,
-    check_equivalence, comp_matrix, extend, output_distribution, parse, run,
-    to_density, truth_table,
+    check_equivalence, comp_matrix, extend, free_vars, output_distribution, parse, run,
+    to_density, truth_table, validate,
 )
 from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp, split_index
+from qppl.syntax import MAX_NESTING
 from qppl.randprog import random_comp_program, random_program
 from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
 
@@ -197,6 +200,210 @@ class TestIf:
         st = make_state(["x", "y"], [(1.0, [S, 0, S, 0])])
         out = step(st, If(Var("x"), (XorAssign("y", Const(1)),)))
         assert_state_close(out, [(1.0, [S, 0, 0, S])])
+
+
+def world_moves(stmt, k, env):
+    """Where world k goes under a computational statement, as (world,
+    weight) pairs, read world by world with env.bit."""
+    if isinstance(stmt, (QRand, RandBit)):
+        bit = 1 << env.shift(stmt.target)
+        if isinstance(stmt, RandBit):
+            return [(k & ~bit, 0.5), (k | bit, 0.5)]
+        return [(k & ~bit, S), (k | bit, -S if env.bit(k, stmt.target) else S)]
+    if isinstance(stmt, QNeg):
+        return [(k, -1.0)]
+    if isinstance(stmt, XorAssign):
+        return [(k ^ (world_value(stmt.rhs, k, env) << env.shift(stmt.target)), 1.0)]
+    if isinstance(stmt, Assign):
+        bit = 1 << env.shift(stmt.target)
+        return [(k & ~bit | (bit if world_value(stmt.rhs, k, env) else 0), 1.0)]
+    assert isinstance(stmt, If), stmt
+    moves = [(k, 1.0)]
+    if world_value(stmt.cond, k, env):
+        for inner in stmt.body:
+            moves = [(k2, w * w2) for k1, w in moves for k2, w2 in world_moves(inner, k1, env)]
+    return moves
+
+
+def kernel_reference(vec, stmt, env):
+    """A statement applied to a vector, or to the rows of a column stack,
+    one world at a time."""
+    out = np.zeros_like(vec)
+    for k in range(env.dim):
+        for k2, w in world_moves(stmt, k, env):
+            out[k2] += w * vec[k]
+    return out
+
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+def expressions(names):
+    leaves = st.sampled_from(names).map(Var) | st.sampled_from((0, 1)).map(Const)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)), max_leaves=6)
+
+
+def statements(names, kinds):
+    """Statements of the given leaf kinds, nested in `if` blocks. In quantum
+    mode (QRand among the kinds) x ^= E keeps x out of E, as validated
+    programs do."""
+    expr, target = expressions(names), st.sampled_from(names)
+    xor = st.builds(XorAssign, target, expr)
+    if QRand in kinds:
+        xor = xor.filter(lambda s: s.target not in free_vars(s.rhs))
+    leaf = {
+        XorAssign: xor,
+        Assign: st.builds(Assign, target, expr),
+        QRand: st.builds(QRand, target),
+        RandBit: st.builds(RandBit, target),
+        QNeg: st.just(QNeg()),
+    }
+    return st.recursive(st.one_of([leaf[k] for k in kinds]), lambda body: st.builds(
+        If, expr, st.lists(body, min_size=1, max_size=3).map(tuple)), max_leaves=6)
+
+
+def reads_and_writes_itself(names):
+    """`x := E` with E reading x, or `if E:` with a body writing a variable E reads."""
+    expr, target = expressions(names), st.sampled_from(names)
+    op = st.sampled_from((And, Or, lambda a, b: Or(And(a, Not(b)), And(Not(a), b))))
+    own = st.builds(lambda t, e, f: (t, f(Var(t), e)), target, expr, op)
+    assign = own.map(lambda te: Assign(*te))
+    writes = st.sampled_from((Assign, XorAssign))
+    cond_writer = st.builds(lambda te, e, kind, rest: If(te[1], (kind(te[0], e),) + rest),
+                            own, expr, writes, st.lists(st.builds(Assign, target, expr),
+                                                        max_size=2).map(tuple))
+    return assign | cond_writer
+
+
+@st.composite
+def kernel_cases(draw, kinds=None):
+    """An environment of 1-6 bits, a statement, and a vector of weights in
+    [0, 1). With no kinds, the statement reads what it writes."""
+    env = Environment(NAMES[:draw(st.integers(1, 6))])
+    if kinds is None:
+        stmt = draw(reads_and_writes_itself(env.names))
+    else:
+        stmt = draw(statements(env.names, kinds))
+    vec = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(env.dim)
+    return env, stmt, vec
+
+
+class TestWorldKernels:
+    """apply_comp against the per-world reference, on vectors and on the
+    columns of np.eye."""
+
+    @given(kernel_cases((XorAssign, QNeg, QRand)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_quantum_statements(self, case, stacked):
+        env, stmt, vec = case
+        vec = np.eye(env.dim) if stacked else vec - 0.5
+        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        np.testing.assert_allclose(got, kernel_reference(vec, stmt, env), atol=1e-12)
+
+    @given(kernel_cases((XorAssign, Assign, RandBit)) | kernel_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_classical_statements(self, case, stacked):
+        env, stmt, vec = case
+        vec = np.eye(env.dim) if stacked else vec
+        got = apply_comp(vec, stmt, env, QUANTUM_ONLY)
+        np.testing.assert_allclose(got, kernel_reference(vec, stmt, env), atol=1e-12)
+
+    @pytest.mark.parametrize("source", [
+        "x10 ^= x9 and not x3",
+        "x9 ^= x10 or x0",
+        "if x10 == x3:\n    qnegate()\n    x8 ^= x9",
+        "if x0 and not x10:\n    x1 ^= x9",
+    ])
+    def test_tables_on_the_low_order_bits_of_a_wide_state(self, source):
+        names = tuple(f"x{i}" for i in range(11))
+        env = Environment(names)
+        stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+        vec = np.random.default_rng(6).standard_normal(env.dim)
+        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
+
+    @pytest.mark.parametrize("source", [
+        "x10 := x10 and x2 or x9", "x9 ^= x9 or x10", "if x10:\n    x10 := x3",
+    ])
+    def test_classical_writes_on_the_low_order_bits_of_a_wide_state(self, source):
+        names = tuple(f"x{i}" for i in range(11))
+        env = Environment(names)
+        stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+        probs = np.random.default_rng(7).random(env.dim)
+        got = apply_comp(probs, stmt, env, QUANTUM_ONLY)
+        np.testing.assert_allclose(got, kernel_reference(probs, stmt, env), atol=1e-15)
+
+    def test_truth_table_on_a_wide_state(self):
+        env = Environment(tuple(f"x{i}" for i in range(11)))
+        expr = Or(And(Var("x10"), Not(Var("x2"))), Var("x7"))
+        table = truth_table(expr, env)
+        assert table.dtype == np.int64 and table.shape == (env.dim,)
+        assert list(table) == [world_value(expr, k, env) for k in range(env.dim)]
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls of a module-level function, recursive ones included."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return real(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestComparisonChains:
+    # `a == b` desugars to a tree holding a and b twice each, so a chain of
+    # k comparisons has about 2**k leaves but only O(k) distinct nodes.
+    K = MAX_NESTING // 4  # each `==` adds four levels
+    TERMS = [("y", "z", "w")[i % 3] for i in range(K + 1)]
+
+    def chain_value(self, k, env):
+        value = env.bit(k, self.TERMS[0])
+        for term in self.TERMS[1:]:
+            value = int(value == env.bit(k, term))
+        return value
+
+    def program(self):
+        return parse("def main(x, y, z, w : bit):\n  x ^= " + " == ".join(self.TERMS) + "\n")
+
+    def test_longest_chain_is_at_the_nesting_limit(self):
+        self.program()
+        longer = " == ".join(self.TERMS + ["y"])
+        with pytest.raises(qppl.ParseError):
+            parse(f"def main(x, y, z, w : bit):\n  x ^= {longer}\n")
+
+    def test_truth_table_visits_each_node_once(self, monkeypatch):
+        stmt = self.program().body[0]
+        env = Environment(("x", "y", "z", "w"))
+        calls = counted(monkeypatch, qppl.engine, "_table")
+        table = truth_table(stmt.rhs, env)
+        assert len(calls) <= 10 * (self.K + 1)
+        assert list(table) == [self.chain_value(k, env) for k in range(env.dim)]
+        vec = np.random.default_rng(2).standard_normal(env.dim)
+        expected = np.empty_like(vec)
+        for k in range(env.dim):
+            expected[k ^ (self.chain_value(k, env) << env.shift("x"))] = vec[k]
+        np.testing.assert_array_equal(apply_comp(vec, stmt, env, CLASSICAL_ONLY), expected)
+
+    def test_free_vars_visits_each_node_once(self, monkeypatch):
+        p = self.program()
+        calls = counted(monkeypatch, qppl.syntax, "_free_vars")
+        assert free_vars(p.body[0].rhs) == {"y", "z", "w"}
+        assert len(calls) <= 10 * (self.K + 1)
+        calls.clear()
+        assert validate(p) == []  # reads the free variables a few times
+        assert len(calls) <= 40 * (self.K + 1)
+
+    def test_undeclared_last_term_is_located_in_linear_time(self, monkeypatch):
+        line = "  x ^= " + " == ".join(self.TERMS[:-1] + ["q"])
+        p = parse("def main(x, y, z, w : bit):\n" + line + "\n")
+        calls = counted(monkeypatch, qppl.validator, "_var_loc")
+        (diag,) = validate(p)
+        assert (diag.code, diag.line, diag.col) == ("UNDECLARED_VARIABLE", 2, len(line))
+        assert len(calls) <= 10 * (self.K + 1)
 
 
 class TestMeasure:
@@ -398,6 +605,41 @@ class TestNewAndReturn:
         assert out.env.names == ()
         # Both outcomes leave the empty state [1]; they merge into one branch.
         assert_state_close(out, [(1.0, [1])])
+
+    def test_return_nothing_from_a_signed_uniform_state_builds_one_branch(self, monkeypatch):
+        names = [f"v{i}" for i in range(16)]
+        signs = np.random.default_rng(12).choice([-1.0, 1.0], 1 << 16)
+        signs[0] = 1.0
+        st = make_state(names, [(1.0, signs * 2.0 ** -8)])
+        built = counted(monkeypatch, qppl.engine, "Branch")
+        out = apply_return(st, [])
+        assert out.env.names == ()
+        assert_state_close(out, [(1.0, [1.0])], tol=1e-12)
+        assert len(built) == 1
+
+    def test_outcomes_equal_up_to_sign_within_and_across_branches(self):
+        # Every row of u over (a, b) times a signed scale over c: within a
+        # branch all outcomes are +-u, and the second branch repeats them.
+        rng = np.random.default_rng(11)
+        names = ("a", "b", "c")
+        env = Environment(names)
+        for _ in range(10):
+            u = rng.standard_normal(4)
+            v = np.array([u[(k >> 1)] * (1 if k & 1 else -2) for k in range(8)])
+            v /= np.linalg.norm(v)
+            w = rng.standard_normal(8)
+            w /= np.linalg.norm(w)
+            st = make_state(names, [(0.3, v), (0.2, w), (0.5, -v)])
+            for kept in (["a", "b"], ["a"], []):
+                def rest(k):
+                    return [env.bit(k, n) for n in names if n not in kept]
+                expected = []
+                for p, amps in brute_force_measure(st, [n for n in names if n not in kept]):
+                    r = rest(int(np.flatnonzero(amps)[0]))
+                    expected.append((p, [amps[k] for k in range(env.dim) if rest(k) == r]))
+                got = apply_return(st, kept)
+                assert len(got.branches) < len(expected)
+                assert_state_close(got, merge_reference(expected), tol=1e-12)
 
     def test_discarded_entangled_variable_decoheres(self):
         # (|00> + |11>)/sqrt2 with y discarded leaves an even classical mix on x.

@@ -276,6 +276,31 @@ class TestAnalyses:
                 assert assigned_vars(stmt.body) == walk_targets(stmt.body, set())
 
 
+FUZZ_TOKENS = [
+    "def", "main", "(", ")", ":", ": bit", ",", "x", "y", "z", "if", "not", "and", "or",
+    "==", "!=", "^", "^=", ":=", "0", "1", "2", "qrand_bit(x)", "qrand", "qnegate()",
+    "qneg", "measure", "new", "return", "rand_bit()", "\n", "  ", "\t", "# c", "¬", "∧",
+    "∨", "\r\n", "@", "",
+]
+fuzz_soup = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map(" ".join)
+
+
+class TestParseFuzz:
+    @given(st.one_of(
+        st.text(max_size=200),
+        fuzz_soup,
+        fuzz_soup.map(lambda body: "def main(x, y, z : bit):\n  " + body),
+        st.lists(fuzz_soup, max_size=6).map(
+            lambda lines: "def main(x, y : bit):\n" + "\n".join("  " + l for l in lines)),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
 class TestRoundTrip:
     def test_corpus_round_trips(self, corpus):
         for src in corpus.values():
