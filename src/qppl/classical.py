@@ -35,7 +35,7 @@ Observer = Callable[[str, ClassicalState], None]
 
 def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalState:
     """Execute a validated classical program; returns the final distribution."""
-    env = Environment(tuple(p.inputs))
+    env = Environment(()).extended(tuple(p.inputs))  # CapacityError past MAX_LIVE_BITS
     probs = np.zeros(env.dim)
     probs[0] = 1.0
     state = ClassicalState(env, probs)

@@ -7,9 +7,10 @@ Subcommands:
     examples        list the bundled example programs
 
 FILE may be a path or the name of a bundled example. Exit codes: 0 on
-success, 1 on syntax or validation errors (diagnostics go to stderr), 2 on
-capacity errors. Output for a fixed (file, flags, seed) is byte-identical
-across runs.
+success, 1 on syntax or validation errors (diagnostics go to stderr) and
+on files that cannot be read or written, 2 on capacity errors and usage
+errors. Output for a fixed (file, flags, seed) is byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def _print_distribution(dist: dict[int, float], n_bits: int, out):
 def _resolve_source(file_arg: str) -> tuple[str, str]:
     path = Path(file_arg)
     if path.exists():
-        return path.name, path.read_text(encoding="utf-8")
+        try:
+            return path.name, path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"cannot read {file_arg}: {exc}") from None
     bundled = syntax.bundled_programs()
     name = file_arg.removesuffix(".qppl")
     if name in bundled:
@@ -77,7 +81,7 @@ def _load_program(file_arg: str, mode: str):
     """Parse and validate; returns (filename, program) or exits with code 1."""
     try:
         filename, source = _resolve_source(file_arg)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
     try:
@@ -92,6 +96,15 @@ def _load_program(file_arg: str, mode: str):
     if validator.has_errors(diags):
         raise SystemExit(1)
     return filename, program
+
+
+def _dump(path: str, text: str):
+    """Write the --dump-state file, or exit with code 1 if it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _cmd_run(args) -> int:
@@ -111,8 +124,7 @@ def _cmd_run(args) -> int:
             dist = state_mod.output_distribution(final)
             n_bits = final.env.n_bits
             if args.dump_state:
-                Path(args.dump_state).write_text(state_mod.state_to_json(final),
-                                                 encoding="utf-8")
+                _dump(args.dump_state, state_mod.state_to_json(final))
             if args.oracle:
                 deviation = density.check_equivalence(program)
                 print(f"oracle deviation: {deviation:.3e}")
@@ -123,8 +135,7 @@ def _cmd_run(args) -> int:
             if args.dump_state:
                 payload = {"vars": list(final.env.names),
                            "probs": [float(x) for x in final.probs]}
-                Path(args.dump_state).write_text(json.dumps(payload, indent=2),
-                                                 encoding="utf-8")
+                _dump(args.dump_state, json.dumps(payload, indent=2))
     except state_mod.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

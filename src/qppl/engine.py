@@ -1,25 +1,36 @@
 """Execution of validated programs under the two-layer semantics.
 
+A run holds its branches as one block: a (B, 2**n) float64 array whose
+row j is branch j's amplitudes, and a vector of the B probabilities.
+``TwoLayerState`` stays the boundary: ``from_block`` hands out states
+whose branch amplitudes are views of the block's rows, and ``to_block``
+stacks a state's branches for the public functions that take one.
+
 ``apply_comp`` is the one statement kernel. It maps a world vector to a
 world vector: signed amplitudes here and in ``comp_matrix``, probabilities
 in classical mode. It works on the (2,)*n view of the vector, one axis per
 live variable and the columns of a stack trailing, and builds no index
-array. An expression's truth table has a length-2 axis only for each
-variable the expression reads, so it holds 2**|FV| entries and is
-broadcast against the worlds. ``x ^= E`` swaps the two halves of x's axis
-where E holds; ``x := E`` moves the worlds where E differs from x to
-their partner across that axis; ``if`` masks: the body runs on the worlds
-where the condition holds and the rest pass through, the block form of
-the statement's matrix without materializing it. ``split_index`` holds
-the bit layout that measurement, return and the density oracle's
-projector read. Measurement splits each branch into one
-branch per observed value, squaring amplitude mass into classical
-probability; return measures the discarded variables and keeps the
-returned worlds of each outcome. After either split, branches whose
-amplitudes are equal up to a global sign are merged into their first
-occurrence, in first-occurrence order, so measuring one bit k times holds
-2 branches rather than 2**k. A split that would hold more than
-MAX_SPLIT_BYTES of amplitudes raises CapacityError before it is built.
+array. A block goes in as its transpose, worlds on axis 0 and a column
+per branch, so a statement is one call on the block, or on a chunk of
+rows at a time when the block is larger than _CHUNK entries. An
+expression's truth table has a length-2 axis only for each variable the
+expression reads, so it holds 2**|FV| entries and is broadcast against
+the worlds. ``x ^= E`` swaps the two halves of x's axis where E holds;
+``x := E`` moves the worlds where E differs from x to their partner
+across that axis; ``if`` masks: the body runs on the worlds where the
+condition holds and the rest pass through, the block form of the
+statement's matrix without materializing it, and an ``if`` of negations
+only is one multiply by a table of signs. ``split_index`` holds the bit
+layout that the density oracle's projector reads.
+
+Measurement splits the block in bulk into one branch per (branch,
+observed value), squaring amplitude mass into classical probability;
+return measures the discarded variables and keeps the returned worlds of
+each outcome. After either split, branches whose amplitudes are equal up
+to a global sign are merged into their first occurrence, in
+first-occurrence order, so measuring one bit k times holds 2 branches
+rather than 2**k. A split that would hold more than MAX_SPLIT_BYTES of
+amplitudes raises CapacityError before it is built.
 
 Runs are deterministic; sampling happens only when rendering output.
 """
@@ -37,7 +48,7 @@ from .syntax import (
 )
 from .state import (
     Branch, CapacityError, Environment, MAX_SPLIT_BYTES, PRUNE_EPS, TwoLayerState,
-    assert_valid_state, extend, initial_state, prune_branches,
+    assert_valid_state,
 )
 
 COMP_MATRIX_MAX_BITS = 10
@@ -122,6 +133,10 @@ CLASSICAL_ONLY = (Assign, RandBit)
 QUANTUM_ONLY = (QRand, QNeg, Measure, New)
 
 
+# Size from which _coin splits a target next to the lowest bit into lanes.
+_LANES_FROM = 1 << 10
+
+
 def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     """Mix each pair of worlds that differ only in the target bit.
 
@@ -132,16 +147,39 @@ def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     (the columns of ``comp_matrix``) ride along.
     """
     pairs = vec.reshape(-1, 2, 1 << shift, *vec.shape[1:])
-    zero, one = pairs[:, 0], pairs[:, 1]
     out = np.empty_like(pairs)
-    np.add(zero, one, out=out[:, 0])
+    # With the target bit next to the lowest, the halves interleave two by
+    # two and numpy's inner loop would be two long; on a large array each
+    # of the two lanes is one long strided pass instead.
+    for lane in (0, 1) if shift == 1 and vec.size >= _LANES_FROM else (slice(None),):
+        zero, one = pairs[:, 0, lane], pairs[:, 1, lane]
+        np.add(zero, one, out=out[:, 0, lane])
+        if signed:
+            np.subtract(zero, one, out=out[:, 1, lane])
+        else:
+            out[:, 0, lane] *= 0.5
+            out[:, 1, lane] = out[:, 0, lane]
     if signed:
-        np.subtract(zero, one, out=out[:, 1])
         out *= _SQRT_HALF
-    else:
-        out[:, 0] *= 0.5
-        out[:, 1] = out[:, 0]
     return out.reshape(vec.shape)
+
+
+def _negated(stmt: If, env: Environment) -> np.ndarray | None:
+    """Table of the worlds an ``if`` negates, if its body holds only
+    ``qnegate()`` and ``if`` statements of the same kind; else None.
+
+    Such an ``if`` is diagonal: a world is negated when the condition holds
+    and an odd number of the body's negations reach it.
+    """
+    odd = np.zeros((1,) * env.n_bits, dtype=bool)
+    for inner in stmt.body:
+        if isinstance(inner, QNeg):
+            odd = ~odd
+        elif isinstance(inner, If) and (table := _negated(inner, env)) is not None:
+            odd = odd ^ table
+        else:
+            return None
+    return _table(stmt.cond, env, {}) & odd
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -164,6 +202,10 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         raise TypeError(f"not a computational statement: {stmt!r}")
     worlds = vec.reshape((2,) * env.n_bits + vec.shape[1:])
     if isinstance(stmt, If):
+        negated = None if QNeg in foreign else _negated(stmt, env)
+        if negated is not None:
+            signs = _mask(np.where(negated, -1.0, 1.0), vec)
+            return (worlds * signs).reshape(vec.shape)
         # Linear in the vector: the body may write the condition's variables
         # in classical mode, so it must not be run on the whole vector.
         # Multiplying by a boolean mask selects, and is faster than np.where.
@@ -191,8 +233,72 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
 
 
 # ---------------------------------------------------------------------------
+# Blocks: a run's branches as one array
+# ---------------------------------------------------------------------------
+
+def to_block(state: TwoLayerState) -> tuple[np.ndarray, np.ndarray]:
+    """A state's branches as one block: the (B, 2**n) array whose row j is
+    branch j's amplitudes, and the B branch probabilities."""
+    amps = np.array([b.amps for b in state.branches], dtype=float)
+    return (amps.reshape(len(state.branches), state.env.dim),
+            np.array([b.p for b in state.branches], dtype=float))
+
+
+def from_block(env: Environment, amps: np.ndarray, probs: np.ndarray) -> TwoLayerState:
+    """The state of a block: branch j has probability probs[j], and its
+    amplitudes are a view of row j of ``amps``."""
+    return TwoLayerState(env, [Branch(p, row) for p, row in zip(probs.tolist(), amps)])
+
+
+def _initial_block(inputs: Sequence[str]) -> tuple[Environment, np.ndarray, np.ndarray]:
+    env = Environment(()).extended(tuple(inputs))
+    amps = np.zeros((1, env.dim))
+    amps[0, 0] = 1.0
+    return env, amps, np.ones(1)
+
+
+def initial_state(inputs: Sequence[str]) -> TwoLayerState:
+    """All inputs zero, with classical and quantum certainty."""
+    return from_block(*_initial_block(inputs))
+
+
+def _embed(amps: np.ndarray, m: int) -> np.ndarray:
+    """Rows 2**m times longer, each world moved to the one whose m new
+    low-order bits are zero."""
+    out = np.zeros((len(amps), amps.shape[1] << m))
+    out[:, ::1 << m] = amps
+    return out
+
+
+def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
+    """Embed every branch into the larger space with the new bits at zero."""
+    env = state.env.extended(new_names)
+    amps, probs = to_block(state)
+    return from_block(env, _embed(amps, len(new_names)), probs)
+
+
+# ---------------------------------------------------------------------------
 # Bit layout, measurement, return
 # ---------------------------------------------------------------------------
+
+def _by_value(env: Environment, names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """A view of the rows of a block as (row, named bits..., other bits...).
+
+    Axis i of the (2,)*n view of a row is the bit of env.names[i]; the
+    named axes come first, each group in environment order, so the worlds
+    where the named variables read y are one slice, in world order. Raises
+    KeyError if a named variable is not live.
+    """
+    shape, axes = _value_axes(env, tuple(names))
+    return lambda block: block.reshape((len(block),) + shape).transpose(axes)
+
+
+@lru_cache(maxsize=256)
+def _value_axes(env: Environment, names: tuple[str, ...]) -> tuple[tuple[int, ...], list[int]]:
+    named = sorted(env.position(n) for n in names)
+    axes = [0] + [1 + i for i in named] + [1 + i for i in range(env.n_bits) if i not in named]
+    return (2,) * env.n_bits, axes
+
 
 def split_index(env: Environment, names: Sequence[str]) -> np.ndarray:
     """World index of every (other variables, named variables) value pair.
@@ -202,14 +308,9 @@ def split_index(env: Environment, names: Sequence[str]) -> np.ndarray:
     environment order with the earliest declared variable most significant.
     Raises KeyError if a named variable is not live.
     """
-    named = set(names)
-    if not named <= set(env.names):
-        raise KeyError(f"variables not live: {sorted(named - set(env.names))}")
-    # Axis i of the (2,)*n view is the bit of env.names[i].
-    axes = ([i for i, n in enumerate(env.names) if n not in named]
-            + [i for i, n in enumerate(env.names) if n in named])
-    worlds = np.arange(env.dim).reshape((2,) * env.n_bits).transpose(axes)
-    return worlds.reshape(env.dim >> len(named), 1 << len(named))
+    k = len(set(names))
+    worlds = _by_value(env, names)(np.arange(env.dim)[None])
+    return worlds.reshape(1 << k, env.dim >> k).T
 
 
 def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
@@ -220,84 +321,160 @@ def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
     return keys
 
 
-def _sign_free_key(amps: np.ndarray) -> np.ndarray:
-    """Amplitudes as integer multiples of MERGE_GRID, negated if the first
-    nonzero one is negative (row by row for a 2-D array); integers have no
-    -0.0."""
-    key = np.rint(amps * (1.0 / MERGE_GRID)).astype(np.int64)
-    lead = np.argmax(key != 0, axis=-1)
-    if key.ndim == 1:
-        if key[lead] < 0:
-            np.negative(key, out=key)
-    else:
-        key[key[np.arange(len(key)), lead] < 0] *= -1
+# Entries of a block that one chunk holds (512 KiB of float64): statements
+# and splits on a block of many branches go a chunk of rows at a time, so
+# their temporaries stay this small and in cache.
+_CHUNK = 1 << 16
+
+
+def _chunks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row ranges of at most _CHUNK entries (one row at least)."""
+    step = max(1, _CHUNK // row_len)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _sign_free_key(rows: np.ndarray) -> np.ndarray:
+    """Rows as integer multiples of MERGE_GRID, each negated if its first
+    nonzero entry is negative; integers have no -0.0."""
+    key = np.rint(rows * (1.0 / MERGE_GRID)).astype(np.int64)
+    key *= np.sign(key[np.arange(len(key)), np.argmax(key != 0, axis=1)])[:, None]
     return key
 
 
-def _merge_up_to_sign(branches: list[Branch]) -> list[Branch]:
-    """Fold each branch whose amplitudes equal an earlier one's up to a
-    global sign into that earlier branch, adding its probability.
+def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.ndarray:
+    """Index of the first of n rows, each ``width`` long, that has the same
+    tag as each row and equals it up to a global sign on MERGE_GRID.
 
-    Exact for every observable: the state is seen only through its density
-    matrix, the sum of p * a a^T, and a a^T is unchanged when a becomes -a.
-    The first occurrence keeps its vector and its place. Keys are hashed to
-    ints and a hash hit is confirmed by comparing keys, so no per-branch
-    bytes are held.
+    ``rows_of(k)`` gives the rows k (a slice or an index array). It is
+    called a chunk of rows at a time, and only one chunk's keys are held:
+    rows are matched exactly within a chunk, and across chunks through a
+    hash of the key. A match through the hash is confirmed by rebuilding
+    both rows and comparing their keys, so a hash collision can leave two
+    equal rows apart, never join two different ones.
     """
-    if len(branches) < 2:
-        return branches
-    merged: list[Branch] = []
-    slots: dict[int, list[int]] = {}
-    for b in branches:
-        key = _sign_free_key(b.amps)
-        same_hash = slots.setdefault(hash(key.tobytes()), [])
-        for j in same_hash:
-            if np.array_equal(_sign_free_key(merged[j].amps), key):
-                merged[j].p += b.p
-                break
-        else:
-            same_hash.append(len(merged))
-            merged.append(b)
-    return merged
+    if n < 2:
+        return np.arange(n)
+    local: list[int] = []  # first equal row in the same chunk
+    first: list[int] = []  # for such a row, the first row with its hash
+    seen: dict[int, int] = {}
+    for c in _chunks(n, width):
+        exact: dict[tuple[int, bytes], int] = {}
+        for i, t, k in zip(range(c.start, n), tags[c].tolist(), _sign_free_key(rows_of(c))):
+            key = (t, k.tobytes())
+            j = exact.setdefault(key, i)
+            local.append(j)
+            first.append(seen.setdefault(hash(key), i) if j == i else i)
+    first = np.array(first)
+    later = np.flatnonzero(first != np.arange(n))
+    for c in _chunks(len(later), width):
+        i = later[c]
+        j = first[i]
+        same = (tags[i] == tags[j]) & np.all(
+            _sign_free_key(rows_of(i)) == _sign_free_key(rows_of(j)), axis=1)
+        first[i[~same]] = i[~same]
+    return first[local]
 
 
-def _split_branches(state: TwoLayerState, keys: np.ndarray, split,
-                    out_dim: int) -> list[Branch]:
-    """Split every branch by key: split(branch, ys, masses) returns the
-    branches of the keys ys of nonzero mass, with masses[i] the squared
-    amplitude of the worlds keyed ys[i]. Branches equal up to sign are
-    then merged.
+def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequence[str],
+           drop_named: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Split every branch of a block by the value y of the named variables.
 
-    This is the only place where branches are created, so it is the only
-    place that merges: computational statements and ``new`` are isometries
-    on each branch, so branches that are distinct after a split stay
-    distinct. The outcomes are counted first, and CapacityError is raised
-    before any is built if their ``out_dim`` float64 amplitudes would
-    exceed MAX_SPLIT_BYTES.
+    Branch j becomes one branch per y whose probability p_j * m_jy exceeds
+    PRUNE_EPS, where m_jy is the squared amplitude mass of the worlds
+    showing y; the new branches come in (j, y ascending) order, their
+    probabilities are renormalized, and their amplitudes on those worlds
+    are divided by sqrt(m_jy). A new branch keeps all 2**n worlds, zero
+    where the named variables do not read y (measure), or with
+    ``drop_named`` only the worlds showing y, indexed by the other
+    variables (return). Raises KeyError if a named variable is not live.
+
+    The outcomes are counted first, and CapacityError is raised before any
+    is built if their float64 amplitudes would exceed MAX_SPLIT_BYTES.
+    Then every outcome equal up to a global sign to an earlier one is
+    merged into it: the earlier one keeps its amplitudes and its place and
+    gains the later one's probability. This is exact for every
+    observable: the state is seen only through its density matrix, the sum
+    of p * a a^T, and a a^T is unchanged when a becomes -a. Splits are the
+    only place that merges: computational statements and ``new`` are
+    isometries on each branch, so branches distinct after a split stay
+    distinct. Outcomes that do not fit in one chunk are built a chunk at a
+    time, once to find the merges and once into the new block, so a split
+    holds the old block, the new one and a chunk.
     """
-    outcomes = []
-    for b in state.branches:
-        mass = np.bincount(keys, weights=b.amps * b.amps)
-        ys = np.flatnonzero(b.p * mass > PRUNE_EPS)
-        outcomes.append((b, ys, mass[ys]))
-    count = sum(len(ys) for _, ys, _ in outcomes)
-    if count * out_dim * 8 > MAX_SPLIT_BYTES:
+    k = len(names)
+    n_values, width = 1 << k, env.dim >> k
+    by_value = _by_value(env, names)
+    # Masses summed in world order, one running sum per (branch, value).
+    masses = np.empty((len(amps), n_values))
+    for c in _chunks(len(amps), env.dim):
+        squares = by_value(amps[c] * amps[c]).reshape(-1, n_values, width)
+        masses[c] = np.add.accumulate(squares, axis=2)[:, :, -1]
+    weights = probs[:, None] * masses
+    js, ys = (weights > PRUNE_EPS).nonzero()
+    out_width = width if drop_named else env.dim
+    if len(js) * out_width * 8 > MAX_SPLIT_BYTES:
         raise CapacityError(
-            f"{count} branches of {out_dim} amplitudes need {count * out_dim * 8 >> 20} MiB, "
-            f"over the {MAX_SPLIT_BYTES >> 20} MiB limit")
-    new_branches = [nb for b, ys, masses in outcomes for nb in split(b, ys, masses)]
-    return _merge_up_to_sign(prune_branches(new_branches))
+            f"{len(js)} branches of {out_width} amplitudes need "
+            f"{len(js) * out_width * 8 >> 20} MiB, over the {MAX_SPLIT_BYTES >> 20} MiB limit")
+    if not len(js):
+        raise ValueError("all branches were pruned")
+    scale = np.sqrt(masses[js, ys])
+    weights = weights[js, ys]
+    weights /= np.add.reduce(weights)
+    bits = np.unravel_index(ys, (2,) * k) if k else ()  # y's bits, the first named first
+    source = by_value(amps)
+
+    def outcomes(i):
+        """Amplitudes of the outcomes i on the worlds showing their value."""
+        rows = source[(js[i],) + tuple(b[i] for b in bits)]
+        return rows.reshape(len(rows), width) / scale[i][:, None]
+
+    # Outcomes that fit in one chunk are built once.
+    part = outcomes(slice(None)) if len(js) * width <= _CHUNK else None
+
+    def rows_of(i):
+        return outcomes(i) if part is None else part[i]
+
+    # An outcome of a measurement is zero off its own worlds, so outcomes
+    # with different values never merge, and neither do the outcomes of a
+    # single branch; on return they may.
+    if drop_named or len(amps) > 1:
+        first = _first_equal(rows_of, len(js), width, np.zeros_like(ys) if drop_named else ys)
+        heads = np.flatnonzero(first == np.arange(len(first)))
+    else:
+        first = heads = np.arange(len(js))
+    if len(heads) < len(js):
+        group = np.empty(len(js), dtype=np.intp)
+        group[heads] = np.arange(len(heads))
+        weights = np.bincount(group[first], weights=weights, minlength=len(heads))
+    if drop_named:
+        if part is not None and len(heads) == len(js):
+            return part, weights
+        out = np.empty((len(heads), width))
+        for c in _chunks(len(heads), width):
+            out[c] = rows_of(heads[c])
+        return out, weights
+    out = np.zeros((len(heads), env.dim))
+    target = by_value(out)
+    for c in _chunks(len(heads), width):
+        rows = heads[c]
+        at = (np.arange(c.start, c.start + len(rows)),) + tuple(b[rows] for b in bits)
+        target[at] = rows_of(rows).reshape((len(rows),) + (2,) * (env.n_bits - k))
+    return out, weights
 
 
-def _group_rows(rows: np.ndarray, ps: np.ndarray) -> list[Branch]:
-    """One branch per set of rows equal up to sign: the set's first row,
-    with the set's summed probability, in first-occurrence order."""
-    if len(rows) < 2:
-        return [Branch(float(p), row) for p, row in zip(ps, rows)]
-    first: dict[bytes, int] = {}
-    group = [first.setdefault(key.tobytes(), i) for i, key in enumerate(_sign_free_key(rows))]
-    totals = np.bincount(group, weights=ps, minlength=len(rows))
-    return [Branch(float(totals[i]), rows[i].copy()) for i in first.values()]
+def _measure(env: Environment, amps: np.ndarray, probs: np.ndarray,
+             names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    if len(set(names)) != len(names):
+        raise ValueError("measured variables must be distinct")
+    return _split(env, amps, probs, names, drop_named=False)
+
+
+def _return(env: Environment, amps: np.ndarray, probs: np.ndarray,
+            returns: Sequence[str]) -> tuple[Environment, np.ndarray, np.ndarray]:
+    kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
+    discarded = [n for n in env.names if n not in kept]
+    return (Environment(kept), *_split(env, amps, probs, discarded, drop_named=True))
 
 
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
@@ -311,53 +488,47 @@ def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     it: the earlier branch keeps its amplitudes and place, and gains the
     later one's probability.
     """
-    if len(set(names)) != len(names):
-        raise ValueError("measured variables must be distinct")
-    keys = measurement_keys(state.env, names)
-
-    def split(b, ys, masses):
-        # The outcomes of one branch have disjoint supports, so none of
-        # them are equal up to sign.
-        return [Branch(b.p * q2, np.where(keys == y, b.amps, 0.0) / np.sqrt(q2))
-                for y, q2 in zip(ys, masses)]
-    return TwoLayerState(state.env, _split_branches(state, keys, split, state.env.dim))
+    amps, probs = to_block(state)
+    return from_block(state.env, *_measure(state.env, amps, probs, names))
 
 
 def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
     """Measure everything not returned, then delete those bit positions.
 
     Each outcome of the measurement fixes the discarded variables, so its
-    branch is one row of the split index: a gather of the 2**k returned
-    worlds. A branch's outcomes are gathered as one matrix, and rows equal
-    up to sign are grouped before any branch is built, so returning
-    nothing from a uniform state builds one branch, not 2**n.
-    The surviving environment lists the returned variables in
-    declaration order.
+    branch holds just the 2**k worlds where they take that value, indexed
+    by the returned variables; outcomes equal up to sign are grouped
+    before the new block is built. The surviving environment lists the
+    returned variables in declaration order.
     """
-    index = split_index(state.env, returns)
-    kept = tuple(n for n in state.env.names if n in set(returns))
-    discarded = [n for n in state.env.names if n not in set(returns)]
-
-    def split(b, ys, masses):
-        return _group_rows(b.amps[index[ys]] / np.sqrt(masses)[:, None], b.p * masses)
-    branches = _split_branches(state, measurement_keys(state.env, discarded), split,
-                               index.shape[1])
-    return TwoLayerState(Environment(kept), branches)
+    return from_block(*_return(state.env, *to_block(state), returns))
 
 
 # ---------------------------------------------------------------------------
 # Whole-program execution
 # ---------------------------------------------------------------------------
 
-def _apply_statement(state: TwoLayerState, stmt: Statement) -> TwoLayerState:
+def _step(env: Environment, amps: np.ndarray, probs: np.ndarray, stmt: Statement,
+          in_place: bool = True) -> tuple[Environment, np.ndarray, np.ndarray]:
+    """One top-level statement on a block."""
     if isinstance(stmt, New):
-        return extend(state, stmt.names)
+        return env.extended(stmt.names), _embed(amps, len(stmt.names)), probs
     if isinstance(stmt, Measure):
-        return apply_measure(state, stmt.names)
-    env = state.env
-    return TwoLayerState(env, [
-        Branch(b.p, apply_comp(b.amps, stmt, env, CLASSICAL_ONLY)) for b in state.branches
-    ])
+        return (env, *_measure(env, amps, probs, stmt.names))
+    # The transpose is a view: worlds on axis 0, one column per branch. A
+    # block of several chunks goes a chunk of rows at a time, written back
+    # in place unless views of it have been handed out, so a statement
+    # holds one block and a chunk's temporaries.
+    if amps.size <= _CHUNK or len(amps) == 1:
+        return env, apply_comp(amps.T, stmt, env, CLASSICAL_ONLY).T, probs
+    out = amps if in_place else np.empty_like(amps)
+    for c in _chunks(len(amps), env.dim):
+        out[c] = apply_comp(amps[c].T, stmt, env, CLASSICAL_ONLY).T
+    return env, out, probs
+
+
+def _apply_statement(state: TwoLayerState, stmt: Statement) -> TwoLayerState:
+    return from_block(*_step(state.env, *to_block(state), stmt))
 
 
 def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
@@ -368,27 +539,31 @@ def run(p: Program, *, observer: Observer | None = None,
         check_invariants: bool = False) -> TwoLayerState:
     """Execute a validated program and return its final two-layer state.
 
-    The observer, if given, is called with ("", initial state) and then
-    (statement text, state) after every top-level statement, including the
-    final return.
+    The branches are held as one block throughout; the final state's
+    branch amplitudes are views of its rows. The observer, if given, is
+    called with ("", initial state) and then (statement text, state) after
+    every top-level statement, including the final return.
     """
-    state = initial_state(p.inputs)
+    block = _initial_block(p.inputs)
+
+    def report(stmt: Statement | None):
+        if check_invariants or observer:
+            state = from_block(*block)
+            if check_invariants:
+                assert_valid_state(state)
+            if observer:
+                returns = " " + ", ".join(p.returns) if p.returns else ""
+                observer(statement_source(stmt) if stmt else f"return{returns}", state)
+
     if observer:
-        observer("", state)
+        observer("", from_block(*block))
     for stmt in p.body:
-        state = _apply_statement(state, stmt)
-        if check_invariants:
-            assert_valid_state(state)
-        if observer:
-            observer(statement_source(stmt), state)
+        block = _step(*block, stmt, in_place=not (check_invariants or observer))
+        report(stmt)
     if p.returns is not None:
-        state = apply_return(state, p.returns)
-        if check_invariants:
-            assert_valid_state(state)
-        if observer:
-            suffix = " " + ", ".join(p.returns) if p.returns else ""
-            observer(f"return{suffix}", state)
-    return state
+        block = _return(*block, p.returns)
+        report(None)
+    return from_block(*block)
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

@@ -7,6 +7,13 @@ The outer level is a classical probability distribution over branches.
 Measurement moves weight from the inner level to the outer one; nothing
 else ever couples branches, so they evolve independently.
 
+``TwoLayerState`` and ``Branch`` are the boundary of the package. Inside a
+run the engine holds the branches as one block instead: a (B, 2**n) array
+whose row j is branch j's amplitudes, and a vector of the B
+probabilities (see ``engine.to_block`` and ``engine.from_block``). The
+states it hands out, to an observer or as a run's result, have branch
+amplitudes that are views of the rows of that block.
+
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
 most significant bit of the world index. Newly allocated variables are
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,33 +92,12 @@ class TwoLayerState:
     branches: list[Branch]
 
 
-def initial_state(inputs: Sequence[str]) -> TwoLayerState:
-    """All inputs zero, with classical and quantum certainty."""
-    env = Environment(()).extended(tuple(inputs))
-    amps = np.zeros(env.dim)
-    amps[0] = 1.0
-    return TwoLayerState(env, [Branch(1.0, amps)])
-
-
-def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
-    """Embed every branch into the larger space with the new bits at zero."""
-    env = state.env.extended(new_names)
-    step = 1 << len(new_names)
-    branches = []
-    for b in state.branches:
-        amps = np.zeros(env.dim)
-        amps[::step] = b.amps
-        branches.append(Branch(b.p, amps))
-    return TwoLayerState(env, branches)
-
-
 def to_density(state: TwoLayerState) -> np.ndarray:
-    """Probability-weighted sum of the branches' outer products."""
-    dim = state.env.dim
-    rho = np.zeros((dim, dim))
-    for b in state.branches:
-        rho += b.p * np.outer(b.amps, b.amps)
-    return rho
+    """Probability-weighted sum of the branches' outer products, as one
+    product of the (B, 2**n) amplitude block with itself."""
+    amps = np.array([b.amps for b in state.branches], dtype=float)
+    amps = amps.reshape(len(state.branches), state.env.dim)
+    return (amps.T * np.array([b.p for b in state.branches])) @ amps
 
 
 def output_distribution(state: TwoLayerState) -> dict[int, float]:
@@ -173,14 +159,3 @@ def state_from_json(text: str) -> TwoLayerState:
     state = TwoLayerState(env, branches)
     assert_valid_state(state)
     return state
-
-
-def prune_branches(branches: Iterable[Branch]) -> list[Branch]:
-    """Drop negligible branches and rescale so probabilities sum to 1."""
-    kept = [b for b in branches if b.p > PRUNE_EPS]
-    if not kept:
-        raise ValueError("all branches were pruned")
-    total = sum(b.p for b in kept)
-    for b in kept:
-        b.p /= total
-    return kept

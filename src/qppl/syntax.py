@@ -659,33 +659,46 @@ def parse(source: str) -> Program:
 # Unparser
 # ---------------------------------------------------------------------------
 
-_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
+_PREC_CMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 0, 1, 2, 3, 4
 
 
-def _expr_prec(e: Expression) -> int:
-    if isinstance(e, Or):
-        return _PREC_OR
-    if isinstance(e, And):
-        return _PREC_AND
-    if isinstance(e, Not):
-        return _PREC_NOT
-    return _PREC_ATOM
+def _xor_operands(e: Expression) -> tuple[Expression, Expression] | None:
+    """(a, b) if e has the shape that ``a ^ b`` parses to, else None."""
+    if (isinstance(e, Or) and isinstance(e.left, And) and isinstance(e.right, And)
+            and isinstance(e.left.right, Not) and isinstance(e.right.left, Not)
+            and e.left.left == e.right.left.operand
+            and e.left.right.operand == e.right.right):
+        return e.left.left, e.right.right
+    return None
 
 
-def expr_source(e: Expression, min_prec: int = _PREC_OR) -> str:
-    if isinstance(e, Var):
-        text = e.name
+def expr_source(e: Expression, min_prec: int = _PREC_CMP) -> str:
+    """Source text of an expression; parse of it gives back the same tree.
+
+    The trees that ``a ^ b`` and ``a == b`` parse to hold each operand
+    twice; they are printed with the operator, so every operand is printed
+    once and a chain of k comparisons prints in O(k) characters.
+    """
+    xor = _xor_operands(e.operand) if isinstance(e, Not) else _xor_operands(e)
+    if xor is not None:
+        # Comparisons chain to the left: the right operand is one level up.
+        op = "==" if isinstance(e, Not) else "^"
+        text, prec = f"{expr_source(xor[0], _PREC_CMP)} {op} {expr_source(xor[1], _PREC_OR)}", _PREC_CMP
+    elif isinstance(e, Var):
+        text, prec = e.name, _PREC_ATOM
     elif isinstance(e, Const):
-        text = str(e.value)
+        text, prec = str(e.value), _PREC_ATOM
     elif isinstance(e, Not):
-        text = f"not {expr_source(e.operand, _PREC_NOT)}"
+        text, prec = f"not {expr_source(e.operand, _PREC_NOT)}", _PREC_NOT
     elif isinstance(e, And):
         text = f"{expr_source(e.left, _PREC_AND)} and {expr_source(e.right, _PREC_NOT)}"
+        prec = _PREC_AND
     elif isinstance(e, Or):
         text = f"{expr_source(e.left, _PREC_OR)} or {expr_source(e.right, _PREC_AND)}"
+        prec = _PREC_OR
     else:
         raise TypeError(f"not an expression: {e!r}")
-    return f"({text})" if _expr_prec(e) < min_prec else text
+    return f"({text})" if prec < min_prec else text
 
 
 def _stmt_lines(s: Statement, depth: int) -> list[str]:

@@ -1,13 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qppl
 from qppl import cli
+from qppl.randprog import random_classical_program, random_program
 
 
 @pytest.fixture
@@ -200,6 +206,49 @@ class TestCheckAndErrors:
         assert "warning[UNUSED_VARIABLE]" in err
 
 
+    def test_classical_capacity_error_exits_two(self, invoke, tmp_path):
+        names = ", ".join(f"v{i}" for i in range(25))
+        path = tmp_path / "big.qppl"
+        path.write_text(f"def main({names} : bit):\n  v0 := rand_bit()\n", encoding="utf-8")
+        code, out, err = invoke("run", str(path), "--mode", "classical")
+        assert code == 2 and out == ""
+        assert "capacity" in err
+
+    @pytest.mark.parametrize("content", [b"\x80\x81 not text", None])
+    def test_unreadable_source_exits_one(self, invoke, tmp_path, content):
+        path = tmp_path / "prog.qppl"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = invoke("run", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
+    def test_unwritable_dump_exits_one(self, invoke, tmp_path):
+        target = tmp_path / "missing" / "state.json"
+        code, _, err = invoke("run", "interference", "--dump-state", str(target))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}")
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+class TestGolden:
+    # Recorded before the engine held a run's branches as one block, with
+    # `qppl run NAME --trace --dump-state NAME.state.json > NAME.trace.txt`:
+    # branch order, merging and every printed digit must stay the same.
+    @pytest.mark.parametrize("name", sorted(
+        p.name.removesuffix(".trace.txt") for p in GOLDEN.glob("*.trace.txt")))
+    def test_trace_and_dump_match_byte_for_byte(self, invoke, tmp_path, name):
+        dump = tmp_path / "state.json"
+        code, out, _ = invoke("run", name, "--trace", "--dump-state", str(dump))
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.trace.txt").read_text(encoding="utf-8")
+        assert dump.read_bytes() == (GOLDEN / f"{name}.state.json").read_bytes()
+
+
 class TestExamples:
     def test_lists_all_bundled_programs(self, invoke, corpus):
         code, out, _ = invoke("examples")
@@ -214,3 +263,51 @@ class TestImport:
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, qppl; qppl.bundled_programs(); assert 'qppl.cli' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+CLI_TOKENS = [
+    "def main(x, y : bit):\n", "def main():\n", "  ", "\n", "x", "y", "z", "new x\n",
+    "new z\n", "qrand_bit(x)\n", "qrand_bit(y)\n", "qnegate()\n", "measure(x)\n",
+    "measure(x, y)\n", "if x == y:\n", "if not y:\n", "x ^= y\n", "y ^= x and z\n",
+    "x := rand_bit()\n", "y := x\n", "return x\n", "return\n", "return y, x\n", ":",
+    "(", ")", "^", "\t",
+]
+cli_sources = st.one_of(
+    st.integers(0, 10_000).map(lambda seed: qppl.unparse(random_program(seed)).encode()),
+    st.integers(0, 10_000).map(
+        lambda seed: qppl.unparse(random_classical_program(seed)).encode()),
+    st.sampled_from(sorted(qppl.bundled_programs().values())).map(str.encode),
+    st.lists(st.sampled_from(CLI_TOKENS), max_size=30).map(lambda t: "".join(t).encode()),
+    st.text(max_size=120).map(str.encode),
+    st.binary(max_size=60),
+)
+cli_flags = st.lists(st.one_of(
+    st.sampled_from([["--trace"], ["--dist"], ["--oracle"], ["--mode", "classical"],
+                     ["--mode", "quantum"], ["--mode", "bogus"], ["--bogus"]]),
+    st.tuples(st.sampled_from(["--shots", "--seed"]), st.integers(-3, 40)).map(
+        lambda t: [t[0], str(t[1])]),
+    st.sampled_from([["--shots", "many"], ["--dump-state", "{tmp}/state.json"],
+                     ["--dump-state", "{tmp}/missing/state.json"], ["--dump-state", "{tmp}"]]),
+), max_size=4)
+
+
+class TestCliProperty:
+    @given(source=cli_sources, command=st.sampled_from(["run", "check"]), flags=cli_flags,
+           target=st.sampled_from(["file", "directory", "missing"]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_input_exits_0_1_or_2_without_a_traceback(self, source, command, flags,
+                                                          target):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prog.qppl"
+            path.write_bytes(source)
+            file_arg = {"file": str(path), "directory": tmp,
+                        "missing": str(Path(tmp) / "absent.qppl")}[target]
+            argv = [command, file_arg] + [f.format(tmp=tmp) for flag in flags for f in flag]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -142,6 +142,19 @@ class TestCoinKernel:
         got = apply_comp(probs, RandBit(target), self.ENV, QUANTUM_ONLY)
         np.testing.assert_array_equal(got, coin_reference(probs, self.ENV, target, False))
 
+    @pytest.mark.parametrize("target", ["x0", "x9", "x10"])
+    @pytest.mark.parametrize("kind", [QRand, RandBit])
+    def test_wide_vectors_and_block_columns(self, target, kind):
+        # 11 bits, past the size from which a target next to the lowest bit
+        # (x9) is split into lanes; vectors and the transposed rows of a block.
+        env = Environment(tuple(f"x{i}" for i in range(11)))
+        foreign = CLASSICAL_ONLY if kind is QRand else QUANTUM_ONLY
+        rows = np.random.default_rng(9).random((3, env.dim))
+        for vec in (rows[0], rows.T):
+            got = apply_comp(vec, kind(target), env, foreign)
+            np.testing.assert_array_equal(
+                got, coin_reference(vec, env, target, kind is QRand))
+
 
 class TestQNeg:
     def test_negates_amplitudes(self):
@@ -309,11 +322,28 @@ class TestWorldKernels:
         got = apply_comp(vec, stmt, env, QUANTUM_ONLY)
         np.testing.assert_allclose(got, kernel_reference(vec, stmt, env), atol=1e-12)
 
+    @given(kernel_cases((QNeg,)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_negation_only_ifs_are_one_sign_table(self, case, stacked):
+        # An `if` holding only qnegate() and such ifs is applied as one
+        # multiply by a +-1 table; it must equal the per-world reference.
+        env, stmt, vec = case
+        vec = np.eye(env.dim) if stacked else vec - 0.5
+        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
+
+    def test_nested_negation_is_rejected_in_classical_mode(self):
+        env = Environment(("a", "b"))
+        stmt = If(Var("a"), (If(Not(Var("b")), (QNeg(),)), QNeg()))
+        with pytest.raises(ValueError):
+            apply_comp(np.full(4, 0.25), stmt, env, QUANTUM_ONLY)
+
     @pytest.mark.parametrize("source", [
         "x10 ^= x9 and not x3",
         "x9 ^= x10 or x0",
         "if x10 == x3:\n    qnegate()\n    x8 ^= x9",
         "if x0 and not x10:\n    x1 ^= x9",
+        "if x10 == x3:\n    qnegate()\n    if x9 or x0:\n      qnegate()\n    qnegate()",
     ])
     def test_tables_on_the_low_order_bits_of_a_wide_state(self, source):
         names = tuple(f"x{i}" for i in range(11))
@@ -647,6 +677,85 @@ class TestNewAndReturn:
         out = apply_return(st, ["x"])
         assert out.env.names == ("x",)
         assert_state_close(out, [(0.5, [1, 0]), (0.5, [0, 1])])
+
+
+def qmq_program(n):
+    """qrand every bit, measure every bit, qrand every bit: 2**n distinct branches."""
+    names = [f"x{i}" for i in range(n)]
+    coins = "".join(f"  qrand_bit({v})\n" for v in names)
+    return parse(f"def main():\n  new {', '.join(names)}\n{coins}"
+                 f"  measure({', '.join(names)})\n{coins}")
+
+
+def snapshot(state):
+    return [(b.p, b.amps.copy()) for b in state.branches]
+
+
+class TestBlockStore:
+    """A run holds its branches as one (B, 2**n) block."""
+
+    def test_final_branches_are_rows_of_one_block(self):
+        final = run(qmq_program(5))
+        rows = [b.amps for b in final.branches]
+        assert len(rows) == 32
+        assert all(r.flags.c_contiguous and r.base is rows[0].base for r in rows)
+        assert rows[0].base.size == 32 * 32
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_runs_equal_whole_block_runs(self, seed):
+        # With a chunk of a few entries, statements and splits go a few rows
+        # at a time, merges reach back across chunks, and observed blocks
+        # are copied rather than written in place: all of it must change
+        # nothing.
+        p = random_program(seed, max_bits=5, max_statements=25)
+        whole, seen = run(p), []
+        real = qppl.engine._CHUNK
+        qppl.engine._CHUNK = 4
+        try:
+            chunked = run(p)
+            observed = run(p, observer=lambda _, s: seen.append((s, snapshot(s))))
+        finally:
+            qppl.engine._CHUNK = real
+        for got in (chunked, observed):
+            assert got.env == whole.env
+            assert [b.p for b in got.branches] == [b.p for b in whole.branches]
+            for a, b in zip(got.branches, whole.branches):
+                np.testing.assert_array_equal(a.amps, b.amps)
+        for state, before in seen:  # later statements left every observed state alone
+            assert [(b.p, list(b.amps)) for b in state.branches] == [
+                (p_, list(a)) for p_, a in before]
+
+    def test_hash_collisions_never_merge_different_branches(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        v, w = rng.standard_normal(8), rng.standard_normal(8)
+        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+        st_ = make_state(("a", "b", "c"), [(0.2, v), (0.3, w), (0.1, -v), (0.4, -w)])
+        expected = merge_reference(brute_force_measure(st_, ["c"]))
+        # One row per chunk, so every match goes through the hash, and
+        # every row hashes alike: only rows equal to the first outcome may
+        # join it, and the ensemble is unchanged.
+        monkeypatch.setattr(qppl.engine, "_CHUNK", 4)
+        monkeypatch.setattr(qppl.engine, "hash", lambda _: 0, raising=False)
+        got = apply_measure(st_, ["c"])
+        assert len(expected) < len(got.branches) <= len(brute_force_measure(st_, ["c"]))
+        np.testing.assert_allclose(to_density(got), to_density(make_state(
+            ("a", "b", "c"), expected)), atol=1e-12)
+
+    def test_peak_memory_of_a_run_stays_near_one_block(self):
+        # qrand all, measure all, qrand all at 10 bits ends with 1024
+        # branches of 1024 amplitudes (8 MiB). A run holds one block and a
+        # chunk; a Branch list beside a stacked copy would hold two or more.
+        p = qmq_program(10)
+        tracemalloc.start()
+        try:
+            final = run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = len(final.branches) * final.env.dim * 8
+        assert len(final.branches) == 1024 and block == 8 << 20
+        assert peak <= 1.5 * block
 
 
 class TestRun:

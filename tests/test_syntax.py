@@ -301,6 +301,14 @@ class TestParseFuzz:
             pass
 
 
+comparison_texts = st.recursive(
+    st.sampled_from(["a", "b", "c", "0", "1"]),
+    lambda sub: st.one_of(
+        sub.map(lambda e: f"not {e}"), sub.map(lambda e: f"({e})"),
+        st.tuples(sub, st.sampled_from(["and", "or", "==", "!=", "^"]), sub).map(" ".join)),
+    max_leaves=12)
+
+
 class TestRoundTrip:
     def test_corpus_round_trips(self, corpus):
         for src in corpus.values():
@@ -318,6 +326,41 @@ class TestRoundTrip:
     def test_random_classical_programs_round_trip(self, seed):
         p = random_classical_program(seed)
         assert parse(unparse(p)) == p
+
+    def test_comparison_chain_unparses_in_linear_size(self):
+        # The tree of k chained comparisons holds about 2**k leaves; the
+        # text printed from it must name each operand once.
+        k = MAX_NESTING // 4
+        rhs = " == ".join("yz"[i % 2] for i in range(k + 1))
+        p = parse(f"def main(x, y, z : bit):\n  x ^= {rhs}\n")
+        text = unparse(p)
+        assert text.splitlines()[1] == f"  x ^= {rhs}"
+        assert parse(text) == p
+
+    @pytest.mark.parametrize("rhs,text", [
+        ("a ^ (b ^ c)", "a ^ (b ^ c)"),
+        ("a == (b != c)", "a == (b ^ c)"),
+        ("(a == b) == c", "a == b == c"),
+        ("(a == b) and c", "(a == b) and c"),
+        ("not (a ^ b)", "a == b"),
+        ("not a ^ b", "not a ^ b"),
+        ("a or b == c and not b", "a or b == c and not b"),
+        ("(a and not b) or (not a and b)", "a ^ b"),
+    ])
+    def test_comparison_shapes_print_with_their_operator(self, rhs, text):
+        p = parse(f"def main(a, b, c, x : bit):\n  x ^= {rhs}\n")
+        assert unparse(p).splitlines()[1] == f"  x ^= {text}"
+        assert parse(unparse(p)) == p
+
+    @given(comparison_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_comparisons_round_trip(self, rhs):
+        try:
+            p = parse(f"def main(a, b, c, x : bit):\n  x ^= {rhs}\n")
+        except ParseError:  # nested past MAX_NESTING
+            return
+        assert parse(unparse(p)) == p
+        assert len(unparse(p)) <= 4 * len(rhs) + 40
 
     def test_unparse_is_fixed_point(self, corpus):
         for src in corpus.values():
