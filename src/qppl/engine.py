@@ -3,8 +3,9 @@
 A run holds its branches as one block: a (B, 2**n) float64 array whose
 row j is branch j's amplitudes, and a vector of the B probabilities.
 ``TwoLayerState`` stays the boundary: ``from_block`` hands out states
-whose branch amplitudes are views of the block's rows, and ``to_block``
-stacks a state's branches for the public functions that take one.
+whose branch amplitudes are views of the block's rows, and
+``state.to_block`` stacks a state's branches for the public functions
+that take one.
 
 ``apply_comp`` is the one statement kernel. It maps a world vector to a
 world vector: signed amplitudes here and in ``comp_matrix``, probabilities
@@ -48,7 +49,7 @@ from .syntax import (
 )
 from .state import (
     Branch, CapacityError, Environment, MAX_SPLIT_BYTES, PRUNE_EPS, TwoLayerState,
-    assert_valid_state,
+    assert_valid_state, to_block,
 )
 
 COMP_MATRIX_MAX_BITS = 10
@@ -133,10 +134,6 @@ CLASSICAL_ONLY = (Assign, RandBit)
 QUANTUM_ONLY = (QRand, QNeg, Measure, New)
 
 
-# Size from which _coin splits a target next to the lowest bit into lanes.
-_LANES_FROM = 1 << 10
-
-
 def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     """Mix each pair of worlds that differ only in the target bit.
 
@@ -149,9 +146,9 @@ def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     pairs = vec.reshape(-1, 2, 1 << shift, *vec.shape[1:])
     out = np.empty_like(pairs)
     # With the target bit next to the lowest, the halves interleave two by
-    # two and numpy's inner loop would be two long; on a large array each
-    # of the two lanes is one long strided pass instead.
-    for lane in (0, 1) if shift == 1 and vec.size >= _LANES_FROM else (slice(None),):
+    # two and numpy's inner loop would be two long; each of the two lanes
+    # is one long strided pass instead.
+    for lane in (0, 1) if shift == 1 else (slice(None),):
         zero, one = pairs[:, 0, lane], pairs[:, 1, lane]
         np.add(zero, one, out=out[:, 0, lane])
         if signed:
@@ -235,14 +232,6 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
 # ---------------------------------------------------------------------------
 # Blocks: a run's branches as one array
 # ---------------------------------------------------------------------------
-
-def to_block(state: TwoLayerState) -> tuple[np.ndarray, np.ndarray]:
-    """A state's branches as one block: the (B, 2**n) array whose row j is
-    branch j's amplitudes, and the B branch probabilities."""
-    amps = np.array([b.amps for b in state.branches], dtype=float)
-    return (amps.reshape(len(state.branches), state.env.dim),
-            np.array([b.p for b in state.branches], dtype=float))
-
 
 def from_block(env: Environment, amps: np.ndarray, probs: np.ndarray) -> TwoLayerState:
     """The state of a block: branch j has probability probs[j], and its
@@ -388,8 +377,10 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
     ``drop_named`` only the worlds showing y, indexed by the other
     variables (return). Raises KeyError if a named variable is not live.
 
-    The outcomes are counted first, and CapacityError is raised before any
-    is built if their float64 amplitudes would exceed MAX_SPLIT_BYTES.
+    The outcomes are counted first, a chunk of branches at a time, and
+    CapacityError is raised before any is built if their float64
+    amplitudes would exceed MAX_SPLIT_BYTES; for each (branch, value) pair
+    that survives pruning, and for no other, the split keeps a few numbers.
     Then every outcome equal up to a global sign to an earlier one is
     merged into it: the earlier one keeps its amplitudes and its place and
     gains the later one's probability. This is exact for every
@@ -399,34 +390,41 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
     isometries on each branch, so branches distinct after a split stay
     distinct. Outcomes that do not fit in one chunk are built a chunk at a
     time, once to find the merges and once into the new block, so a split
-    holds the old block, the new one and a chunk.
+    holds the old block, the new one, a chunk and the per-outcome numbers.
     """
     k = len(names)
     n_values, width = 1 << k, env.dim >> k
+    out_width = width if drop_named else env.dim
     by_value = _by_value(env, names)
-    # Masses summed in world order, one running sum per (branch, value).
-    masses = np.empty((len(amps), n_values))
+    # A chunk of branches at a time: the mass of each (branch, value),
+    # summed in world order, of which only the outcomes over PRUNE_EPS are
+    # kept, as (branch, value, mass).
+    found, count = [], 0
     for c in _chunks(len(amps), env.dim):
         squares = by_value(amps[c] * amps[c]).reshape(-1, n_values, width)
-        masses[c] = np.add.accumulate(squares, axis=2)[:, :, -1]
-    weights = probs[:, None] * masses
-    js, ys = (weights > PRUNE_EPS).nonzero()
-    out_width = width if drop_named else env.dim
-    if len(js) * out_width * 8 > MAX_SPLIT_BYTES:
-        raise CapacityError(
-            f"{len(js)} branches of {out_width} amplitudes need "
-            f"{len(js) * out_width * 8 >> 20} MiB, over the {MAX_SPLIT_BYTES >> 20} MiB limit")
-    if not len(js):
+        masses = np.add.accumulate(squares, axis=2)[:, :, -1]
+        j, y = (probs[c, None] * masses > PRUNE_EPS).nonzero()
+        count += len(j)
+        if count * out_width * 8 > MAX_SPLIT_BYTES:
+            raise CapacityError(
+                f"{count} branches of {out_width} amplitudes need "
+                f"{count * out_width * 8 >> 20} MiB, over the {MAX_SPLIT_BYTES >> 20} MiB limit")
+        found.append((j + c.start, y, masses[j, y]))
+    if not count:
         raise ValueError("all branches were pruned")
-    scale = np.sqrt(masses[js, ys])
-    weights = weights[js, ys]
+    js, ys, scale = found[0] if len(found) == 1 else (np.concatenate(f) for f in zip(*found))
+    weights = probs[js] * scale
     weights /= np.add.reduce(weights)
-    bits = np.unravel_index(ys, (2,) * k) if k else ()  # y's bits, the first named first
+    np.sqrt(scale, out=scale)
     source = by_value(amps)
+
+    def bits(i):
+        """The bits of the values of outcomes i, the first named first."""
+        return np.unravel_index(ys[i], (2,) * k) if k else ()
 
     def outcomes(i):
         """Amplitudes of the outcomes i on the worlds showing their value."""
-        rows = source[(js[i],) + tuple(b[i] for b in bits)]
+        rows = source[(js[i],) + bits(i)]
         return rows.reshape(len(rows), width) / scale[i][:, None]
 
     # Outcomes that fit in one chunk are built once.
@@ -458,7 +456,7 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
     target = by_value(out)
     for c in _chunks(len(heads), width):
         rows = heads[c]
-        at = (np.arange(c.start, c.start + len(rows)),) + tuple(b[rows] for b in bits)
+        at = (np.arange(c.start, c.start + len(rows)),) + bits(rows)
         target[at] = rows_of(rows).reshape((len(rows),) + (2,) * (env.n_bits - k))
     return out, weights
 

@@ -10,9 +10,10 @@ else ever couples branches, so they evolve independently.
 ``TwoLayerState`` and ``Branch`` are the boundary of the package. Inside a
 run the engine holds the branches as one block instead: a (B, 2**n) array
 whose row j is branch j's amplitudes, and a vector of the B
-probabilities (see ``engine.to_block`` and ``engine.from_block``). The
-states it hands out, to an observer or as a run's result, have branch
-amplitudes that are views of the rows of that block.
+probabilities. ``to_block`` stacks a state's branches into that form,
+and ``engine.from_block`` turns a block back into a state. The states a
+run hands out, to an observer or as its result, have branch amplitudes
+that are views of the rows of that block.
 
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
@@ -92,12 +93,19 @@ class TwoLayerState:
     branches: list[Branch]
 
 
+def to_block(state: TwoLayerState) -> tuple[np.ndarray, np.ndarray]:
+    """A state's branches as one block: the (B, 2**n) array whose row j is
+    branch j's amplitudes, and the B branch probabilities."""
+    amps = np.array([b.amps for b in state.branches], dtype=float)
+    return (amps.reshape(len(state.branches), state.env.dim),
+            np.array([b.p for b in state.branches], dtype=float))
+
+
 def to_density(state: TwoLayerState) -> np.ndarray:
     """Probability-weighted sum of the branches' outer products, as one
     product of the (B, 2**n) amplitude block with itself."""
-    amps = np.array([b.amps for b in state.branches], dtype=float)
-    amps = amps.reshape(len(state.branches), state.env.dim)
-    return (amps.T * np.array([b.p for b in state.branches])) @ amps
+    amps, probs = to_block(state)
+    return (amps.T * probs) @ amps
 
 
 def output_distribution(state: TwoLayerState) -> dict[int, float]:
@@ -139,10 +147,12 @@ def basis_label(index: int, n_bits: int) -> str:
 
 
 def state_to_json(state: TwoLayerState) -> str:
+    """The state as JSON. A zero amplitude prints as 0.0 whatever its sign,
+    so the text does not depend on which kernel wrote the zero."""
     payload = {
         "vars": list(state.env.names),
         "branches": [
-            {"p": float(b.p), "amps": [float(a) for a in b.amps]}
+            {"p": float(b.p), "amps": [float(a) + 0.0 for a in b.amps]}
             for b in state.branches
         ],
     }

@@ -757,6 +757,24 @@ class TestBlockStore:
         assert len(final.branches) == 1024 and block == 8 << 20
         assert peak <= 1.5 * block
 
+    def test_peak_memory_of_measuring_every_bit_of_many_branches(self):
+        # The second measurement splits 1024 one-world branches of 10 bits
+        # by all 10 bits: the old block and the new one, 8 MiB each, and a
+        # chunk. Nothing may be kept per (branch, value) pair: a dense mass
+        # table of 1024 x 1024 would be a third block.
+        names = ", ".join(f"x{i}" for i in range(10))
+        coins = "".join(f"  qrand_bit(x{i})\n" for i in range(10))
+        p = parse(f"def main():\n  new {names}\n{coins}  measure({names})\n  measure({names})\n")
+        tracemalloc.start()
+        try:
+            final = run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = len(final.branches) * final.env.dim * 8
+        assert block == 8 << 20
+        assert peak <= 2.25 * block
+
 
 class TestRun:
     def test_interference_program(self, corpus):

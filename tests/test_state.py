@@ -156,6 +156,14 @@ class TestJson:
         assert back.env.names == st.env.names
         assert_state_close(back, [(b.p, b.amps) for b in st.branches], tol=1e-12)
 
+    def test_zero_prints_without_sign(self):
+        # Negating a block by a table of signs turns 0.0 into -0.0; the dump
+        # must read the same as for a zero that was never negated.
+        negated = make_state(["x", "y"], [(1.0, np.array([S, -0.0, -S, 0.0]))])
+        plain = make_state(["x", "y"], [(1.0, [S, 0, -S, 0])])
+        assert state_to_json(negated) == state_to_json(plain)
+        assert "-0.0" not in state_to_json(negated)
+
 
 def test_basis_label():
     assert qppl.basis_label(0, 0) == "()"
