@@ -14,16 +14,12 @@ import numpy as np
 import qppl
 from qppl.randprog import random_program
 
-# Two different ensembles, one matrix.
+# Two different ensembles, one matrix. Row j of a state's amplitude block
+# is branch j, and its probability vector weighs the rows.
 s = float(1 / np.sqrt(2))
-classical_mix = qppl.TwoLayerState(
-    qppl.Environment(("x",)),
-    [qppl.Branch(0.5, np.array([1.0, 0.0])), qppl.Branch(0.5, np.array([0.0, 1.0]))],
-)
-sign_mix = qppl.TwoLayerState(
-    qppl.Environment(("x",)),
-    [qppl.Branch(0.5, np.array([s, s])), qppl.Branch(0.5, np.array([s, -s]))],
-)
+env, even = qppl.Environment(("x",)), np.array([0.5, 0.5])
+classical_mix = qppl.TwoLayerState(env, np.array([[1.0, 0.0], [0.0, 1.0]]), even)
+sign_mix = qppl.TwoLayerState(env, np.array([[s, s], [s, -s]]), even)
 print("definite-bit ensemble        ->\n", qppl.to_density(classical_mix))
 print("opposite-sign coin ensemble  ->\n", qppl.to_density(sign_mix))
 print("Same matrix: no experiment can tell the two ensembles apart.\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +26,17 @@ import numpy as np
 from . import classical, density, engine, state as state_mod, syntax, validator
 
 
-def _format_amp(a: float) -> str:
-    return f"{a:.6g}"
-
-
 def _kets(vec: np.ndarray, n_bits: int) -> str:
     """Nonzero entries of a world vector (amplitudes or probabilities) as kets."""
-    return " + ".join(f"{_format_amp(vec[k])}|{state_mod.basis_label(int(k), n_bits)}⟩"
+    return " + ".join(f"{vec[k]:.6g}|{state_mod.basis_label(int(k), n_bits)}⟩"
                       for k in np.flatnonzero(vec))
 
 
 def _print_quantum_trace(label: str, st: state_mod.TwoLayerState, out):
     if label:
         print(label, file=out)
-    for branch in st.branches:
-        print(f"  p={branch.p:.6g}: " + _kets(branch.amps, st.env.n_bits), file=out)
+    for p, amps in zip(st.probs.tolist(), st.amps):
+        print(f"  p={p:.6g}: " + _kets(amps, st.env.n_bits), file=out)
 
 
 def _print_classical_trace(label: str, st: classical.ClassicalState, out):
@@ -48,14 +45,20 @@ def _print_classical_trace(label: str, st: classical.ClassicalState, out):
     print("  " + _kets(st.probs, st.env.n_bits), file=out)
 
 
-def sample(dist: dict[int, float], seed: int, shots: int) -> list[int]:
-    """Draw shots i.i.d. outcomes from a distribution, deterministically."""
+# Most draws one call to the generator makes; each draw reads one uniform
+# number, so the draws for a seed do not depend on how they are chunked.
+SAMPLE_CHUNK = 1 << 16
+
+
+def sample(dist: dict[int, float], seed: int, shots: int) -> Iterator[int]:
+    """Yield shots i.i.d. outcomes from a distribution, deterministically."""
     keys = sorted(dist)
     probs = np.array([dist[k] for k in keys], dtype=float)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(len(keys), size=shots, p=probs)
-    return [keys[i] for i in drawn]
+    for start in range(0, shots, SAMPLE_CHUNK):
+        for i in rng.choice(len(keys), size=min(SAMPLE_CHUNK, shots - start), p=probs).tolist():
+            yield keys[i]
 
 
 def _print_distribution(dist: dict[int, float], n_bits: int, out):

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import comp_matrix, measurement_keys, run
+from .engine import comp_matrix, run
 from .state import CapacityError, Environment, to_density
 from .syntax import Measure, New, Program, Statement
 
 DENSITY_MAX_BITS = 10
 
 
+# The projector and the partial trace below deliberately share no bit-layout
+# code with the engine: the equivalence sweep checks the engine's measure
+# and return against them, and one shared layout bug would pass both sides.
 def _project_measurement(rho: np.ndarray, env: Environment, names) -> np.ndarray:
-    keys = measurement_keys(env, names)
+    keys = np.arange(env.dim) & sum(1 << env.shift(n) for n in set(names))
     return rho * (keys[:, None] == keys[None, :])
 
 
@@ -32,9 +35,6 @@ def _embed(rho: np.ndarray, m: int) -> np.ndarray:
     return big
 
 
-# Deliberately not built on engine.split_index: the engine's return gather is
-# checked only against this partial trace in the equivalence sweep, and one
-# shared layout bug would pass both sides.
 def _trace_out(rho: np.ndarray, env: Environment, keep: tuple[str, ...]) -> np.ndarray:
     n = env.n_bits
     keep_positions = {env.position(name) for name in keep}
@@ -95,7 +95,10 @@ def run_density(p: Program) -> np.ndarray:
 
 
 def check_equivalence(p: Program) -> float:
-    """Largest entrywise gap between the two semantics of a program."""
-    via_branches = to_density(run(p))
+    """Largest entrywise gap between the two semantics of a program.
+
+    The oracle runs first, so a program over its bit cap raises
+    CapacityError before the engine's state is turned into a matrix."""
     direct = run_density(p)
+    via_branches = to_density(run(p))
     return float(np.max(np.abs(via_branches - direct)))

@@ -1,11 +1,9 @@
 """Execution of validated programs under the two-layer semantics.
 
-A run holds its branches as one block: a (B, 2**n) float64 array whose
-row j is branch j's amplitudes, and a vector of the B probabilities.
-``TwoLayerState`` stays the boundary: ``from_block`` hands out states
-whose branch amplitudes are views of the block's rows, and
-``state.to_block`` stacks a state's branches for the public functions
-that take one.
+A state is one block: a (B, 2**n) float64 array whose row j is branch
+j's amplitudes, and a vector of the B probabilities (``TwoLayerState``).
+The functions here take states and return new ones; a state that has
+been handed out, to a caller or an observer, is never written to.
 
 ``apply_comp`` is the one statement kernel. It maps a world vector to a
 world vector: signed amplitudes here and in ``comp_matrix``, probabilities
@@ -21,8 +19,7 @@ the worlds. ``x ^= E`` swaps the two halves of x's axis where E holds;
 across that axis; ``if`` masks: the body runs on the worlds where the
 condition holds and the rest pass through, the block form of the
 statement's matrix without materializing it, and an ``if`` of negations
-only is one multiply by a table of signs. ``split_index`` holds the bit
-layout that the density oracle's projector reads.
+only is one multiply by a table of signs.
 
 Measurement splits the block in bulk into one branch per (branch,
 observed value), squaring amplitude mass into classical probability;
@@ -30,8 +27,8 @@ return measures the discarded variables and keeps the returned worlds of
 each outcome. After either split, branches whose amplitudes are equal up
 to a global sign are merged into their first occurrence, in
 first-occurrence order, so measuring one bit k times holds 2 branches
-rather than 2**k. A split that would hold more than MAX_SPLIT_BYTES of
-amplitudes raises CapacityError before it is built.
+rather than 2**k. A split or a ``new`` whose block would hold more than
+MAX_BLOCK_BYTES of amplitudes raises CapacityError before it is built.
 
 Runs are deterministic; sampling happens only when rendering output.
 """
@@ -47,10 +44,7 @@ from .syntax import (
     And, Assign, Const, Expression, If, Measure, New, Not, Or, Program, QNeg,
     QRand, RandBit, Statement, Var, XorAssign, statement_source,
 )
-from .state import (
-    Branch, CapacityError, Environment, MAX_SPLIT_BYTES, PRUNE_EPS, TwoLayerState,
-    assert_valid_state, to_block,
-)
+from .state import CapacityError, Environment, MAX_BLOCK_BYTES, PRUNE_EPS, TwoLayerState
 
 COMP_MATRIX_MAX_BITS = 10
 # Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
@@ -230,47 +224,39 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
 
 
 # ---------------------------------------------------------------------------
-# Blocks: a run's branches as one array
+# Blocks: a state's branches as one array
 # ---------------------------------------------------------------------------
 
-def from_block(env: Environment, amps: np.ndarray, probs: np.ndarray) -> TwoLayerState:
-    """The state of a block: branch j has probability probs[j], and its
-    amplitudes are a view of row j of ``amps``."""
-    return TwoLayerState(env, [Branch(p, row) for p, row in zip(probs.tolist(), amps)])
-
-
-def _initial_block(inputs: Sequence[str]) -> tuple[Environment, np.ndarray, np.ndarray]:
-    env = Environment(()).extended(tuple(inputs))
-    amps = np.zeros((1, env.dim))
-    amps[0, 0] = 1.0
-    return env, amps, np.ones(1)
+def _check_block(rows: int, width: int):
+    """Raise CapacityError if rows x width float64 amplitudes exceed MAX_BLOCK_BYTES."""
+    if rows * width * 8 > MAX_BLOCK_BYTES:
+        raise CapacityError(
+            f"{rows} branches of {width} amplitudes need "
+            f"{rows * width * 8 >> 20} MiB, over the {MAX_BLOCK_BYTES >> 20} MiB limit")
 
 
 def initial_state(inputs: Sequence[str]) -> TwoLayerState:
     """All inputs zero, with classical and quantum certainty."""
-    return from_block(*_initial_block(inputs))
-
-
-def _embed(amps: np.ndarray, m: int) -> np.ndarray:
-    """Rows 2**m times longer, each world moved to the one whose m new
-    low-order bits are zero."""
-    out = np.zeros((len(amps), amps.shape[1] << m))
-    out[:, ::1 << m] = amps
-    return out
+    env = Environment(()).extended(tuple(inputs))
+    return TwoLayerState(env, np.eye(1, env.dim), np.ones(1))
 
 
 def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
-    """Embed every branch into the larger space with the new bits at zero."""
+    """Embed every branch into the larger space with the new bits at zero:
+    each world moves to the one whose new low-order bits are zero."""
     env = state.env.extended(new_names)
-    amps, probs = to_block(state)
-    return from_block(env, _embed(amps, len(new_names)), probs)
+    _check_block(len(state.amps), env.dim)
+    amps = np.zeros((len(state.amps), env.dim))
+    amps[:, ::1 << len(new_names)] = state.amps
+    return TwoLayerState(env, amps, state.probs)
 
 
 # ---------------------------------------------------------------------------
-# Bit layout, measurement, return
+# Measurement and return
 # ---------------------------------------------------------------------------
 
-def _by_value(env: Environment, names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+@lru_cache(maxsize=256)
+def _by_value(env: Environment, names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """A view of the rows of a block as (row, named bits..., other bits...).
 
     Axis i of the (2,)*n view of a row is the bit of env.names[i]; the
@@ -278,36 +264,9 @@ def _by_value(env: Environment, names: Sequence[str]) -> Callable[[np.ndarray], 
     where the named variables read y are one slice, in world order. Raises
     KeyError if a named variable is not live.
     """
-    shape, axes = _value_axes(env, tuple(names))
-    return lambda block: block.reshape((len(block),) + shape).transpose(axes)
-
-
-@lru_cache(maxsize=256)
-def _value_axes(env: Environment, names: tuple[str, ...]) -> tuple[tuple[int, ...], list[int]]:
     named = sorted(env.position(n) for n in names)
     axes = [0] + [1 + i for i in named] + [1 + i for i in range(env.n_bits) if i not in named]
-    return (2,) * env.n_bits, axes
-
-
-def split_index(env: Environment, names: Sequence[str]) -> np.ndarray:
-    """World index of every (other variables, named variables) value pair.
-
-    Entry [r, y] is the world where the variables outside ``names`` take
-    the value r and the named ones the value y, each group packed in
-    environment order with the earliest declared variable most significant.
-    Raises KeyError if a named variable is not live.
-    """
-    k = len(set(names))
-    worlds = _by_value(env, names)(np.arange(env.dim)[None])
-    return worlds.reshape(1 << k, env.dim >> k).T
-
-
-def measurement_keys(env: Environment, names: Sequence[str]) -> np.ndarray:
-    """Observed value of the named variables in every world."""
-    index = split_index(env, names)
-    keys = np.empty(env.dim, dtype=np.int64)
-    keys[index] = np.arange(index.shape[1])
-    return keys
+    return lambda block: block.reshape((len(block),) + (2,) * env.n_bits).transpose(axes)
 
 
 # Entries of a block that one chunk holds (512 KiB of float64): statements
@@ -364,9 +323,9 @@ def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.
     return first[local]
 
 
-def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequence[str],
+def _split(state: TwoLayerState, names: Sequence[str],
            drop_named: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Split every branch of a block by the value y of the named variables.
+    """Split every branch of a state by the value y of the named variables.
 
     Branch j becomes one branch per y whose probability p_j * m_jy exceeds
     PRUNE_EPS, where m_jy is the squared amplitude mass of the worlds
@@ -379,7 +338,7 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
 
     The outcomes are counted first, a chunk of branches at a time, and
     CapacityError is raised before any is built if their float64
-    amplitudes would exceed MAX_SPLIT_BYTES; for each (branch, value) pair
+    amplitudes would exceed MAX_BLOCK_BYTES; for each (branch, value) pair
     that survives pruning, and for no other, the split keeps a few numbers.
     Then every outcome equal up to a global sign to an earlier one is
     merged into it: the earlier one keeps its amplitudes and its place and
@@ -392,10 +351,11 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
     time, once to find the merges and once into the new block, so a split
     holds the old block, the new one, a chunk and the per-outcome numbers.
     """
+    env, amps, probs = state.env, state.amps, state.probs
     k = len(names)
     n_values, width = 1 << k, env.dim >> k
     out_width = width if drop_named else env.dim
-    by_value = _by_value(env, names)
+    by_value = _by_value(env, tuple(names))
     # A chunk of branches at a time: the mass of each (branch, value),
     # summed in world order, of which only the outcomes over PRUNE_EPS are
     # kept, as (branch, value, mass).
@@ -405,10 +365,7 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
         masses = np.add.accumulate(squares, axis=2)[:, :, -1]
         j, y = (probs[c, None] * masses > PRUNE_EPS).nonzero()
         count += len(j)
-        if count * out_width * 8 > MAX_SPLIT_BYTES:
-            raise CapacityError(
-                f"{count} branches of {out_width} amplitudes need "
-                f"{count * out_width * 8 >> 20} MiB, over the {MAX_SPLIT_BYTES >> 20} MiB limit")
+        _check_block(count, out_width)
         found.append((j + c.start, y, masses[j, y]))
     if not count:
         raise ValueError("all branches were pruned")
@@ -461,20 +418,6 @@ def _split(env: Environment, amps: np.ndarray, probs: np.ndarray, names: Sequenc
     return out, weights
 
 
-def _measure(env: Environment, amps: np.ndarray, probs: np.ndarray,
-             names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    if len(set(names)) != len(names):
-        raise ValueError("measured variables must be distinct")
-    return _split(env, amps, probs, names, drop_named=False)
-
-
-def _return(env: Environment, amps: np.ndarray, probs: np.ndarray,
-            returns: Sequence[str]) -> tuple[Environment, np.ndarray, np.ndarray]:
-    kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
-    discarded = [n for n in env.names if n not in kept]
-    return (Environment(kept), *_split(env, amps, probs, discarded, drop_named=True))
-
-
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     """Split branches by observed value, converting amplitude mass to probability.
 
@@ -486,8 +429,9 @@ def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:
     it: the earlier branch keeps its amplitudes and place, and gains the
     later one's probability.
     """
-    amps, probs = to_block(state)
-    return from_block(state.env, *_measure(state.env, amps, probs, names))
+    if len(set(names)) != len(names):
+        raise ValueError("measured variables must be distinct")
+    return TwoLayerState(state.env, *_split(state, names, drop_named=False))
 
 
 def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
@@ -499,69 +443,59 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
     before the new block is built. The surviving environment lists the
     returned variables in declaration order.
     """
-    return from_block(*_return(state.env, *to_block(state), returns))
+    kept = tuple(sorted(set(returns), key=state.env.position))  # KeyError if not live
+    discarded = [n for n in state.env.names if n not in kept]
+    return TwoLayerState(Environment(kept), *_split(state, discarded, drop_named=True))
 
 
 # ---------------------------------------------------------------------------
 # Whole-program execution
 # ---------------------------------------------------------------------------
 
-def _step(env: Environment, amps: np.ndarray, probs: np.ndarray, stmt: Statement,
-          in_place: bool = True) -> tuple[Environment, np.ndarray, np.ndarray]:
-    """One top-level statement on a block."""
+def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerState:
+    """One top-level statement on a state; with ``in_place``, the state's
+    block may be overwritten."""
     if isinstance(stmt, New):
-        return env.extended(stmt.names), _embed(amps, len(stmt.names)), probs
+        return extend(state, stmt.names)
     if isinstance(stmt, Measure):
-        return (env, *_measure(env, amps, probs, stmt.names))
+        return apply_measure(state, stmt.names)
+    env, amps = state.env, state.amps
     # The transpose is a view: worlds on axis 0, one column per branch. A
     # block of several chunks goes a chunk of rows at a time, written back
-    # in place unless views of it have been handed out, so a statement
-    # holds one block and a chunk's temporaries.
+    # in place when no one else holds the block, so a statement holds one
+    # block and a chunk's temporaries.
     if amps.size <= _CHUNK or len(amps) == 1:
-        return env, apply_comp(amps.T, stmt, env, CLASSICAL_ONLY).T, probs
+        return TwoLayerState(env, apply_comp(amps.T, stmt, env, CLASSICAL_ONLY).T, state.probs)
     out = amps if in_place else np.empty_like(amps)
     for c in _chunks(len(amps), env.dim):
         out[c] = apply_comp(amps[c].T, stmt, env, CLASSICAL_ONLY).T
-    return env, out, probs
-
-
-def _apply_statement(state: TwoLayerState, stmt: Statement) -> TwoLayerState:
-    return from_block(*_step(state.env, *to_block(state), stmt))
+    return TwoLayerState(env, out, state.probs)
 
 
 def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
-    return _apply_statement(state, QRand(target))
+    return _step(state, QRand(target), in_place=False)
 
 
-def run(p: Program, *, observer: Observer | None = None,
-        check_invariants: bool = False) -> TwoLayerState:
+def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     """Execute a validated program and return its final two-layer state.
 
-    The branches are held as one block throughout; the final state's
-    branch amplitudes are views of its rows. The observer, if given, is
-    called with ("", initial state) and then (statement text, state) after
-    every top-level statement, including the final return.
+    The observer, if given, is called with ("", initial state) and then
+    (statement text, state) after every top-level statement, including the
+    final return. The states it sees are never written to afterwards.
     """
-    block = _initial_block(p.inputs)
-
-    def report(stmt: Statement | None):
-        if check_invariants or observer:
-            state = from_block(*block)
-            if check_invariants:
-                assert_valid_state(state)
-            if observer:
-                returns = " " + ", ".join(p.returns) if p.returns else ""
-                observer(statement_source(stmt) if stmt else f"return{returns}", state)
-
+    state = initial_state(p.inputs)
     if observer:
-        observer("", from_block(*block))
+        observer("", state)
     for stmt in p.body:
-        block = _step(*block, stmt, in_place=not (check_invariants or observer))
-        report(stmt)
+        state = _step(state, stmt, in_place=observer is None)
+        if observer:
+            observer(statement_source(stmt), state)
     if p.returns is not None:
-        block = _return(*block, p.returns)
-        report(None)
-    return from_block(*block)
+        state = apply_return(state, p.returns)
+        if observer:
+            suffix = " " + ", ".join(p.returns) if p.returns else ""
+            observer(f"return{suffix}", state)
+    return state
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

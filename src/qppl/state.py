@@ -7,13 +7,11 @@ The outer level is a classical probability distribution over branches.
 Measurement moves weight from the inner level to the outer one; nothing
 else ever couples branches, so they evolve independently.
 
-``TwoLayerState`` and ``Branch`` are the boundary of the package. Inside a
-run the engine holds the branches as one block instead: a (B, 2**n) array
-whose row j is branch j's amplitudes, and a vector of the B
-probabilities. ``to_block`` stacks a state's branches into that form,
-and ``engine.from_block`` turns a block back into a state. The states a
-run hands out, to an observer or as its result, have branch amplitudes
-that are views of the rows of that block.
+A ``TwoLayerState`` holds its branches as one block: a (B, 2**n) float64
+array whose row j is branch j's amplitudes, and a vector of the B
+probabilities. The engine, the observables and the JSON form all work on
+that block; ``branches`` lists it as ``Branch`` records whose amplitudes
+are views of the rows.
 
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
@@ -30,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 MAX_LIVE_BITS = 24      # dense vectors; refuse anything bigger up front
-MAX_SPLIT_BYTES = 1 << 30  # amplitudes one measure or return may create
+MAX_BLOCK_BYTES = 1 << 30  # amplitudes one state's block may hold
 STATE_TOL = 1e-10       # norm and total-probability invariants
 PRUNE_EPS = 1e-12       # branch probabilities at or below this are dropped
 
@@ -89,23 +87,23 @@ class Branch:
 
 @dataclass
 class TwoLayerState:
+    """Branch j has probability probs[j] and amplitudes amps[j]: ``amps``
+    is a (B, 2**n) float64 array and ``probs`` a vector of length B."""
+
     env: Environment
-    branches: list[Branch]
+    amps: np.ndarray
+    probs: np.ndarray
 
-
-def to_block(state: TwoLayerState) -> tuple[np.ndarray, np.ndarray]:
-    """A state's branches as one block: the (B, 2**n) array whose row j is
-    branch j's amplitudes, and the B branch probabilities."""
-    amps = np.array([b.amps for b in state.branches], dtype=float)
-    return (amps.reshape(len(state.branches), state.env.dim),
-            np.array([b.p for b in state.branches], dtype=float))
+    @property
+    def branches(self) -> list[Branch]:
+        """The branches as records whose amplitudes are views of the rows."""
+        return [Branch(p, row) for p, row in zip(self.probs.tolist(), self.amps)]
 
 
 def to_density(state: TwoLayerState) -> np.ndarray:
     """Probability-weighted sum of the branches' outer products, as one
-    product of the (B, 2**n) amplitude block with itself."""
-    amps, probs = to_block(state)
-    return (amps.T * probs) @ amps
+    product of the amplitude block with itself."""
+    return (state.amps.T * state.probs) @ state.amps
 
 
 def output_distribution(state: TwoLayerState) -> dict[int, float]:
@@ -114,28 +112,28 @@ def output_distribution(state: TwoLayerState) -> dict[int, float]:
     Worlds with zero weight are omitted. The values equal the diagonal of
     to_density(state).
     """
-    weights = np.zeros(state.env.dim)
-    for b in state.branches:
-        weights += b.p * b.amps * b.amps
+    weights = np.einsum("j,jk,jk->k", state.probs, state.amps, state.amps)
     return {int(k): float(weights[k]) for k in np.flatnonzero(weights)}
 
 
 def assert_valid_state(state: TwoLayerState, tol: float = STATE_TOL):
     """Raise ValueError unless probabilities and branch norms are in order."""
-    if not state.branches:
+    amps, probs = state.amps, state.probs
+    if not len(probs):
         raise ValueError("state has no branches")
-    total = 0.0
-    for j, b in enumerate(state.branches):
-        if b.p <= 0:
-            raise ValueError(f"branch {j} has non-positive probability {b.p}")
-        if b.amps.shape != (state.env.dim,):
-            raise ValueError(f"branch {j} has {b.amps.shape} amplitudes, "
-                             f"expected ({state.env.dim},)")
-        norm2 = float(np.dot(b.amps, b.amps))
-        if abs(norm2 - 1.0) > tol:
-            raise ValueError(f"branch {j} squared norm {norm2} deviates from 1")
-        total += b.p
-    if abs(total - 1.0) > tol:
+    if amps.shape != (len(probs), state.env.dim):
+        raise ValueError(f"amplitudes have shape {amps.shape}, "
+                         f"expected ({len(probs)}, {state.env.dim})")
+    # argmin and argmax stop at the first NaN, which fails the checks too.
+    j = int(np.argmin(probs))
+    if not probs[j] > 0:
+        raise ValueError(f"branch {j} has non-positive probability {probs[j]}")
+    gaps = np.abs(np.einsum("jk,jk->j", amps, amps) - 1.0)
+    j = int(np.argmax(gaps))
+    if not gaps[j] <= tol:
+        raise ValueError(f"branch {j} squared norm deviates from 1 by {gaps[j]}")
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"branch probabilities sum to {total}")
 
 
@@ -149,23 +147,19 @@ def basis_label(index: int, n_bits: int) -> str:
 def state_to_json(state: TwoLayerState) -> str:
     """The state as JSON. A zero amplitude prints as 0.0 whatever its sign,
     so the text does not depend on which kernel wrote the zero."""
+    rows = (state.amps + 0.0).tolist()
     payload = {
         "vars": list(state.env.names),
-        "branches": [
-            {"p": float(b.p), "amps": [float(a) + 0.0 for a in b.amps]}
-            for b in state.branches
-        ],
+        "branches": [{"p": p, "amps": amps} for p, amps in zip(state.probs.tolist(), rows)],
     }
     return json.dumps(payload, indent=2)
 
 
 def state_from_json(text: str) -> TwoLayerState:
     payload = json.loads(text)
-    env = Environment(tuple(payload["vars"]))
-    branches = [
-        Branch(float(item["p"]), np.asarray(item["amps"], dtype=float))
-        for item in payload["branches"]
-    ]
-    state = TwoLayerState(env, branches)
+    branches = payload["branches"]
+    state = TwoLayerState(Environment(tuple(payload["vars"])),
+                          np.array([item["amps"] for item in branches], dtype=float),
+                          np.array([item["p"] for item in branches], dtype=float))
     assert_valid_state(state)
     return state

@@ -10,9 +10,9 @@ H = np.array([[1.0, 1.0], [1.0, -1.0]]) / RT2
 def make_state(names, branches):
     """Build a TwoLayerState from (probability, amplitude list) pairs."""
     env = qppl.Environment(tuple(names))
-    return qppl.TwoLayerState(
-        env, [qppl.Branch(p, np.asarray(amps, dtype=float)) for p, amps in branches]
-    )
+    amps = np.array([amps for _, amps in branches], dtype=float)
+    probs = np.array([p for p, _ in branches], dtype=float)
+    return qppl.TwoLayerState(env, amps.reshape(len(branches), env.dim), probs)
 
 
 def branches_of(state):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +72,18 @@ class TestShots:
 
     def test_golden_sequence(self):
         # Frozen once from seed 123; guards the sampling stream.
-        assert cli.sample({0: 0.5, 1: 0.5}, 123, 10) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+        assert list(cli.sample({0: 0.5, 1: 0.5}, 123, 10)) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+
+    def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
+        dist = {0: 0.1, 2: 0.3, 5: 0.6}
+        rng = np.random.default_rng(8)
+        expected = [(0, 2, 5)[i] for i in rng.choice(3, size=50, p=[0.1, 0.3, 0.6])]
+        monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
+        assert list(cli.sample(dist, 8, 50)) == expected
+
+    def test_shots_are_drawn_lazily(self):
+        # All 10**15 draws at once would need petabytes.
+        assert len(list(itertools.islice(cli.sample({0: 0.5, 1: 0.5}, 0, 10**15), 10))) == 10
 
     @pytest.mark.parametrize("flags", [["--shots", "-1"], ["--shots", "3", "--seed", "-3"]])
     def test_negative_numbers_are_usage_errors(self, invoke, flags):
@@ -81,7 +94,7 @@ class TestShots:
 
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
-            assert cli.sample({0: 1.0}, seed, 5) == [0, 0, 0, 0, 0]
+            assert list(cli.sample({0: 1.0}, seed, 5)) == [0, 0, 0, 0, 0]
 
     def test_zero_bit_outcomes_render_as_parens(self, invoke, tmp_path):
         path = tmp_path / "empty.qppl"
@@ -198,6 +211,26 @@ class TestCheckAndErrors:
         code, out, err = invoke("run", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: 16384 branches") and "MiB" in err
+
+    def test_new_over_the_memory_bound_exits_two(self, invoke, tmp_path):
+        # 256 measured branches of 8 bits, then 16 more bits: a 32 GiB block.
+        names = ", ".join(f"x{i}" for i in range(8))
+        coins = "".join(f"  qrand_bit(x{i})\n" for i in range(8))
+        wide = ", ".join(f"y{i}" for i in range(16))
+        path = tmp_path / "wide.qppl"
+        path.write_text(f"def main():\n  new {names}\n{coins}  measure({names})\n"
+                        f"  new {wide}\n", encoding="utf-8")
+        code, out, err = invoke("run", str(path))
+        assert code == 2 and out == ""
+        assert "error: 256 branches of 16777216 amplitudes need 32768 MiB" in err
+
+    def test_oracle_over_its_bit_cap_exits_two(self, invoke, tmp_path):
+        names = ", ".join(f"v{i}" for i in range(12))
+        path = tmp_path / "wide.qppl"
+        path.write_text(f"def main({names} : bit):\n  qrand_bit(v0)\n", encoding="utf-8")
+        code, out, err = invoke("run", str(path), "--oracle")
+        assert code == 2 and out == ""
+        assert err.startswith("error: density semantics supports at most 10 bits")
 
     def test_warnings_do_not_fail_the_run(self, invoke):
         code, out, err = invoke("run", "alloc_return", "--dist")

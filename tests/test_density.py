@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ class TestRunDensity:
         p = Program(tuple(f"v{i}" for i in range(11)), ())
         with pytest.raises(qppl.CapacityError):
             run_density(p)
+
+    def test_equivalence_check_raises_before_building_a_density_matrix(self):
+        # The engine's 12-bit state as a density matrix would be 128 MiB.
+        names = ", ".join(f"v{i}" for i in range(12))
+        p = parse(f"def main({names} : bit):\n  qrand_bit(v0)\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(qppl.CapacityError):
+                check_equivalence(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestWellFormedness:

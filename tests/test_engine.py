@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import qppl
 from qppl import (
-    And, Assign, Branch, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
+    And, Assign, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
     RandBit, TwoLayerState, Var, XorAssign, apply_measure, apply_qrand, apply_return,
-    check_equivalence, comp_matrix, extend, free_vars, output_distribution, parse, run,
-    to_density, truth_table, validate,
+    assert_valid_state, check_equivalence, comp_matrix, extend, free_vars,
+    output_distribution, parse, run, to_density, truth_table, validate,
 )
-from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp, split_index
+from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp
 from qppl.syntax import MAX_NESTING
 from qppl.randprog import random_comp_program, random_program
 from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
@@ -23,10 +23,8 @@ S = 1 / RT2
 
 def step(state, stmt):
     """One computational statement on every branch, through the engine's kernel."""
-    return TwoLayerState(state.env, [
-        Branch(b.p, apply_comp(b.amps, stmt, state.env, CLASSICAL_ONLY))
-        for b in state.branches
-    ])
+    rows = [apply_comp(row, stmt, state.env, CLASSICAL_ONLY) for row in state.amps]
+    return TwoLayerState(state.env, np.array(rows), state.probs)
 
 
 def world_value(e, k, env):
@@ -580,12 +578,12 @@ class TestBranchMerge:
     def test_programs_with_duplicates_match_the_density_oracle(self, source):
         p = parse(source)
         assert check_equivalence(p) <= 1e-10
-        run(p, check_invariants=True)
+        run(p, observer=lambda _, s: assert_valid_state(s))
 
     def test_split_over_the_byte_bound_raises_before_allocating(self, monkeypatch):
         names = [f"x{i}" for i in range(10)]
         st = make_state(names, [(1.0, np.full(1 << 10, 2.0 ** -5))])
-        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 1 << 20)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 << 20)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="need 8 MiB"):
@@ -598,15 +596,15 @@ class TestBranchMerge:
     def test_byte_bound_counts_outcomes_times_output_length(self, monkeypatch):
         st = make_state(["x", "y", "z"], [(1.0, np.full(8, 8 ** -0.5))])
         # Measuring all three bits: 8 outcomes of 8 amplitudes.
-        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 8 * 8)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8)
         assert len(apply_measure(st, ["x", "y", "z"]).branches) == 8
-        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 8 * 8 - 1)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8 - 1)
         with pytest.raises(CapacityError):
             apply_measure(st, ["x", "y", "z"])
         # Returning nothing: 8 outcomes of 1 amplitude, merged into one.
-        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 1 * 8)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 1 * 8)
         assert len(apply_return(st, []).branches) == 1
-        monkeypatch.setattr(qppl.engine, "MAX_SPLIT_BYTES", 8 * 1 * 8 - 1)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 1 * 8 - 1)
         with pytest.raises(CapacityError):
             apply_return(st, [])
 
@@ -617,6 +615,29 @@ class TestNewAndReturn:
         out = extend(st, ["y"])
         assert out.env.names == ("x", "y")
         assert_state_close(out, [(1.0, [0, 0, 1, 0])])
+
+    def test_new_over_the_byte_bound_raises_before_allocating(self):
+        # 256 measured branches of 8 bits, then 16 more bits: 32 GiB.
+        xs = ", ".join(f"x{i}" for i in range(8))
+        coins = "".join(f"  qrand_bit(x{i})\n" for i in range(8))
+        ys = ", ".join(f"y{i}" for i in range(16))
+        p = parse(f"def main():\n  new {xs}\n{coins}  measure({xs})\n  new {ys}\n")
+        assert not qppl.has_errors(validate(p))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="need 32768 MiB"):
+                run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_new_is_bounded_by_the_same_budget_as_a_split(self, monkeypatch):
+        st = make_state(["x"], [(0.5, [1, 0]), (0.5, [0, 1])])
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 2 * 8 * 8)
+        assert extend(st, ["y", "z"]).amps.shape == (2, 8)
+        with pytest.raises(CapacityError):
+            extend(st, ["y", "z", "w"])
 
     def test_alloc_and_return_discards(self, corpus):
         final = run(parse(corpus["alloc_return"]))
@@ -636,16 +657,22 @@ class TestNewAndReturn:
         # Both outcomes leave the empty state [1]; they merge into one branch.
         assert_state_close(out, [(1.0, [1])])
 
-    def test_return_nothing_from_a_signed_uniform_state_builds_one_branch(self, monkeypatch):
+    def test_return_nothing_from_a_signed_uniform_state_builds_one_branch(self):
+        # 65536 outcomes of one amplitude each, all +-1: they merge into one
+        # branch, and the split's peak stays within 32 times the 512 KiB input.
         names = [f"v{i}" for i in range(16)]
         signs = np.random.default_rng(12).choice([-1.0, 1.0], 1 << 16)
         signs[0] = 1.0
         st = make_state(names, [(1.0, signs * 2.0 ** -8)])
-        built = counted(monkeypatch, qppl.engine, "Branch")
-        out = apply_return(st, [])
+        tracemalloc.start()
+        try:
+            out = apply_return(st, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert out.env.names == ()
         assert_state_close(out, [(1.0, [1.0])], tol=1e-12)
-        assert len(built) == 1
+        assert peak <= 32 * st.amps.nbytes
 
     def test_outcomes_equal_up_to_sign_within_and_across_branches(self):
         # Every row of u over (a, b) times a signed scale over c: within a
@@ -776,6 +803,30 @@ class TestBlockStore:
         assert peak <= 2.25 * block
 
 
+class TestInputsUnchanged:
+    """Public calls return new states and leave the one they were given as
+    it was, also when a statement goes a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("chunk", [None, 4])
+    @pytest.mark.parametrize("call", [
+        lambda st: apply_qrand(st, "b"),
+        lambda st: apply_measure(st, ["a", "c"]),
+        lambda st: apply_return(st, ["b"]),
+        lambda st: extend(st, ["d"]),
+    ], ids=["qrand", "measure", "return", "extend"])
+    def test_input_state_is_left_alone(self, monkeypatch, call, chunk):
+        if chunk:
+            monkeypatch.setattr(qppl.engine, "_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((3, 8))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        st = make_state(("a", "b", "c"), list(zip([0.2, 0.3, 0.5], rows)))
+        amps, probs = st.amps.copy(), st.probs.copy()
+        out = call(st)
+        assert_valid_state(out)
+        assert np.array_equal(st.amps, amps) and np.array_equal(st.probs, probs)
+
+
 class TestRun:
     def test_interference_program(self, corpus):
         final = run(parse(corpus["interference"]))
@@ -805,12 +856,12 @@ class TestRun:
         for name, src in corpus.items():
             if name == "classical_coins":
                 continue
-            run(parse(src), check_invariants=True)
+            run(parse(src), observer=lambda _, s: assert_valid_state(s))
 
     def test_norm_conservation_on_random_programs(self):
         for seed in range(60):
             p = random_program(seed, max_bits=5, max_statements=20)
-            run(p, check_invariants=True)
+            run(p, observer=lambda _, s: assert_valid_state(s))
 
     def test_classical_statement_rejected(self):
         p = parse("def main(x : bit):\n  x := rand_bit()")
@@ -833,24 +884,6 @@ class TestRun:
             "y ^= x",
             "return x, y",
         ]
-
-
-class TestSplitIndex:
-    def test_rows_and_columns_pack_variables_in_declaration_order(self):
-        env = Environment(("a", "b", "c", "d"))
-        named, other = ["d", "b"], ["a", "c"]
-        index = split_index(env, named)
-        assert index.shape == (4, 4)
-        for r in range(4):
-            for y in range(4):
-                w = index[r, y]
-                assert [env.bit(w, n) for n in other] == [(r >> 1) & 1, r & 1]
-                assert [env.bit(w, n) for n in ("b", "d")] == [(y >> 1) & 1, y & 1]
-        assert sorted(index.ravel()) == list(range(env.dim))
-
-    def test_undeclared_names_rejected(self):
-        with pytest.raises(KeyError):
-            split_index(Environment(("x",)), ["w"])
 
 
 class TestCompMatrix:

@@ -139,6 +139,21 @@ class TestStateInvariants:
         with pytest.raises(ValueError):
             qppl.assert_valid_state(st)
 
+    @pytest.mark.parametrize("branches", [
+        [(float("nan"), [1, 0])],
+        [(1.0, [float("nan"), 0])],
+        [(0.5, [1, 0]), (0.5, [0, 1]), (0.0, [1, 0])],
+    ], ids=["nan-probability", "nan-amplitude", "zero-probability"])
+    def test_nan_and_zero_weights_rejected(self, branches):
+        with pytest.raises(ValueError):
+            qppl.assert_valid_state(make_state(["x"], branches))
+
+    def test_amplitude_block_of_the_wrong_shape_rejected(self):
+        st = make_state(["x"], [(1.0, [1, 0])])
+        st.amps = np.ones((1, 4)) / 2
+        with pytest.raises(ValueError, match="shape"):
+            qppl.assert_valid_state(st)
+
 
 class TestJson:
     def test_schema(self):
