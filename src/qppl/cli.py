@@ -7,16 +7,17 @@ Subcommands:
     examples        list the bundled example programs
 
 FILE may be a path or the name of a bundled example. Exit codes: 0 on
-success, 1 on syntax or validation errors (diagnostics go to stderr) and
-on files that cannot be read or written, 2 on capacity errors and usage
-errors. Output for a fixed (file, flags, seed) is byte-identical across
-runs.
+success; 1 on syntax or validation errors (diagnostics go to stderr), on
+files that cannot be read or written, and when stdout is closed before
+all output is written; 2 on capacity errors and usage errors. Output for
+a fixed (file, flags, seed) is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -204,7 +205,15 @@ def main(argv: list[str] | None = None) -> int:
     for flag in ("shots", "seed"):
         if (getattr(args, flag, None) or 0) < 0:
             parser.error(f"--{flag} must be non-negative")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `head` does. Point stdout at
+        # devnull so the flush at exit meets no closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

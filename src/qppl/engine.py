@@ -11,7 +11,7 @@ in classical mode. It works on the (2,)*n view of the vector, one axis per
 live variable and the columns of a stack trailing, and builds no index
 array. A block goes in as its transpose, worlds on axis 0 and a column
 per branch, so a statement is one call on the block, or on a chunk of
-rows at a time when the block is larger than _CHUNK entries. An
+rows at a time when the block is larger than state._CHUNK entries. An
 expression's truth table has a length-2 axis only for each variable the
 expression reads, so it holds 2**|FV| entries and is broadcast against
 the worlds. ``x ^= E`` swaps the two halves of x's axis where E holds;
@@ -44,7 +44,10 @@ from .syntax import (
     And, Assign, Const, Expression, If, Measure, New, Not, Or, Program, QNeg,
     QRand, RandBit, Statement, Var, XorAssign, statement_source,
 )
-from .state import CapacityError, Environment, MAX_BLOCK_BYTES, PRUNE_EPS, TwoLayerState
+from . import state as _state
+from .state import (
+    CapacityError, Environment, MAX_BLOCK_BYTES, PRUNE_EPS, TwoLayerState, _chunks,
+)
 
 COMP_MATRIX_MAX_BITS = 10
 # Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
@@ -256,29 +259,25 @@ def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _by_value(env: Environment, names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """A view of the rows of a block as (row, named bits..., other bits...).
+def _by_value(live: tuple[str, ...], names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """A view of the rows of a block over the live variables as (row,
+    named bits..., other bits).
 
-    Axis i of the (2,)*n view of a row is the bit of env.names[i]; the
-    named axes come first, each group in environment order, so the worlds
-    where the named variables read y are one slice, in world order. Raises
-    KeyError if a named variable is not live.
+    Axis i of the (2,)*n view of a row is the bit of live[i]; the named
+    axes come first, each group in environment order, so the worlds where
+    the named variables read y are one slice, in world order. When the
+    named variables lead the environment, the other bits are one axis and
+    the view is a reshape. Raises KeyError if a named variable is not live.
     """
+    env = Environment(live)
     named = sorted(env.position(n) for n in names)
+    k = len(named)
+    if named == list(range(k)):
+        shape = (2,) * k + (env.dim >> k,)
+        return lambda block: block.reshape((len(block),) + shape)
+    shape = (2,) * env.n_bits
     axes = [0] + [1 + i for i in named] + [1 + i for i in range(env.n_bits) if i not in named]
-    return lambda block: block.reshape((len(block),) + (2,) * env.n_bits).transpose(axes)
-
-
-# Entries of a block that one chunk holds (512 KiB of float64): statements
-# and splits on a block of many branches go a chunk of rows at a time, so
-# their temporaries stay this small and in cache.
-_CHUNK = 1 << 16
-
-
-def _chunks(n_rows: int, row_len: int) -> list[slice]:
-    """Consecutive row ranges of at most _CHUNK entries (one row at least)."""
-    step = max(1, _CHUNK // row_len)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return lambda block: block.reshape((len(block),) + shape).transpose(axes)
 
 
 def _sign_free_key(rows: np.ndarray) -> np.ndarray:
@@ -305,13 +304,16 @@ def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.
     local: list[int] = []  # first equal row in the same chunk
     first: list[int] = []  # for such a row, the first row with its hash
     seen: dict[int, int] = {}
-    for c in _chunks(n, width):
+    chunks = _chunks(n, width)
+    for c in chunks:
         exact: dict[tuple[int, bytes], int] = {}
         for i, t, k in zip(range(c.start, n), tags[c].tolist(), _sign_free_key(rows_of(c))):
             key = (t, k.tobytes())
             j = exact.setdefault(key, i)
             local.append(j)
             first.append(seen.setdefault(hash(key), i) if j == i else i)
+    if len(chunks) == 1:  # every match was exact
+        return np.array(local)
     first = np.array(first)
     later = np.flatnonzero(first != np.arange(n))
     for c in _chunks(len(later), width):
@@ -321,6 +323,11 @@ def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.
             _sign_free_key(rows_of(i)) == _sign_free_key(rows_of(j)), axis=1)
         first[i[~same]] = i[~same]
     return first[local]
+
+
+def _bits(values: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The k bits of each value, the most significant first."""
+    return np.unravel_index(values, (2,) * k) if k > 1 else (values,) if k else ()
 
 
 def _split(state: TwoLayerState, names: Sequence[str],
@@ -352,69 +359,62 @@ def _split(state: TwoLayerState, names: Sequence[str],
     holds the old block, the new one, a chunk and the per-outcome numbers.
     """
     env, amps, probs = state.env, state.amps, state.probs
-    k = len(names)
-    n_values, width = 1 << k, env.dim >> k
-    out_width = width if drop_named else env.dim
-    by_value = _by_value(env, tuple(names))
+    k, dim = len(names), amps.shape[1]
+    n_values, width = 1 << k, dim >> k
+    out_width = width if drop_named else dim
+    by_value = _by_value(env.names, tuple(names))
     # A chunk of branches at a time: the mass of each (branch, value),
-    # summed in world order, of which only the outcomes over PRUNE_EPS are
-    # kept, as (branch, value, mass).
+    # summed in world order, of which only the outcomes whose probability
+    # exceeds PRUNE_EPS are kept, as (branch, value, mass, probability).
+    source = by_value(amps)
     found, count = [], 0
-    for c in _chunks(len(amps), env.dim):
-        squares = by_value(amps[c] * amps[c]).reshape(-1, n_values, width)
+    for c in _chunks(len(amps), dim):
+        rows = source[c]
+        squares = (rows * rows).reshape(-1, n_values, width)
         masses = np.add.accumulate(squares, axis=2)[:, :, -1]
-        j, y = (probs[c, None] * masses > PRUNE_EPS).nonzero()
+        weights = probs[c, None] * masses
+        j, y = (weights > PRUNE_EPS).nonzero()
         count += len(j)
         _check_block(count, out_width)
-        found.append((j + c.start, y, masses[j, y]))
+        found.append((j + c.start if c.start else j, y, masses[j, y], weights[j, y]))
     if not count:
         raise ValueError("all branches were pruned")
-    js, ys, scale = found[0] if len(found) == 1 else (np.concatenate(f) for f in zip(*found))
-    weights = probs[js] * scale
+    js, ys, scale, weights = (found[0] if len(found) == 1 else
+                              (np.concatenate(f) for f in zip(*found)))
     weights /= np.add.reduce(weights)
     np.sqrt(scale, out=scale)
-    source = by_value(amps)
-
-    def bits(i):
-        """The bits of the values of outcomes i, the first named first."""
-        return np.unravel_index(ys[i], (2,) * k) if k else ()
-
-    def outcomes(i):
-        """Amplitudes of the outcomes i on the worlds showing their value."""
-        rows = source[(js[i],) + bits(i)]
-        return rows.reshape(len(rows), width) / scale[i][:, None]
-
-    # Outcomes that fit in one chunk are built once.
-    part = outcomes(slice(None)) if len(js) * width <= _CHUNK else None
 
     def rows_of(i):
-        return outcomes(i) if part is None else part[i]
+        """Amplitudes of the outcomes i on the worlds showing their value."""
+        rows = source[(js[i],) + _bits(ys[i], k)]
+        return rows.reshape(len(rows), width) / scale[i, None]
 
     # An outcome of a measurement is zero off its own worlds, so outcomes
     # with different values never merge, and neither do the outcomes of a
-    # single branch; on return they may.
-    if drop_named or len(amps) > 1:
-        first = _first_equal(rows_of, len(js), width, np.zeros_like(ys) if drop_named else ys)
-        heads = np.flatnonzero(first == np.arange(len(first)))
-    else:
-        first = heads = np.arange(len(js))
-    if len(heads) < len(js):
-        group = np.empty(len(js), dtype=np.intp)
-        group[heads] = np.arange(len(heads))
-        weights = np.bincount(group[first], weights=weights, minlength=len(heads))
-    if drop_named:
-        if part is not None and len(heads) == len(js):
-            return part, weights
-        out = np.empty((len(heads), width))
-        for c in _chunks(len(heads), width):
-            out[c] = rows_of(heads[c])
-        return out, weights
-    out = np.zeros((len(heads), env.dim))
-    target = by_value(out)
-    for c in _chunks(len(heads), width):
-        rows = heads[c]
-        at = (np.arange(c.start, c.start + len(rows)),) + bits(rows)
-        target[at] = rows_of(rows).reshape((len(rows),) + (2,) * (env.n_bits - k))
+    # single branch; on return they may. ``heads`` lists the outcomes
+    # that stay, when some merged.
+    heads = None
+    if count > 1 and (drop_named or len(amps) > 1):
+        if len(_chunks(count, width)) == 1:  # outcomes that fit in one chunk are built once
+            rows_of = rows_of(slice(None)).__getitem__
+        first = _first_equal(rows_of, count, width, np.zeros_like(ys) if drop_named else ys)
+        heads = np.flatnonzero(first == np.arange(count))
+        if len(heads) < count:
+            group = np.searchsorted(heads, first)
+            weights = np.bincount(group, weights=weights, minlength=len(heads))
+        else:
+            heads = None
+    n_out = count if heads is None else len(heads)
+    out = (np.empty if drop_named else np.zeros)((n_out, out_width))
+    target = None if drop_named else by_value(out)
+    for c in _chunks(n_out, width):
+        i = c if heads is None else heads[c]
+        rows = rows_of(i)
+        if drop_named:
+            out[c] = rows
+        else:
+            at = (np.arange(c.start, c.start + len(rows)),) + _bits(ys[i], k)
+            target[at] = rows.reshape((len(rows),) + target.shape[1 + k:])
     return out, weights
 
 
@@ -464,7 +464,7 @@ def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerStat
     # block of several chunks goes a chunk of rows at a time, written back
     # in place when no one else holds the block, so a statement holds one
     # block and a chunk's temporaries.
-    if amps.size <= _CHUNK or len(amps) == 1:
+    if len(amps) == 1 or amps.size <= _state._CHUNK:
         return TwoLayerState(env, apply_comp(amps.T, stmt, env, CLASSICAL_ONLY).T, state.probs)
     out = amps if in_place else np.empty_like(amps)
     for c in _chunks(len(amps), env.dim):

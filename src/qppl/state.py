@@ -100,10 +100,28 @@ class TwoLayerState:
         return [Branch(p, row) for p, row in zip(self.probs.tolist(), self.amps)]
 
 
+# Entries of a block that one chunk holds (512 KiB of float64): statements,
+# splits and to_density on a block of many branches go a chunk of rows at
+# a time, so their temporaries stay this small and in cache.
+_CHUNK = 1 << 16
+
+
+def _chunks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row ranges of at most _CHUNK entries (one row at least)."""
+    step = _CHUNK // row_len or 1
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 def to_density(state: TwoLayerState) -> np.ndarray:
-    """Probability-weighted sum of the branches' outer products, as one
-    product of the amplitude block with itself."""
-    return (state.amps.T * state.probs) @ state.amps
+    """Probability-weighted sum of the branches' outer products: the
+    product of the amplitude block with itself, a chunk of the matrix's
+    rows at a time, so it holds the matrix and one chunk beside the block."""
+    amps, probs = state.amps, state.probs
+    dim = amps.shape[1]
+    rho = np.empty((dim, dim))
+    for r in _chunks(dim, len(amps)):
+        np.matmul(amps[:, r].T * probs, amps, out=rho[r])
+    return rho
 
 
 def output_distribution(state: TwoLayerState) -> dict[int, float]:

@@ -22,9 +22,15 @@ Expressions are boolean: names, the constants 0 and 1, and not/and/or
 parsing, so parsed trees contain only the core constructors. Precedence,
 tightest first: not, and, or, then the comparison operators (left
 associative). ``#`` starts a comment running to the end of the line.
+Lines end where ``str.splitlines`` ends them, so \\v, \\f, \\x1c-\\x1e,
+\\x85, U+2028, U+2029 and a lone \\r end a line as \\n and \\r\\n do.
 Indentation must use spaces; tabs in indentation are rejected.
 Expressions, parentheses and ``if`` blocks may each nest at most
 MAX_NESTING (64) levels deep; deeper input is a ParseError.
+
+One compiled scanner reads the whole source in a single pass (``_scan``)
+into ``(kind, text, line, col)`` tuples and each line's indentation and
+text; the parser is recursive descent over those tuples.
 """
 
 from __future__ import annotations
@@ -222,296 +228,280 @@ KEYWORDS = frozenset({
 
 _UNICODE_OPS = {"¬": "not", "∧": "and", "∨": "or"}
 
+# The line boundaries of str.splitlines, "\r\n" aside.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# One scanner over the whole source, after the ``re`` module's "Writing a
+# Tokenizer" recipe. A match is the spaces and tabs before it, then one of:
+# a name, a number, an operator, an operator spelled as a symbol, a comment
+# (to the end of its line), a line break with the next line's indentation,
+# or any other single character. Every character is part of some match,
+# so the matches are consecutive and their lengths give the columns.
 _TOKEN_RE = re.compile(
-    r"(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<NUM>\d+)"
-    r"|(?P<OP>\^=|:=|==|!=|[\^(),:])"
-    r"|(?P<UNI>[¬∧∨])"
-    r"|(?P<WS>[ \t]+)"
-    r"|(?P<BAD>.)"
+    r"([ \t]*)(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|(\^=|:=|==|!=|[\^(),:])|([¬∧∨])"
+    rf"|(#[^{_BREAKS}]*)|(\r\n|[{_BREAKS}])([ \t]*)|(.))"
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "NAME", "NUM", or the operator text itself
-    text: str
-    line: int
-    col: int
-
-
-@dataclass
-class _Line:
-    indent: int
-    tokens: list[_Token]
-    line_no: int
-    text: str
+# A token is a tuple (kind, text, line, col): kind is "NAME", "NUM", an
+# operator's own text, or "EOL" for the token that ends every line, at the
+# column just past the line's last token. ¬ ∧ ∨ come out as the names not,
+# and, or. A line is a tuple (indent, index of its first token, line, text),
+# where text is the line without its comment and surrounding whitespace.
+_TokenTuple = tuple[str, str, int, int]
+_LineTuple = tuple[int, int, int, str]
 
 
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    return raw if pos < 0 else raw[:pos]
+def _scan(source: str) -> tuple[list[_TokenTuple], list[_LineTuple]]:
+    """The tokens of the source, and its lines that hold one, in one pass.
 
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        col = m.start() + 1
-        if kind == "WS":
-            continue
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {m.group()!r}", line_no, col)
-        if kind == "UNI":
-            tokens.append(_Token("NAME", _UNICODE_OPS[m.group()], line_no, col))
-        elif kind == "OP":
-            tokens.append(_Token(m.group(), m.group(), line_no, col))
+    Lines end where str.splitlines ends them. A line that is whitespace
+    (in the sense of str.isspace) up to its comment, if any, is skipped
+    unread. In any other line, a tab in the indentation, or else the first
+    character that starts no token, is a ParseError.
+    """
+    text = "\n" + source + "\n"  # every line starts and ends with a break
+    tokens: list[_TokenTuple] = []
+    lines: list[_LineTuple] = []
+    line_no = indent = first = 0
+    pos = start = 0  # offsets in text: of the next match, of the line
+    body_end = error = None
+    for ws, name, num, op, uni, comment, brk, lead, bad in _TOKEN_RE.findall(text):
+        pos += len(ws)
+        col = pos - start + 1
+        if name:
+            tokens.append(("NAME", name, line_no, col))
+            pos += len(name)
+        elif op:
+            tokens.append((op, op, line_no, col))
+            pos += len(op)
+        elif brk:
+            if len(tokens) > first:
+                if error:
+                    raise error
+                last = tokens[-1]
+                tokens.append(("EOL", "", line_no, last[3] + len(last[1])))
+                lines.append((indent, first, line_no, text[start:body_end or pos].strip()))
+                first = len(tokens)
+            line_no += 1
+            start = pos = pos + len(brk)
+            indent, body_end = len(lead), None
+            pos += indent
+            tab = lead.find("\t")
+            error = (None if tab < 0 else
+                     ParseError("tab character in indentation", line_no, tab + 1))
+        elif num:
+            tokens.append(("NUM", num, line_no, col))
+            pos += len(num)
+        elif uni:
+            tokens.append(("NAME", _UNICODE_OPS[uni], line_no, col))
+            pos += 1
+        elif comment:
+            body_end = pos
+            pos += len(comment)
         else:
-            tokens.append(_Token(kind, m.group(), line_no, col))
-    return tokens
-
-
-def _logical_lines(source: str) -> list[_Line]:
-    lines: list[_Line] = []
-    for i, raw in enumerate(source.splitlines(), start=1):
-        raw = raw.rstrip("\r")
-        body = _strip_comment(raw)
-        if not body.strip():
-            continue
-        indent = 0
-        for ch in body:
-            if ch == " ":
-                indent += 1
-            elif ch == "\t":
-                raise ParseError("tab character in indentation", i, indent + 1)
-            else:
-                break
-        lines.append(_Line(indent, _tokenize_line(body, i), i, body.strip()))
-    return lines
+            # A stray whitespace character is an error only in a line that
+            # holds a token; the first error of such a line is raised.
+            error = error or ParseError(f"unexpected character {bad!r}", line_no, col)
+            if not bad.isspace():
+                raise error
+            pos += 1
+    return tokens, lines
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-class _TokenCursor:
-    def __init__(self, tokens: list[_Token], line_no: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.parens = 0  # parentheses open at the current position
+# Deepest nesting the parser accepts, counted three ways: operators on the
+# longest root-to-leaf path of an expression tree, open parentheses, and
+# `if` blocks. The expression walkers (free_vars, truth_table, expr_source)
+# recurse once per tree level and the parser at most five times per
+# parenthesis and twice per block, so even all three at the limit stay
+# far inside Python's default recursion limit of 1000 frames.
+MAX_NESTING = 64
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = last.col + len(last.text) if last else 1
-            raise ParseError("unexpected end of line", self.line_no, col)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = last.col + len(last.text) if last else 1
-            raise ParseError(f"expected {what or kind!r} at end of line", self.line_no, col)
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what or kind!r}, found {tok.text!r}", tok.line, tok.col
-            )
-        self.pos += 1
-        return tok
-
-    def expect_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-
-    def match(self, kind: str) -> _Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind:
-            self.pos += 1
-            return tok
-        return None
+# Binary operators by precedence, loosest first; all are left associative.
+_PRECEDENCE = {"==": 0, "!=": 0, "^": 0, "or": 1, "and": 2}
 
 
-def _expect_identifier(cur: _TokenCursor) -> _Token:
-    tok = cur.next()
-    if tok.kind != "NAME":
-        raise ParseError(f"expected a variable name, found {tok.text!r}", tok.line, tok.col)
-    if tok.text in KEYWORDS:
-        raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-    return tok
+def _check_nesting(depth: int, what: str, tok: _TokenTuple) -> None:
+    if depth > MAX_NESTING:
+        raise ParseError(f"{what} nested deeper than {MAX_NESTING} levels", tok[2], tok[3])
 
 
 def _xor_tree(a: Expression, b: Expression, loc: Loc) -> Expression:
     return Or(And(a, Not(b, loc), loc), And(Not(a, loc), b, loc), loc)
 
 
-# Deepest nesting the parser accepts, counted three ways: operators on the
-# longest root-to-leaf path of an expression tree, open parentheses, and
-# `if` blocks. The expression walkers (free_vars, truth_table, expr_source)
-# recurse once per tree level and the parser five times per parenthesis and
-# three times per block, so even all three at the limit stay far inside
-# Python's default recursion limit of 1000 frames.
-MAX_NESTING = 64
-
-
-def _check_nesting(depth: int, what: str, tok: _Token) -> None:
-    if depth > MAX_NESTING:
-        raise ParseError(f"{what} nested deeper than {MAX_NESTING} levels",
-                         tok.line, tok.col)
-
-
-def _parse_expression(cur: _TokenCursor) -> Expression:
-    return _parse_comparison(cur)[0]
-
-
-# The functions below return an expression together with its depth.
-
-def _parse_comparison(cur: _TokenCursor) -> tuple[Expression, int]:
-    expr, depth = _parse_or(cur)
-    while True:
-        tok = cur.peek()
-        if tok is None or tok.kind not in ("==", "!=", "^"):
-            return expr, depth
-        cur.next()
-        rhs, rhs_depth = _parse_or(cur)
-        loc = (tok.line, tok.col)
-        expr, depth = _xor_tree(expr, rhs, loc), max(depth, rhs_depth) + 3
-        if tok.kind == "==":
-            expr, depth = Not(expr, loc), depth + 1
-        _check_nesting(depth, "expression", tok)
-
-
-def _parse_or(cur: _TokenCursor) -> tuple[Expression, int]:
-    expr, depth = _parse_and(cur)
-    while True:
-        tok = cur.peek()
-        if tok is None or not (tok.kind == "NAME" and tok.text == "or"):
-            return expr, depth
-        cur.next()
-        rhs, rhs_depth = _parse_and(cur)
-        expr, depth = Or(expr, rhs, (tok.line, tok.col)), max(depth, rhs_depth) + 1
-        _check_nesting(depth, "expression", tok)
-
-
-def _parse_and(cur: _TokenCursor) -> tuple[Expression, int]:
-    expr, depth = _parse_not(cur)
-    while True:
-        tok = cur.peek()
-        if tok is None or not (tok.kind == "NAME" and tok.text == "and"):
-            return expr, depth
-        cur.next()
-        rhs, rhs_depth = _parse_not(cur)
-        expr, depth = And(expr, rhs, (tok.line, tok.col)), max(depth, rhs_depth) + 1
-        _check_nesting(depth, "expression", tok)
-
-
-def _parse_not(cur: _TokenCursor) -> tuple[Expression, int]:
-    # A loop, not a recursion, so a long run of `not` reaches the depth check.
-    nots: list[_Token] = []
-    while (tok := cur.peek()) is not None and tok.kind == "NAME" and tok.text == "not":
-        nots.append(cur.next())
-    expr, depth = _parse_atom(cur)
-    for tok in reversed(nots):
-        expr, depth = Not(expr, (tok.line, tok.col)), depth + 1
-        _check_nesting(depth, "expression", tok)
-    return expr, depth
-
-
-def _parse_atom(cur: _TokenCursor) -> tuple[Expression, int]:
-    tok = cur.next()
-    if tok.kind == "NUM":
-        if tok.text not in ("0", "1"):
-            raise ParseError(f"only the bits 0 and 1 are valid constants, found {tok.text!r}",
-                             tok.line, tok.col)
-        return Const(int(tok.text), (tok.line, tok.col)), 0
-    if tok.kind == "NAME":
-        if tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-        return Var(tok.text, (tok.line, tok.col)), 0
-    if tok.kind == "(":
-        cur.parens += 1
-        _check_nesting(cur.parens, "parentheses", tok)
-        expr, depth = _parse_comparison(cur)
-        closing = cur.next()
-        if closing.kind != ")":
-            raise ParseError(f"expected ')', found {closing.text!r}", closing.line, closing.col)
-        cur.parens -= 1
-        return expr, depth
-    raise ParseError(f"expected an expression, found {tok.text!r}", tok.line, tok.col)
-
-
-def _parse_name_list(cur: _TokenCursor) -> list[_Token]:
-    names = [_expect_identifier(cur)]
-    while cur.match(","):
-        names.append(_expect_identifier(cur))
-    return names
-
-
-def _parse_call_names(cur: _TokenCursor, allow_empty: bool) -> list[_Token]:
-    cur.expect("(")
-    if cur.match(")"):
-        if allow_empty:
-            return []
-        tok = cur.tokens[cur.pos - 1]
-        raise ParseError("expected at least one variable name", tok.line, tok.col)
-    names = _parse_name_list(cur)
-    cur.expect(")")
-    return names
+def _names(tokens: list[_TokenTuple]) -> tuple[str, ...]:
+    return tuple(tok[1] for tok in tokens)
 
 
 class _Parser:
-    def __init__(self, lines: list[_Line]):
-        self.lines = lines
-        self.i = 0
+    """Recursive descent over the tokens, a line at a time.
+
+    Only a NAME token has the text of a keyword, so keywords are found by
+    text alone; tok[2:] is a token's (line, col).
+    """
+
+    def __init__(self, source: str):
+        self.tokens, self.lines = _scan(source)
+        self.pos = 0  # the next token
+        self.i = 0  # the next line
+        self.parens = 0  # parentheses open at the current token
         self.if_depth = 0  # `if` blocks open around the current line
+
+    # -- tokens of the current line -------------------------------------------
+
+    def peek(self) -> _TokenTuple:
+        return self.tokens[self.pos]
+
+    def next(self) -> _TokenTuple:
+        tok = self.tokens[self.pos]
+        if tok[0] == "EOL":
+            raise ParseError("unexpected end of line", tok[2], tok[3])
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _TokenTuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            if tok[0] == "EOL":
+                raise ParseError(f"expected {kind!r} at end of line", tok[2], tok[3])
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+        self.pos += 1
+        return tok
+
+    def expect_end(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOL":
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+
+    def match(self, kind: str) -> _TokenTuple | None:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        return None
+
+    def identifier(self) -> _TokenTuple:
+        tok = self.next()
+        if tok[0] != "NAME":
+            raise ParseError(f"expected a variable name, found {tok[1]!r}", tok[2], tok[3])
+        if tok[1] in KEYWORDS:
+            raise ParseError(f"{tok[1]!r} is a reserved word", tok[2], tok[3])
+        return tok
+
+    def name_list(self) -> list[_TokenTuple]:
+        names = [self.identifier()]
+        while self.match(","):
+            names.append(self.identifier())
+        return names
+
+    def call_names(self, allow_empty: bool) -> list[_TokenTuple]:
+        self.expect("(")
+        if tok := self.match(")"):
+            if allow_empty:
+                return []
+            raise ParseError("expected at least one variable name", tok[2], tok[3])
+        names = self.name_list()
+        self.expect(")")
+        return names
+
+    # -- expressions, each returned with its depth ----------------------------
+
+    def expression(self) -> Expression:
+        return self.binary(0)[0]
+
+    def binary(self, min_prec: int) -> tuple[Expression, int]:
+        """An expression whose operators bind at least as tightly as min_prec."""
+        expr, depth = self.unary()
+        while (prec := _PRECEDENCE.get((tok := self.tokens[self.pos])[1], -1)) >= min_prec:
+            self.pos += 1
+            rhs, rhs_depth = self.binary(prec + 1)
+            loc = tok[2:]
+            if prec == 0:
+                expr, depth = _xor_tree(expr, rhs, loc), max(depth, rhs_depth) + 3
+                if tok[0] == "==":
+                    expr, depth = Not(expr, loc), depth + 1
+            else:
+                expr = (Or if prec == 1 else And)(expr, rhs, loc)
+                depth = max(depth, rhs_depth) + 1
+            _check_nesting(depth, "expression", tok)
+        return expr, depth
+
+    def unary(self) -> tuple[Expression, int]:
+        """Any number of `not`, then a constant, a variable or a
+        parenthesized expression."""
+        # A loop, not a recursion, so a long run of `not` reaches the depth check.
+        nots: list[_TokenTuple] = []
+        while (tok := self.next())[1] == "not":
+            nots.append(tok)
+        kind, text, line, col = tok
+        if kind == "NUM":
+            if text not in ("0", "1"):
+                raise ParseError(f"only the bits 0 and 1 are valid constants, found {text!r}",
+                                 line, col)
+            expr, depth = Const(int(text), (line, col)), 0
+        elif kind == "NAME":
+            if text in KEYWORDS:
+                raise ParseError(f"{text!r} is a reserved word", line, col)
+            expr, depth = Var(text, (line, col)), 0
+        elif kind == "(":
+            self.parens += 1
+            _check_nesting(self.parens, "parentheses", tok)
+            expr, depth = self.binary(0)
+            closing = self.next()
+            if closing[0] != ")":
+                raise ParseError(f"expected ')', found {closing[1]!r}", closing[2], closing[3])
+            self.parens -= 1
+        else:
+            raise ParseError(f"expected an expression, found {text!r}", line, col)
+        for tok in reversed(nots):
+            expr, depth = Not(expr, tok[2:]), depth + 1
+            _check_nesting(depth, "expression", tok)
+        return expr, depth
+
+    # -- lines ----------------------------------------------------------------
 
     def parse_program(self) -> Program:
         if not self.lines:
             raise ParseError("empty program, expected 'def main(...):'", 1, 1)
-        header = self.lines[0]
-        if header.indent != 0:
-            raise ParseError("'def' must not be indented", header.line_no, header.indent + 1)
-        inputs, loc = self._parse_header(header)
+        indent, _, line_no, _ = self.lines[0]
+        if indent != 0:
+            raise ParseError("'def' must not be indented", line_no, indent + 1)
+        inputs, loc = self._parse_header()
         self.i = 1
         if self.i >= len(self.lines):
             return Program(inputs, (), None, loc, None)
-        body_indent = self.lines[self.i].indent
+        body_indent, _, line_no, _ = self.lines[self.i]
         if body_indent == 0:
-            line = self.lines[self.i]
-            raise ParseError("program body must be indented", line.line_no, 1)
+            raise ParseError("program body must be indented", line_no, 1)
         body, returns, return_loc = self._parse_block(body_indent, top_level=True)
         if self.i < len(self.lines):
-            line = self.lines[self.i]
-            raise ParseError("inconsistent indentation", line.line_no, line.indent + 1)
+            indent, _, line_no, _ = self.lines[self.i]
+            raise ParseError("inconsistent indentation", line_no, indent + 1)
         return Program(inputs, tuple(body), returns, loc, return_loc)
 
-    def _parse_header(self, line: _Line) -> tuple[tuple[str, ...], Loc]:
-        cur = _TokenCursor(line.tokens, line.line_no)
-        tok = cur.next()
-        if not (tok.kind == "NAME" and tok.text == "def"):
-            raise ParseError("expected 'def main(...):'", tok.line, tok.col)
-        name = cur.next()
-        if not (name.kind == "NAME" and name.text == "main"):
-            raise ParseError("expected 'main'", name.line, name.col)
-        cur.expect("(")
-        names: list[_Token] = []
-        if not cur.match(")"):
-            names = _parse_name_list(cur)
-            if cur.match(":"):
-                bit = cur.next()
-                if not (bit.kind == "NAME" and bit.text == "bit"):
-                    raise ParseError("expected 'bit'", bit.line, bit.col)
-            cur.expect(")")
-        cur.expect(":")
-        cur.expect_end()
-        return tuple(t.text for t in names), (tok.line, tok.col)
+    def _parse_header(self) -> tuple[tuple[str, ...], Loc]:
+        tok = self.next()
+        if tok[1] != "def":
+            raise ParseError("expected 'def main(...):'", tok[2], tok[3])
+        name = self.next()
+        if name[1] != "main":
+            raise ParseError("expected 'main'", name[2], name[3])
+        self.expect("(")
+        names: list[_TokenTuple] = []
+        if not self.match(")"):
+            names = self.name_list()
+            if self.match(":"):
+                bit = self.next()
+                if bit[1] != "bit":
+                    raise ParseError("expected 'bit'", bit[2], bit[3])
+            self.expect(")")
+        self.expect(":")
+        self.expect_end()
+        return _names(names), tok[2:]
 
     def _parse_block(
         self, indent: int, top_level: bool
@@ -521,128 +511,97 @@ class _Parser:
         return_loc: Loc | None = None
         while self.i < len(self.lines):
             line = self.lines[self.i]
-            if line.indent < indent:
+            if line[0] < indent:
                 break
-            if line.indent > indent:
-                raise ParseError("inconsistent indentation", line.line_no, line.indent + 1)
+            if line[0] > indent:
+                raise ParseError("inconsistent indentation", line[2], line[0] + 1)
             if returns is not None:
-                raise ParseError("'return' must be the final statement",
-                                 line.line_no, line.indent + 1)
-            cur = _TokenCursor(line.tokens, line.line_no)
-            head = cur.peek()
-            if head is not None and head.kind == "NAME" and head.text == "return":
+                raise ParseError("'return' must be the final statement", line[2], line[0] + 1)
+            self.pos = line[1]
+            head = self.tokens[self.pos]
+            if head[1] == "return":
                 if not top_level:
-                    raise ParseError("'return' is not allowed inside 'if'",
-                                     head.line, head.col)
-                cur.next()
-                names: list[_Token] = []
-                if cur.peek() is not None:
-                    names = _parse_name_list(cur)
-                    cur.expect_end()
-                returns = tuple(t.text for t in names)
-                return_loc = (head.line, head.col)
+                    raise ParseError("'return' is not allowed inside 'if'", head[2], head[3])
+                self.pos += 1
+                names: list[_TokenTuple] = []
+                if self.peek()[0] != "EOL":
+                    names = self.name_list()
+                    self.expect_end()
+                returns = _names(names)
+                return_loc = head[2:]
                 self.i += 1
                 continue
-            stmts.extend(self._parse_statement(cur, line, top_level))
+            self._parse_statement(line, top_level, stmts)
         return stmts, returns, return_loc
 
-    def _parse_statement(
-        self, cur: _TokenCursor, line: _Line, top_level: bool
-    ) -> list[Statement]:
-        head = cur.next()
-        loc = (head.line, head.col)
-        src = line.text
-        if head.kind != "NAME":
-            raise ParseError(f"expected a statement, found {head.text!r}", head.line, head.col)
+    def _parse_statement(self, line: _LineTuple, top_level: bool, out: list[Statement]):
+        """Parse the statement of the line into ``out`` and move to the next
+        line."""
+        head = self.next()
+        kind, word, loc, src = head[0], head[1], head[2:], line[3]
+        if kind != "NAME":
+            raise ParseError(f"expected a statement, found {word!r}", *loc)
 
-        if head.text == "if":
-            cond = _parse_expression(cur)
-            cur.expect(":")
-            cur.expect_end()
+        if word == "if":
+            cond = self.expression()
+            self.expect(":")
+            self.expect_end()
             self.i += 1
             self.if_depth += 1
             _check_nesting(self.if_depth, "'if' blocks", head)
-            body = self._parse_if_body(line)
+            if self.i >= len(self.lines) or self.lines[self.i][0] <= line[0]:
+                raise ParseError("expected an indented block after 'if'", line[2], line[0] + 1)
+            body, _, _ = self._parse_block(self.lines[self.i][0], top_level=False)
             self.if_depth -= 1
-            return [If(cond, tuple(body), loc, src)]
+            out.append(If(cond, tuple(body), loc, src))
+            return
 
-        if head.text in ("qrand_bit", "qrand"):
-            names = _parse_call_names(cur, allow_empty=False)
+        if word in ("qrand_bit", "qrand"):
+            names = self.call_names(allow_empty=False)
             if len(names) != 1:
-                raise ParseError(f"{head.text} takes exactly one variable",
-                                 names[1].line, names[1].col)
-            cur.expect_end()
-            self.i += 1
-            return [QRand(names[0].text, loc, src)]
-
-        if head.text in ("qnegate", "qneg"):
-            cur.expect("(")
-            cur.expect(")")
-            cur.expect_end()
-            self.i += 1
-            return [QNeg(loc, src)]
-
-        if head.text == "measure":
+                raise ParseError(f"{word} takes exactly one variable", names[1][2], names[1][3])
+            out.append(QRand(names[0][1], loc, src))
+        elif word in ("qnegate", "qneg"):
+            self.expect("(")
+            self.expect(")")
+            out.append(QNeg(loc, src))
+        elif word == "measure":
             if not top_level:
-                raise ParseError("'measure' is not allowed inside 'if'", head.line, head.col)
-            names = _parse_call_names(cur, allow_empty=True)
-            cur.expect_end()
-            self.i += 1
-            return [Measure(tuple(t.text for t in names), loc, src)]
-
-        if head.text == "new":
+                raise ParseError("'measure' is not allowed inside 'if'", *loc)
+            out.append(Measure(_names(self.call_names(allow_empty=True)), loc, src))
+        elif word == "new":
             if not top_level:
-                raise ParseError("'new' is not allowed inside 'if'", head.line, head.col)
-            if cur.peek() is not None and cur.peek().kind == "(":
-                names = _parse_call_names(cur, allow_empty=False)
-                cur.expect_end()
-                self.i += 1
-                return [New(tuple(t.text for t in names), loc, src)]
-            names = _parse_name_list(cur)
-            if cur.match(":="):
-                if len(names) != 1:
-                    raise ParseError("an initializer requires a single variable",
-                                     names[1].line, names[1].col)
-                rhs = _parse_expression(cur)
-                cur.expect_end()
-                self.i += 1
-                # The initializing XOR is synthesized; it renders canonically.
-                return [New((names[0].text,), loc, src),
-                        XorAssign(names[0].text, rhs, loc)]
-            cur.expect_end()
-            self.i += 1
-            return [New(tuple(t.text for t in names), loc, src)]
-
-        if head.text in KEYWORDS:
-            raise ParseError(f"unexpected keyword {head.text!r}", head.line, head.col)
-
-        op = cur.next()
-        if op.kind == "^=":
-            rhs = _parse_expression(cur)
-            cur.expect_end()
-            self.i += 1
-            return [XorAssign(head.text, rhs, loc, src)]
-        if op.kind == ":=":
-            nxt = cur.peek()
-            if nxt is not None and nxt.kind == "NAME" and nxt.text == "rand_bit":
-                cur.next()
-                cur.expect("(")
-                cur.expect(")")
-                cur.expect_end()
-                self.i += 1
-                return [RandBit(head.text, loc, src)]
-            rhs = _parse_expression(cur)
-            cur.expect_end()
-            self.i += 1
-            return [Assign(head.text, rhs, loc, src)]
-        raise ParseError(f"expected '^=' or ':=', found {op.text!r}", op.line, op.col)
-
-    def _parse_if_body(self, header: _Line) -> list[Statement]:
-        if self.i >= len(self.lines) or self.lines[self.i].indent <= header.indent:
-            raise ParseError("expected an indented block after 'if'",
-                             header.line_no, header.indent + 1)
-        body, _, _ = self._parse_block(self.lines[self.i].indent, top_level=False)
-        return body
+                raise ParseError("'new' is not allowed inside 'if'", *loc)
+            if self.peek()[0] == "(":
+                out.append(New(_names(self.call_names(allow_empty=False)), loc, src))
+            else:
+                names = self.name_list()
+                if self.match(":="):
+                    if len(names) != 1:
+                        raise ParseError("an initializer requires a single variable",
+                                         names[1][2], names[1][3])
+                    # The initializing XOR is synthesized; it renders canonically.
+                    out += [New((names[0][1],), loc, src),
+                            XorAssign(names[0][1], self.expression(), loc)]
+                else:
+                    out.append(New(_names(names), loc, src))
+        elif word in KEYWORDS:
+            raise ParseError(f"unexpected keyword {word!r}", *loc)
+        else:
+            op = self.next()
+            if op[0] == "^=":
+                out.append(XorAssign(word, self.expression(), loc, src))
+            elif op[0] != ":=":
+                raise ParseError(f"expected '^=' or ':=', found {op[1]!r}", op[2], op[3])
+            elif self.peek()[1] == "rand_bit":
+                self.pos += 1
+                self.expect("(")
+                self.expect(")")
+                out.append(RandBit(word, loc, src))
+            else:
+                out.append(Assign(word, self.expression(), loc, src))
+        self.expect_end()
+        self.i += 1
 
 
 def parse(source: str) -> Program:
@@ -652,7 +611,7 @@ def parse(source: str) -> Program:
     the returned tree contains only core constructors. Raises ParseError
     with a line and column on malformed input.
     """
-    return _Parser(_logical_lines(source)).parse_program()
+    return _Parser(source).parse_program()
 
 
 # ---------------------------------------------------------------------------

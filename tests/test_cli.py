@@ -92,6 +92,24 @@ class TestShots:
         assert out == ""
         assert "must be non-negative" in err and "Traceback" not in err
 
+    def test_closed_stdout_ends_the_run_without_a_traceback(self):
+        # A million shots overfill the pipe, so the run is still writing
+        # when the reader goes away after two lines, as `| head -2` does.
+        src = str(Path(qppl.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qppl.cli", "run", "measure_branching", "--shots", "1000000"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert all(line.strip() in ("0", "1") for line in lines)
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert proc.returncode == 1
+
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
             assert list(cli.sample({0: 1.0}, seed, 5)) == [0, 0, 0, 0, 0]

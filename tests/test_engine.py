@@ -737,13 +737,13 @@ class TestBlockStore:
         # nothing.
         p = random_program(seed, max_bits=5, max_statements=25)
         whole, seen = run(p), []
-        real = qppl.engine._CHUNK
-        qppl.engine._CHUNK = 4
+        real = qppl.state._CHUNK
+        qppl.state._CHUNK = 4
         try:
             chunked = run(p)
             observed = run(p, observer=lambda _, s: seen.append((s, snapshot(s))))
         finally:
-            qppl.engine._CHUNK = real
+            qppl.state._CHUNK = real
         for got in (chunked, observed):
             assert got.env == whole.env
             assert [b.p for b in got.branches] == [b.p for b in whole.branches]
@@ -762,7 +762,7 @@ class TestBlockStore:
         # One row per chunk, so every match goes through the hash, and
         # every row hashes alike: only rows equal to the first outcome may
         # join it, and the ensemble is unchanged.
-        monkeypatch.setattr(qppl.engine, "_CHUNK", 4)
+        monkeypatch.setattr(qppl.state, "_CHUNK", 4)
         monkeypatch.setattr(qppl.engine, "hash", lambda _: 0, raising=False)
         got = apply_measure(st_, ["c"])
         assert len(expected) < len(got.branches) <= len(brute_force_measure(st_, ["c"]))
@@ -783,6 +783,22 @@ class TestBlockStore:
         block = len(final.branches) * final.env.dim * 8
         assert len(final.branches) == 1024 and block == 8 << 20
         assert peak <= 1.5 * block
+
+    def test_peak_memory_of_to_density_is_the_matrix_and_a_chunk(self):
+        # 2048 branches of 2048 amplitudes (32 MiB) give a 32 MiB matrix;
+        # weighting the whole block before the product would hold a second
+        # 32 MiB block. Rows of the matrix go a chunk at a time instead.
+        final = run(qmq_program(11))
+        tracemalloc.start()
+        try:
+            rho = to_density(final)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert final.amps.shape == (2048, 2048) and rho.nbytes == 32 << 20
+        assert peak < 40 << 20
+        whole = (final.amps.T * final.probs) @ final.amps
+        assert np.max(np.abs(rho - whole)) <= 1e-15
 
     def test_peak_memory_of_measuring_every_bit_of_many_branches(self):
         # The second measurement splits 1024 one-world branches of 10 bits
@@ -816,7 +832,7 @@ class TestInputsUnchanged:
     ], ids=["qrand", "measure", "return", "extend"])
     def test_input_state_is_left_alone(self, monkeypatch, call, chunk):
         if chunk:
-            monkeypatch.setattr(qppl.engine, "_CHUNK", chunk)
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((3, 8))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
