@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import QUANTUM_ONLY, apply_comp
-from .syntax import Program, statement_source
+from .syntax import Program, return_source, statement_source
 from .state import Environment
 
 
@@ -51,6 +51,5 @@ def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalS
         marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
         state = ClassicalState(Environment(kept), marginal)
         if observer:
-            suffix = " " + ", ".join(p.returns) if p.returns else ""
-            observer(f"return{suffix}", state)
+            observer(return_source(p.returns), state)
     return state

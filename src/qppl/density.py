@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import comp_matrix, run
+from .engine import COMP_MATRIX_MAX_BITS, comp_matrix, run
 from .state import CapacityError, Environment, to_density
 from .syntax import Measure, New, Program, Statement
-
-DENSITY_MAX_BITS = 10
 
 
 # The projector and the partial trace below deliberately share no bit-layout
@@ -57,8 +55,8 @@ def run_density(p: Program) -> np.ndarray:
     block diagonal by then). Dense matrices cap the oracle at 10 bits.
     """
     env = Environment(tuple(p.inputs))
-    if env.n_bits > DENSITY_MAX_BITS:
-        raise CapacityError(f"density semantics supports at most {DENSITY_MAX_BITS} bits")
+    if env.n_bits > COMP_MATRIX_MAX_BITS:
+        raise CapacityError(f"density semantics supports at most {COMP_MATRIX_MAX_BITS} bits")
     rho = np.zeros((env.dim, env.dim))
     rho[0, 0] = 1.0
 
@@ -74,9 +72,9 @@ def run_density(p: Program) -> np.ndarray:
     for stmt in p.body:
         if isinstance(stmt, New):
             flush()
-            if env.n_bits + len(stmt.names) > DENSITY_MAX_BITS:
+            if env.n_bits + len(stmt.names) > COMP_MATRIX_MAX_BITS:
                 raise CapacityError(
-                    f"density semantics supports at most {DENSITY_MAX_BITS} bits")
+                    f"density semantics supports at most {COMP_MATRIX_MAX_BITS} bits")
             rho = _embed(rho, len(stmt.names))
             env = env.extended(stmt.names)
         elif isinstance(stmt, Measure):

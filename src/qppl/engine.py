@@ -27,8 +27,9 @@ return measures the discarded variables and keeps the returned worlds of
 each outcome. After either split, branches whose amplitudes are equal up
 to a global sign are merged into their first occurrence, in
 first-occurrence order, so measuring one bit k times holds 2 branches
-rather than 2**k. A split or a ``new`` whose block would hold more than
-MAX_BLOCK_BYTES of amplitudes raises CapacityError before it is built.
+rather than 2**k. A ``new`` whose block, or a split whose outcomes before
+any merge, would hold more than MAX_BLOCK_BYTES of amplitudes raises
+CapacityError before it is built.
 
 Runs are deterministic; sampling happens only when rendering output.
 """
@@ -41,14 +42,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .syntax import (
-    And, Assign, Const, Expression, If, Measure, New, Not, Or, Program, QNeg,
-    QRand, RandBit, Statement, Var, XorAssign, statement_source,
+    Assign, Expression, If, Measure, New, Program, QNeg, QRand, RandBit, Statement,
+    Var, XorAssign, fold, return_source, statement_source,
 )
 from . import state as _state
 from .state import (
     CapacityError, Environment, MAX_BLOCK_BYTES, PRUNE_EPS, TwoLayerState, _chunks,
 )
 
+# Most bits of a dense 2**n x 2**n matrix: comp_matrix and the density oracle.
 COMP_MATRIX_MAX_BITS = 10
 # Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
 # a power of two, so scaling onto it is exact) are merged. A merge moves no
@@ -68,34 +70,21 @@ _INNER_AXES = 8
 def truth_table(e: Expression, env: Environment) -> np.ndarray:
     """Boolean value of the expression in every world, as a 0/1 array."""
     table = np.empty((2,) * env.n_bits, dtype=np.int64)
-    table[...] = _table(e, env, {})
+    table[...] = _table(e, env)
     return table.reshape(env.dim)
 
 
-def _table(node: Expression, env: Environment, memo: dict[int, np.ndarray]) -> np.ndarray:
+def _table(e: Expression, env: Environment) -> np.ndarray:
     """Boolean value of the expression on the (2,)*n view of the worlds.
 
     Axis i has length 2 if the expression reads env.names[i] and length 1
     otherwise, so the table holds 2**|FV| entries and is broadcast against
-    the world vector, never expanded to 2**n. ``memo`` maps id(node) of
-    each And/Or node to its table: the comparison sugar puts each operand
-    into the tree twice, and a chain of k comparisons would otherwise cost
-    2**k evaluations. It is a module-level function, as a closure calling
-    itself would be a reference cycle.
+    the world vector, never expanded to 2**n.
     """
-    if isinstance(node, Var):
-        return _bit_table(env.n_bits, env.position(node.name))
-    if isinstance(node, Not):
-        return ~_table(node.operand, env, memo)
-    if isinstance(node, (And, Or)):
-        table = memo.get(id(node))
-        if table is None:
-            left, right = _table(node.left, env, memo), _table(node.right, env, memo)
-            table = memo[id(node)] = left & right if isinstance(node, And) else left | right
-        return table
-    if isinstance(node, Const):
-        return np.full((1,) * env.n_bits, bool(node.value))
-    raise TypeError(f"not an expression: {node!r}")
+    n = env.n_bits
+    return fold(e, lambda leaf: (_bit_table(n, env.position(leaf.name)) if isinstance(leaf, Var)
+                                 else np.full((1,) * n, bool(leaf.value))),
+                np.invert, np.bitwise_and, np.bitwise_or)
 
 
 @lru_cache(maxsize=1024)
@@ -173,7 +162,7 @@ def _negated(stmt: If, env: Environment) -> np.ndarray | None:
             odd = odd ^ table
         else:
             return None
-    return _table(stmt.cond, env, {}) & odd
+    return _table(stmt.cond, env) & odd
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -203,13 +192,13 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         # Linear in the vector: the body may write the condition's variables
         # in classical mode, so it must not be run on the whole vector.
         # Multiplying by a boolean mask selects, and is faster than np.where.
-        mask = _mask(_table(stmt.cond, env, {}), vec)
+        mask = _mask(_table(stmt.cond, env), vec)
         inside = (worlds * mask).reshape(vec.shape)
         for inner in stmt.body:
             inside = apply_comp(inside, inner, env, foreign)
         return inside + (worlds * ~mask).reshape(vec.shape)
     pos = env.position(stmt.target)
-    value = _table(stmt.rhs, env, {})
+    value = _table(stmt.rhs, env)
     flip = (slice(None),) * pos + (slice(None, None, -1),)
     if isinstance(stmt, XorAssign) and value.shape[pos] == 1:
         # The right-hand side does not read the target, so the statement
@@ -231,7 +220,8 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
 # ---------------------------------------------------------------------------
 
 def _check_block(rows: int, width: int):
-    """Raise CapacityError if rows x width float64 amplitudes exceed MAX_BLOCK_BYTES."""
+    """Raise CapacityError if rows x width float64 amplitudes exceed
+    MAX_BLOCK_BYTES; a split's rows are its unpruned outcomes before merges."""
     if rows * width * 8 > MAX_BLOCK_BYTES:
         raise CapacityError(
             f"{rows} branches of {width} amplitudes need "
@@ -345,8 +335,9 @@ def _split(state: TwoLayerState, names: Sequence[str],
 
     The outcomes are counted first, a chunk of branches at a time, and
     CapacityError is raised before any is built if their float64
-    amplitudes would exceed MAX_BLOCK_BYTES; for each (branch, value) pair
-    that survives pruning, and for no other, the split keeps a few numbers.
+    amplitudes would exceed MAX_BLOCK_BYTES, counting every outcome that
+    survives pruning before any merge; for each such (branch, value) pair,
+    and for no other, the split keeps a few numbers.
     Then every outcome equal up to a global sign to an earlier one is
     merged into it: the earlier one keeps its amplitudes and its place and
     gains the later one's probability. This is exact for every
@@ -493,8 +484,7 @@ def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     if p.returns is not None:
         state = apply_return(state, p.returns)
         if observer:
-            suffix = " " + ", ".join(p.returns) if p.returns else ""
-            observer(f"return{suffix}", state)
+            observer(return_source(p.returns), state)
     return state
 
 

@@ -38,9 +38,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 Loc = tuple[int, int]  # 1-based (line, column)
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -179,27 +180,37 @@ class Program:
 # Variable analyses
 # ---------------------------------------------------------------------------
 
+def fold(e: Expression, leaf: Callable[[Var | Const], T], negate: Callable[[T], T],
+         both: Callable[[T, T], T], either: Callable[[T, T], T],
+         memo: dict[int, T] | None = None) -> T:
+    """Evaluate an expression bottom-up: ``leaf`` of each Var and Const,
+    ``negate`` of a Not's operand, ``both``/``either`` of an And's/Or's
+    operands, left first. Each And/Or node is evaluated once per call
+    (``memo`` maps its id to its value): the comparison sugar shares
+    operands, so a chain of k comparisons has about 2**k root-to-leaf paths
+    but O(k) nodes. Raises TypeError on a node that is not an expression.
+    """
+    kind = type(e)  # compared by identity: the walk is on every statement's path
+    if kind is Var or kind is Const:
+        return leaf(e)
+    if kind is Not:
+        return negate(fold(e.operand, leaf, negate, both, either, memo))
+    if kind is not And and kind is not Or:
+        raise TypeError(f"not an expression: {e!r}")
+    if memo is None:
+        memo = {}
+    elif id(e) in memo:
+        return memo[id(e)]
+    value = memo[id(e)] = (both if kind is And else either)(
+        fold(e.left, leaf, negate, both, either, memo),
+        fold(e.right, leaf, negate, both, either, memo))
+    return value
+
+
 def free_vars(e: Expression) -> set[str]:
     """Names read by an expression."""
-    return _free_vars(e, {})
-
-
-def _free_vars(e: Expression, memo: dict[int, set[str]]) -> set[str]:
-    # ``memo`` maps id(node) of each And/Or node to its names: the
-    # comparison sugar puts each operand into the tree twice, so a chain of
-    # k comparisons would otherwise be walked along 2**k paths.
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Not):
-        return _free_vars(e.operand, memo)
-    if isinstance(e, (And, Or)):
-        names = memo.get(id(e))
-        if names is None:
-            names = memo[id(e)] = _free_vars(e.left, memo) | _free_vars(e.right, memo)
-        return names
-    if isinstance(e, Const):
-        return set()
-    raise TypeError(f"not an expression: {e!r}")
+    return fold(e, lambda leaf: {leaf.name} if isinstance(leaf, Var) else set(),
+                lambda names: names, set.union, set.union)
 
 
 def assigned_vars(stmts: Iterable[CompStatement]) -> set[str]:
@@ -314,10 +325,10 @@ def _scan(source: str) -> tuple[list[_TokenTuple], list[_LineTuple]]:
 
 # Deepest nesting the parser accepts, counted three ways: operators on the
 # longest root-to-leaf path of an expression tree, open parentheses, and
-# `if` blocks. The expression walkers (free_vars, truth_table, expr_source)
-# recurse once per tree level and the parser at most five times per
-# parenthesis and twice per block, so even all three at the limit stay
-# far inside Python's default recursion limit of 1000 frames.
+# `if` blocks. The expression walkers (fold and expr_source) recurse once
+# per tree level and the parser at most five times per parenthesis and
+# twice per block, so even all three at the limit stay far inside Python's
+# default recursion limit of 1000 frames.
 MAX_NESTING = 64
 
 # Binary operators by precedence, loosest first; all are left associative.
@@ -702,6 +713,11 @@ def statement_source(s: Statement) -> str:
     return _stmt_canonical(s)
 
 
+def return_source(names: tuple[str, ...]) -> str:
+    """Text of a return statement: ``return x, y``, or ``return``."""
+    return f"return {', '.join(names)}" if names else "return"
+
+
 def unparse(p: Program) -> str:
     """Render a Program back to canonical source; parse(unparse(p)) == p."""
     params = ", ".join(p.inputs) + " : bit" if p.inputs else ""
@@ -709,8 +725,7 @@ def unparse(p: Program) -> str:
     for s in p.body:
         lines.extend(_stmt_lines(s, 1))
     if p.returns is not None:
-        suffix = " " + ", ".join(p.returns) if p.returns else ""
-        lines.append(f"  return{suffix}")
+        lines.append("  " + return_source(p.returns))
     return "\n".join(lines) + "\n"
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Assign, If, Loc, Measure, New, Program, QNeg, QRand, RandBit, Statement,
-    XorAssign, assigned_vars, free_vars,
+    Assign, If, Loc, Measure, New, Program, QNeg, QRand, RandBit, Statement, Var,
+    XorAssign, assigned_vars, fold,
 )
 
 QUANTUM, CLASSICAL = "quantum", "classical"
@@ -52,14 +52,17 @@ class _Checker:
         self.out.append(Diagnostic("warning", code, message, line, col))
 
     def check_expr_vars(self, e, loc: Loc | None) -> set[str]:
-        """Report undeclared names read by ``e``; returns the names it reads."""
-        names = free_vars(e)
-        for name in sorted(names):
+        """Report undeclared names read by ``e``, each at its leftmost
+        occurrence that has a location, else at ``loc``; returns the names
+        it reads."""
+        locs = fold(e, lambda leaf: {leaf.name: leaf.loc} if isinstance(leaf, Var) else {},
+                    lambda found: found, _first_locs, _first_locs)
+        for name in sorted(locs):
             self.read.add(name)
             if name not in self.declared:
                 self.error("UNDECLARED_VARIABLE", f"variable '{name}' is not declared",
-                           _var_loc(e, name) or loc)
-        return names
+                           locs[name] or loc)
+        return set(locs)
 
     def check_target(self, name: str, loc: Loc | None):
         if name not in self.declared:
@@ -148,21 +151,14 @@ def _safe_assigned(body) -> set[str]:
     return assigned_vars(comp)
 
 
-def _var_loc(e, name: str, searched: set[int] | None = None) -> Loc | None:
-    # ``searched`` holds id(node) of the And/Or nodes already searched in
-    # vain, so subtrees shared by the comparison sugar are searched once.
-    from .syntax import And, Not, Or, Var
-    if isinstance(e, Var):
-        return e.loc if e.name == name else None
-    if isinstance(e, Not):
-        return _var_loc(e.operand, name, searched)
-    if isinstance(e, (And, Or)):
-        searched = set() if searched is None else searched
-        if id(e) in searched:
-            return None
-        searched.add(id(e))
-        return _var_loc(e.left, name, searched) or _var_loc(e.right, name, searched)
-    return None
+def _first_locs(left: dict[str, Loc | None],
+                right: dict[str, Loc | None]) -> dict[str, Loc | None]:
+    """Both maps' names, each at the left map's location if it has one."""
+    out = dict(left)
+    for name, loc in right.items():
+        if not out.get(name):
+            out[name] = loc
+    return out
 
 
 def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:

@@ -1,6 +1,6 @@
 import pytest
 
-from qppl import CLASSICAL, If, Measure, Program, Var, parse, validate
+from qppl import And, CLASSICAL, If, Measure, Or, Program, Var, XorAssign, parse, validate
 
 
 def codes(diags, severity="error"):
@@ -37,6 +37,22 @@ class TestQuantumMode:
     def test_undeclared_variable(self):
         p = parse("def main(x : bit):\n  x ^= w")
         assert codes(validate(p)) == ["UNDECLARED_VARIABLE"]
+
+    def test_undeclared_name_read_twice_is_reported_once_at_the_first(self):
+        p = parse("def main(x, y : bit):\n  x ^= y and q or q")
+        (diag,) = validate(p)
+        assert (diag.code, diag.line, diag.col) == ("UNDECLARED_VARIABLE", 2, 14)
+
+    @pytest.mark.parametrize("first, second, expected", [
+        (None, (2, 19), (2, 19)),  # the first q has no location
+        (None, None, (2, 3)),  # neither has: the statement's location
+    ])
+    def test_undeclared_name_is_reported_at_the_first_location(self, first, second,
+                                                                expected):
+        rhs = Or(And(Var("y"), Var("q", first)), Var("q", second))
+        p = Program(("x", "y"), (XorAssign("x", rhs, (2, 3)),))
+        (diag,) = validate(p)
+        assert (diag.code, (diag.line, diag.col)) == ("UNDECLARED_VARIABLE", expected)
 
     def test_undeclared_target(self):
         p = parse("def main(x : bit):\n  qrand_bit(w)")
