@@ -10,8 +10,8 @@ classical mode runs the unsigned counterpart language.
 
 from .syntax import (
     And, Assign, Const, Expression, If, Measure, New, Not, Or, ParseError,
-    Program, QNeg, QRand, RandBit, Statement, Var, XorAssign, assigned_vars,
-    bundled_programs, expr_source, free_vars, parse, statement_source, unparse,
+    Program, QNeg, QRand, RandBit, Statement, Var, Xor, XorAssign,
+    assigned_vars, bundled_programs, expr_source, free_vars, parse, statement_source, unparse,
 )
 from .validator import CLASSICAL, Diagnostic, QUANTUM, has_errors, validate
 from .state import (
@@ -32,7 +32,7 @@ __all__ = [
     "And", "Assign", "Branch", "CLASSICAL", "CapacityError", "ClassicalState",
     "Const", "Diagnostic", "Environment", "Expression", "If", "MAX_LIVE_BITS",
     "Measure", "New", "Not", "Or", "ParseError", "Program", "QNeg", "QRand",
-    "QUANTUM", "RandBit", "Statement", "TwoLayerState", "Var", "XorAssign",
+    "QUANTUM", "RandBit", "Statement", "TwoLayerState", "Var", "Xor", "XorAssign",
     "apply_measure", "apply_qrand", "apply_return", "assert_valid_state",
     "assigned_vars", "basis_label", "bundled_programs", "check_equivalence",
     "comp_matrix", "expr_source", "extend", "free_vars", "has_errors",

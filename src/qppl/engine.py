@@ -42,8 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .syntax import (
-    Assign, Expression, If, Measure, New, Program, QNeg, QRand, RandBit, Statement,
-    Var, XorAssign, fold, return_source, statement_source,
+    And, Assign, Expression, If, Measure, New, Not, Or, Program, QNeg, QRand, RandBit,
+    Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
 )
 from . import state as _state
 from .state import (
@@ -83,8 +83,10 @@ def _table(e: Expression, env: Environment) -> np.ndarray:
     """
     n = env.n_bits
     return fold(e, lambda leaf: (_bit_table(n, env.position(leaf.name)) if isinstance(leaf, Var)
-                                 else np.full((1,) * n, bool(leaf.value))),
-                np.invert, np.bitwise_and, np.bitwise_or)
+                                 else np.full((1,) * n, bool(leaf.value))), _TABLE_OPS)
+
+
+_TABLE_OPS = {Not: np.invert, And: np.bitwise_and, Or: np.bitwise_or, Xor: np.bitwise_xor}
 
 
 @lru_cache(maxsize=1024)
@@ -289,8 +291,6 @@ def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.
     both rows and comparing their keys, so a hash collision can leave two
     equal rows apart, never join two different ones.
     """
-    if n < 2:
-        return np.arange(n)
     local: list[int] = []  # first equal row in the same chunk
     first: list[int] = []  # for such a row, the first row with its hash
     seen: dict[int, int] = {}

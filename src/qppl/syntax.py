@@ -16,12 +16,13 @@ Classical programs use ``x := E`` and ``x := rand_bit()`` instead of the
 quantum statements; the parser accepts both dialects and the validator
 sorts out which mode a program belongs to.
 
-Expressions are boolean: names, the constants 0 and 1, and not/and/or
-(the symbols ``¬``, ``∧``, ``∨`` are accepted too). Comparison sugar
-``a == b``, ``a != b`` and ``a ^ b`` expands into not/and/or during
-parsing, so parsed trees contain only the core constructors. Precedence,
-tightest first: not, and, or, then the comparison operators (left
-associative). ``#`` starts a comment running to the end of the line.
+Expressions are boolean: names, the constants 0 and 1, not/and/or (the
+symbols ``¬``, ``∧``, ``∨`` are accepted too) and the comparisons.
+``a ^ b`` and ``a != b`` parse to ``Xor(a, b)`` and ``a == b`` to
+``Not(Xor(a, b))``, so every parsed expression is a tree: no node is held
+twice. Precedence, tightest first: not, and, or, then the comparison
+operators (left associative). ``#`` starts a comment running to the end
+of the line.
 Lines end where ``str.splitlines`` ends them, so \\v, \\f, \\x1c-\\x1e,
 \\x85, U+2028, U+2029 and a lone \\r end a line as \\n and \\r\\n do.
 Indentation must use spaces; tabs in indentation are rejected.
@@ -94,7 +95,14 @@ class Or:
     loc: Loc | None = _loc_field()
 
 
-Expression = Union[Var, Const, Not, And, Or]
+@dataclass(frozen=True)
+class Xor:
+    left: "Expression"
+    right: "Expression"
+    loc: Loc | None = _loc_field()
+
+
+Expression = Union[Var, Const, Not, And, Or, Xor]
 
 
 @dataclass(frozen=True)
@@ -180,37 +188,29 @@ class Program:
 # Variable analyses
 # ---------------------------------------------------------------------------
 
-def fold(e: Expression, leaf: Callable[[Var | Const], T], negate: Callable[[T], T],
-         both: Callable[[T, T], T], either: Callable[[T, T], T],
-         memo: dict[int, T] | None = None) -> T:
-    """Evaluate an expression bottom-up: ``leaf`` of each Var and Const,
-    ``negate`` of a Not's operand, ``both``/``either`` of an And's/Or's
-    operands, left first. Each And/Or node is evaluated once per call
-    (``memo`` maps its id to its value): the comparison sugar shares
-    operands, so a chain of k comparisons has about 2**k root-to-leaf paths
-    but O(k) nodes. Raises TypeError on a node that is not an expression.
+def fold(e: Expression, leaf: Callable[[Var | Const], T], ops: dict[type, Callable[..., T]]) -> T:
+    """Evaluate an expression bottom-up: ``leaf`` of each Var and Const, and
+    ``ops[type(node)]`` of the values of each Not's operand and each
+    And's, Or's and Xor's two operands, left first. Raises TypeError on a
+    node that is not an expression.
     """
     kind = type(e)  # compared by identity: the walk is on every statement's path
     if kind is Var or kind is Const:
         return leaf(e)
     if kind is Not:
-        return negate(fold(e.operand, leaf, negate, both, either, memo))
-    if kind is not And and kind is not Or:
-        raise TypeError(f"not an expression: {e!r}")
-    if memo is None:
-        memo = {}
-    elif id(e) in memo:
-        return memo[id(e)]
-    value = memo[id(e)] = (both if kind is And else either)(
-        fold(e.left, leaf, negate, both, either, memo),
-        fold(e.right, leaf, negate, both, either, memo))
-    return value
+        return ops[Not](fold(e.operand, leaf, ops))
+    if kind is And or kind is Or or kind is Xor:
+        return ops[kind](fold(e.left, leaf, ops), fold(e.right, leaf, ops))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# set.union of one set is a copy of it.
+_UNION = {Not: set.union, And: set.union, Or: set.union, Xor: set.union}
 
 
 def free_vars(e: Expression) -> set[str]:
     """Names read by an expression."""
-    return fold(e, lambda leaf: {leaf.name} if isinstance(leaf, Var) else set(),
-                lambda names: names, set.union, set.union)
+    return fold(e, lambda leaf: {leaf.name} if isinstance(leaf, Var) else set(), _UNION)
 
 
 def assigned_vars(stmts: Iterable[CompStatement]) -> set[str]:
@@ -323,12 +323,12 @@ def _scan(source: str) -> tuple[list[_TokenTuple], list[_LineTuple]]:
 # Parser
 # ---------------------------------------------------------------------------
 
-# Deepest nesting the parser accepts, counted three ways: operators on the
-# longest root-to-leaf path of an expression tree, open parentheses, and
-# `if` blocks. The expression walkers (fold and expr_source) recurse once
-# per tree level and the parser at most five times per parenthesis and
-# twice per block, so even all three at the limit stay far inside Python's
-# default recursion limit of 1000 frames.
+# Deepest nesting the parser accepts, counted three ways: levels of an
+# expression tree (one per operator, two per `==`, which parses to
+# Not(Xor)), open parentheses, and `if` blocks. The expression walkers
+# (fold and expr_source) recurse once per tree level and the parser at most
+# five times per parenthesis and twice per block, so even all three at the
+# limit stay far inside Python's default recursion limit of 1000 frames.
 MAX_NESTING = 64
 
 # Binary operators by precedence, loosest first; all are left associative.
@@ -338,10 +338,6 @@ _PRECEDENCE = {"==": 0, "!=": 0, "^": 0, "or": 1, "and": 2}
 def _check_nesting(depth: int, what: str, tok: _TokenTuple) -> None:
     if depth > MAX_NESTING:
         raise ParseError(f"{what} nested deeper than {MAX_NESTING} levels", tok[2], tok[3])
-
-
-def _xor_tree(a: Expression, b: Expression, loc: Loc) -> Expression:
-    return Or(And(a, Not(b, loc), loc), And(Not(a, loc), b, loc), loc)
 
 
 def _names(tokens: list[_TokenTuple]) -> tuple[str, ...]:
@@ -431,13 +427,10 @@ class _Parser:
             self.pos += 1
             rhs, rhs_depth = self.binary(prec + 1)
             loc = tok[2:]
-            if prec == 0:
-                expr, depth = _xor_tree(expr, rhs, loc), max(depth, rhs_depth) + 3
-                if tok[0] == "==":
-                    expr, depth = Not(expr, loc), depth + 1
-            else:
-                expr = (Or if prec == 1 else And)(expr, rhs, loc)
-                depth = max(depth, rhs_depth) + 1
+            expr = (Xor if prec == 0 else Or if prec == 1 else And)(expr, rhs, loc)
+            depth = max(depth, rhs_depth) + 1
+            if tok[0] == "==":
+                expr, depth = Not(expr, loc), depth + 1
             _check_nesting(depth, "expression", tok)
         return expr, depth
 
@@ -618,9 +611,9 @@ class _Parser:
 def parse(source: str) -> Program:
     """Parse QPPL source text into a Program tree.
 
-    Sugar (``==``, ``!=``, ``^``, initialized ``new``) is expanded here, so
-    the returned tree contains only core constructors. Raises ParseError
-    with a line and column on malformed input.
+    An initialized ``new y := E`` becomes ``new y`` and ``y ^= E``, and
+    ``a == b`` becomes ``not (a ^ b)``; no node of the tree is held twice.
+    Raises ParseError with a line and column on malformed input.
     """
     return _Parser(source).parse_program()
 
@@ -632,28 +625,18 @@ def parse(source: str) -> Program:
 _PREC_CMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 0, 1, 2, 3, 4
 
 
-def _xor_operands(e: Expression) -> tuple[Expression, Expression] | None:
-    """(a, b) if e has the shape that ``a ^ b`` parses to, else None."""
-    if (isinstance(e, Or) and isinstance(e.left, And) and isinstance(e.right, And)
-            and isinstance(e.left.right, Not) and isinstance(e.right.left, Not)
-            and e.left.left == e.right.left.operand
-            and e.left.right.operand == e.right.right):
-        return e.left.left, e.right.right
-    return None
-
-
 def expr_source(e: Expression, min_prec: int = _PREC_CMP) -> str:
     """Source text of an expression; parse of it gives back the same tree.
 
-    The trees that ``a ^ b`` and ``a == b`` parse to hold each operand
-    twice; they are printed with the operator, so every operand is printed
-    once and a chain of k comparisons prints in O(k) characters.
+    ``Xor(a, b)`` prints as ``a ^ b`` and ``Not(Xor(a, b))`` as ``a == b``;
+    every other node prints as the operator it is.
     """
-    xor = _xor_operands(e.operand) if isinstance(e, Not) else _xor_operands(e)
-    if xor is not None:
+    xor = e.operand if isinstance(e, Not) and isinstance(e.operand, Xor) else e
+    if isinstance(xor, Xor):
         # Comparisons chain to the left: the right operand is one level up.
-        op = "==" if isinstance(e, Not) else "^"
-        text, prec = f"{expr_source(xor[0], _PREC_CMP)} {op} {expr_source(xor[1], _PREC_OR)}", _PREC_CMP
+        op = "^" if xor is e else "=="
+        text = f"{expr_source(xor.left, _PREC_CMP)} {op} {expr_source(xor.right, _PREC_OR)}"
+        prec = _PREC_CMP
     elif isinstance(e, Var):
         text, prec = e.name, _PREC_ATOM
     elif isinstance(e, Const):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Assign, If, Loc, Measure, New, Program, QNeg, QRand, RandBit, Statement, Var,
-    XorAssign, assigned_vars, fold,
+    And, Assign, If, Loc, Measure, New, Not, Or, Program, QNeg, QRand, RandBit, Statement,
+    Var, Xor, XorAssign, assigned_vars, fold,
 )
 
 QUANTUM, CLASSICAL = "quantum", "classical"
@@ -56,7 +56,7 @@ class _Checker:
         occurrence that has a location, else at ``loc``; returns the names
         it reads."""
         locs = fold(e, lambda leaf: {leaf.name: leaf.loc} if isinstance(leaf, Var) else {},
-                    lambda found: found, _first_locs, _first_locs)
+                    _FIRST_LOCS)
         for name in sorted(locs):
             self.read.add(name)
             if name not in self.declared:
@@ -80,7 +80,7 @@ class _Checker:
             return False
         return True
 
-    def check_statement(self, s: Statement, in_conditional: bool):
+    def check_statement(self, s: Statement):
         if isinstance(s, XorAssign):
             self.check_target(s.target, s.loc)
             reads = self.check_expr_vars(s.rhs, s.loc)
@@ -115,11 +115,8 @@ class _Checker:
                                "only computational statements may appear inside 'if'",
                                inner.loc)
                     continue
-                self.check_statement(inner, in_conditional=True)
+                self.check_statement(inner)
         elif isinstance(s, Measure):
-            if in_conditional:
-                self.error("NON_COMP_IN_CONDITIONAL",
-                           "'measure' may only appear at the top level", s.loc)
             if self.quantum_only("measure", s.loc):
                 seen: set[str] = set()
                 for name in s.names:
@@ -130,9 +127,6 @@ class _Checker:
                                    f"variable '{name}' measured twice in one statement", s.loc)
                     seen.add(name)
         elif isinstance(s, New):
-            if in_conditional:
-                self.error("NON_COMP_IN_CONDITIONAL",
-                           "'new' may only appear at the top level", s.loc)
             if self.quantum_only("new", s.loc):
                 for name in s.names:
                     if name in self.declared:
@@ -146,9 +140,14 @@ class _Checker:
 
 
 def _safe_assigned(body) -> set[str]:
-    # Tolerate Measure/New smuggled into a body; they are reported separately.
-    comp = [s for s in body if not isinstance(s, (Measure, New))]
-    return assigned_vars(comp)
+    # Tolerate Measure/New smuggled into a body at any depth; they are reported separately.
+    out: set[str] = set()
+    for s in body:
+        if isinstance(s, If):
+            out |= _safe_assigned(s.body)
+        elif not isinstance(s, (Measure, New)):
+            out |= assigned_vars((s,))
+    return out
 
 
 def _first_locs(left: dict[str, Loc | None],
@@ -159,6 +158,9 @@ def _first_locs(left: dict[str, Loc | None],
         if not out.get(name):
             out[name] = loc
     return out
+
+
+_FIRST_LOCS = {Not: dict, And: _first_locs, Or: _first_locs, Xor: _first_locs}
 
 
 def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
@@ -175,7 +177,7 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
             c.error("DUPLICATE_INPUT", f"input '{name}' declared twice", p.loc)
         c.declared.add(name)
     for s in p.body:
-        c.check_statement(s, in_conditional=False)
+        c.check_statement(s)
     if p.returns is not None:
         seen: set[str] = set()
         for name in p.returns:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qppl
 from qppl import (
     And, Assign, CapacityError, Const, Environment, If, Not, Or, QNeg, QRand,
-    RandBit, TwoLayerState, Var, XorAssign, apply_measure, apply_qrand, apply_return,
+    RandBit, TwoLayerState, Var, Xor, XorAssign, apply_measure, apply_qrand, apply_return,
     assert_valid_state, check_equivalence, comp_matrix, extend, free_vars,
     output_distribution, parse, run, to_density, truth_table, validate,
 )
@@ -37,6 +37,8 @@ def world_value(e, k, env):
         return 1 - world_value(e.operand, k, env)
     if isinstance(e, And):
         return world_value(e.left, k, env) & world_value(e.right, k, env)
+    if isinstance(e, Xor):
+        return world_value(e.left, k, env) ^ world_value(e.right, k, env)
     assert isinstance(e, Or), e
     return world_value(e.left, k, env) | world_value(e.right, k, env)
 
@@ -387,9 +389,9 @@ def counted(monkeypatch, module, name):
 
 
 class TestComparisonChains:
-    # `a == b` desugars to a tree holding a and b twice each, so a chain of
-    # k comparisons has about 2**k leaves but only O(k) distinct nodes.
-    K = MAX_NESTING // 4  # each `==` adds four levels
+    # `a == b` parses to Not(Xor(a, b)), so a chain of k comparisons is a
+    # tree of 3k + 1 nodes.
+    K = MAX_NESTING // 2  # each `==` adds two levels
     TERMS = [("y", "z", "w")[i % 3] for i in range(K + 1)]
 
     def chain_value(self, k, env):

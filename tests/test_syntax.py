@@ -1,10 +1,12 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qppl import (
     And, Assign, Const, If, Measure, New, Not, Or, ParseError, Program, QNeg,
-    QRand, RandBit, Var, XorAssign, assigned_vars, free_vars, has_errors,
+    QRand, RandBit, Var, Xor, XorAssign, assigned_vars, free_vars, has_errors,
     output_distribution, parse, run, unparse, validate,
 )
 from qppl.syntax import MAX_NESTING
@@ -12,13 +14,9 @@ from qppl.randprog import random_classical_program, random_program
 
 
 def equals_one(e):
-    """Desugared form of ``e == 1``."""
-    one = Const(1)
-    return Not(Or(And(e, Not(one)), And(Not(e), one)))
+    """Parsed form of ``e == 1``."""
+    return Not(Xor(e, Const(1)))
 
-
-def xor_of(a, b):
-    return Or(And(a, Not(b)), And(Not(a), b))
 
 
 class TestParsing:
@@ -59,11 +57,11 @@ class TestParsing:
     @pytest.mark.parametrize("sugar", ["x != y", "x ^ y"])
     def test_xor_sugar(self, sugar):
         p = parse(f"def main(x, y, z : bit):\n  z ^= {sugar}")
-        assert p.body == (XorAssign("z", xor_of(Var("x"), Var("y"))),)
+        assert p.body == (XorAssign("z", Xor(Var("x"), Var("y"))),)
 
     def test_equality_sugar(self):
         p = parse("def main(x, y, z : bit):\n  z ^= x == y")
-        assert p.body == (XorAssign("z", Not(xor_of(Var("x"), Var("y")))),)
+        assert p.body == (XorAssign("z", Not(Xor(Var("x"), Var("y")))),)
 
     def test_new_with_initializer_desugars(self):
         p = parse("def main(x : bit):\n  new y := not x")
@@ -173,6 +171,19 @@ class TestParseErrors:
 
     def test_qrand_takes_one_variable(self):
         self.check("def main(x, y : bit):\n  qrand_bit(x, y)", "exactly one")
+
+    @pytest.mark.parametrize("src,line,col,message", [
+        ("def main(x : bit):\n  qrand_bit()", 2, 13, "expected at least one variable name"),
+        ("def main(x : bit):\n  x ^= (y y", 2, 11, "expected ')', found 'y'"),
+        ("def main(x : bit):\nqneg()", 2, 1, "program body must be indented"),
+        ("def main(x : int):", 1, 14, "expected 'bit'"),
+        ("def main(x : bit):\n  new y, z := x", 2, 10,
+         "an initializer requires a single variable"),
+    ])
+    def test_diagnostic_position_and_message(self, src, line, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
 
 
 def copy_program(rhs):
@@ -328,8 +339,7 @@ class TestRoundTrip:
         assert parse(unparse(p)) == p
 
     def test_comparison_chain_unparses_in_linear_size(self):
-        # The tree of k chained comparisons holds about 2**k leaves; the
-        # text printed from it must name each operand once.
+        # The text printed from k chained comparisons names each operand once.
         k = MAX_NESTING // 4
         rhs = " == ".join("yz"[i % 2] for i in range(k + 1))
         p = parse(f"def main(x, y, z : bit):\n  x ^= {rhs}\n")
@@ -345,7 +355,7 @@ class TestRoundTrip:
         ("not (a ^ b)", "a == b"),
         ("not a ^ b", "not a ^ b"),
         ("a or b == c and not b", "a or b == c and not b"),
-        ("(a and not b) or (not a and b)", "a ^ b"),
+        ("(a and not b) or (not a and b)", "a and not b or not a and b"),
     ])
     def test_comparison_shapes_print_with_their_operator(self, rhs, text):
         p = parse(f"def main(a, b, c, x : bit):\n  x ^= {rhs}\n")
@@ -368,13 +378,13 @@ class TestRoundTrip:
             assert unparse(parse(text)) == text
 
     def test_desugared_trees_use_core_constructors_only(self, corpus):
-        core = (Var, Const, Not, And, Or)
+        core = (Var, Const, Not, And, Or, Xor)
 
         def check_expr(e):
             assert isinstance(e, core)
             if isinstance(e, Not):
                 check_expr(e.operand)
-            elif isinstance(e, (And, Or)):
+            elif isinstance(e, (And, Or, Xor)):
                 check_expr(e.left)
                 check_expr(e.right)
 
@@ -389,3 +399,43 @@ class TestRoundTrip:
         for src in corpus.values():
             for stmt in parse(src).body:
                 check_stmt(stmt)
+
+
+def assert_no_shared_node(node, seen):
+    """Walk a tree by object identity; fails on a node object met twice."""
+    assert id(node) not in seen, node
+    seen.add(id(node))
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(child):
+                assert_no_shared_node(child, seen)
+
+
+class TestParsedTreesAreTrees:
+    def test_corpus_and_golden_inputs(self, corpus):
+        from test_parse_golden import golden_inputs
+
+        for src in [*corpus.values(), *golden_inputs()]:
+            try:
+                tree = parse(src)
+            except ParseError:
+                continue
+            assert_no_shared_node(tree, set())
+
+    @given(comparison_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_comparisons(self, rhs):
+        try:
+            tree = parse(f"def main(a, b, c, x : bit):\n  x ^= {rhs}\n")
+        except ParseError:  # nested past MAX_NESTING
+            return
+        assert_no_shared_node(tree, set())
+
+    def test_comparison_chain_repr_is_linear(self):
+        # 16 chained `==`; each operand is held once, so the repr names
+        # each of the 17 terms once.
+        rhs = " == ".join(("y", "z", "w")[i % 3] for i in range(17))
+        src = f"def main(x, y, z, w : bit):\n  x ^= {rhs}\n"
+        assert len(src) == 117
+        assert len(repr(parse(src))) < 2000

@@ -1,6 +1,8 @@
 import pytest
 
-from qppl import And, CLASSICAL, If, Measure, Or, Program, Var, XorAssign, parse, validate
+from qppl import (
+    And, CLASSICAL, If, Measure, New, Or, Program, Var, XorAssign, parse, validate,
+)
 
 
 def codes(diags, severity="error"):
@@ -86,9 +88,14 @@ class TestQuantumMode:
         p = parse("def main(x : bit):\n  x := rand_bit()")
         assert codes(validate(p)) == ["CLASSICAL_STATEMENT"]
 
-    def test_measure_smuggled_into_if_body(self):
+    @pytest.mark.parametrize("stmt", [Measure(("x",)), New(("z",))], ids=["measure", "new"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_measure_smuggled_into_if_body(self, stmt, depth):
         # Not constructible from source; guard against hand-built trees.
-        p = Program(("x",), (If(Var("x"), (Measure(("x",)),)),))
+        body = (stmt,)
+        for name in ("y", "x")[2 - depth:]:
+            body = (If(Var(name), body),)
+        p = Program(("x", "y"), body)
         assert codes(validate(p)) == ["NON_COMP_IN_CONDITIONAL"]
 
     def test_unused_new_variable_warns(self):
