@@ -27,23 +27,31 @@ import numpy as np
 from . import classical, density, engine, state as state_mod, syntax, validator
 
 
-def _kets(vec: np.ndarray, n_bits: int) -> str:
-    """Nonzero entries of a world vector (amplitudes or probabilities) as kets."""
-    return " + ".join(f"{vec[k]:.6g}|{state_mod.basis_label(int(k), n_bits)}⟩"
-                      for k in np.flatnonzero(vec))
+KETS_CHUNK = 1 << 10  # worlds searched at once; a trace line is written a ket at a time
+
+
+def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
+    """Write the prefix and the nonzero entries of a world vector as kets, one line."""
+    kets = (f"{vec[k]:.6g}|{state_mod.basis_label(k, n_bits)}⟩"
+            for start in range(0, len(vec), KETS_CHUNK)
+            for k in (np.flatnonzero(vec[start:start + KETS_CHUNK]) + start).tolist())
+    out.write(prefix + next(kets, ""))
+    for ket in kets:
+        out.write(" + " + ket)
+    out.write("\n")
 
 
 def _print_quantum_trace(label: str, st: state_mod.TwoLayerState, out):
     if label:
         print(label, file=out)
     for p, amps in zip(st.probs.tolist(), st.amps):
-        print(f"  p={p:.6g}: " + _kets(amps, st.env.n_bits), file=out)
+        _write_kets(f"  p={p:.6g}: ", amps, st.env.n_bits, out)
 
 
 def _print_classical_trace(label: str, st: classical.ClassicalState, out):
     if label:
         print(label, file=out)
-    print("  " + _kets(st.probs, st.env.n_bits), file=out)
+    _write_kets("  ", st.probs, st.env.n_bits, out)
 
 
 # Most draws one call to the generator makes; each draw reads one uniform
@@ -71,7 +79,7 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
     path = Path(file_arg)
     if path.exists():
         try:
-            return path.name, path.read_text(encoding="utf-8")
+            return path.name, path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
         except (OSError, UnicodeDecodeError) as exc:
             raise OSError(f"cannot read {file_arg}: {exc}") from None
     bundled = syntax.bundled_programs()

@@ -21,14 +21,14 @@ condition holds and the rest pass through, the block form of the
 statement's matrix without materializing it, and an ``if`` of negations
 only is one multiply by a table of signs.
 
-Measurement splits the block in bulk into one branch per (branch,
-observed value), squaring amplitude mass into classical probability;
-return measures the discarded variables and keeps the returned worlds of
-each outcome. After either split, branches whose amplitudes are equal up
-to a global sign are merged into their first occurrence, in
+Measurement splits the block into one outcome per (branch, observed
+value), squaring amplitude mass into classical probability; return
+measures the discarded variables and keeps the returned worlds of each
+outcome. Either split merges each outcome whose amplitudes equal an
+earlier one's up to a global sign into that one as it is found, in
 first-occurrence order, so measuring one bit k times holds 2 branches
-rather than 2**k. A ``new`` whose block, or a split whose outcomes before
-any merge, would hold more than MAX_BLOCK_BYTES of amplitudes raises
+rather than 2**k. A ``new`` whose block, or a split whose branches after
+merging, would hold more than MAX_BLOCK_BYTES of amplitudes raises
 CapacityError before it is built.
 
 Runs are deterministic; sampling happens only when rendering output.
@@ -223,7 +223,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
 
 def _check_block(rows: int, width: int):
     """Raise CapacityError if rows x width float64 amplitudes exceed
-    MAX_BLOCK_BYTES; a split's rows are its unpruned outcomes before merges."""
+    MAX_BLOCK_BYTES; a split's rows are its branches after merging."""
     if rows * width * 8 > MAX_BLOCK_BYTES:
         raise CapacityError(
             f"{rows} branches of {width} amplitudes need "
@@ -272,141 +272,132 @@ def _by_value(live: tuple[str, ...], names: tuple[str, ...]) -> Callable[[np.nda
     return lambda block: block.reshape((len(block),) + shape).transpose(axes)
 
 
-def _sign_free_key(rows: np.ndarray) -> np.ndarray:
-    """Rows as integer multiples of MERGE_GRID, each negated if its first
-    nonzero entry is negative; integers have no -0.0."""
-    key = np.rint(rows * (1.0 / MERGE_GRID)).astype(np.int64)
-    key *= np.sign(key[np.arange(len(key)), np.argmax(key != 0, axis=1)])[:, None]
-    return key
-
-
-def _first_equal(rows_of: Callable, n: int, width: int, tags: np.ndarray) -> np.ndarray:
-    """Index of the first of n rows, each ``width`` long, that has the same
-    tag as each row and equals it up to a global sign on MERGE_GRID.
-
-    ``rows_of(k)`` gives the rows k (a slice or an index array). It is
-    called a chunk of rows at a time, and only one chunk's keys are held:
-    rows are matched exactly within a chunk, and across chunks through a
-    hash of the key. A match through the hash is confirmed by rebuilding
-    both rows and comparing their keys, so a hash collision can leave two
-    equal rows apart, never join two different ones.
-    """
-    local: list[int] = []  # first equal row in the same chunk
-    first: list[int] = []  # for such a row, the first row with its hash
-    seen: dict[int, int] = {}
-    chunks = _chunks(n, width)
-    for c in chunks:
-        exact: dict[tuple[int, bytes], int] = {}
-        for i, t, k in zip(range(c.start, n), tags[c].tolist(), _sign_free_key(rows_of(c))):
-            key = (t, k.tobytes())
-            j = exact.setdefault(key, i)
-            local.append(j)
-            first.append(seen.setdefault(hash(key), i) if j == i else i)
-    if len(chunks) == 1:  # every match was exact
-        return np.array(local)
-    first = np.array(first)
-    later = np.flatnonzero(first != np.arange(n))
-    for c in _chunks(len(later), width):
-        i = later[c]
-        j = first[i]
-        same = (tags[i] == tags[j]) & np.all(
-            _sign_free_key(rows_of(i)) == _sign_free_key(rows_of(j)), axis=1)
-        first[i[~same]] = i[~same]
-    return first[local]
-
-
-def _bits(values: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """The k bits of each value, the most significant first."""
-    return np.unravel_index(values, (2,) * k) if k > 1 else (values,) if k else ()
+def _heads(keys: np.ndarray, seen: dict, n_heads: int, head_keys: Callable) -> tuple:
+    """Merge a chunk's outcomes, one row of integer ``keys`` each, into the
+    n_heads heads found before it. An outcome joins the first in the chunk
+    with its exact key; that one joins the head ``seen`` maps its hash to if
+    the head's ``head_keys`` equal its key (so a hash collision can leave two
+    equal outcomes apart, never join two different ones), or else is a new
+    head, numbered on from n_heads, which ``seen`` maps its hash to if free.
+    Returns the new heads' chunk positions and each outcome's head."""
+    blobs = keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+    exact: dict[bytes, int] = {}
+    first = [exact.setdefault(b, i) for i, b in enumerate(blobs)]
+    local, head = list(exact.values()), [seen.get(hash(b), -1) for b in exact]
+    check = np.array([i for i, j in enumerate(head) if j >= 0], np.int64)
+    if len(check):
+        same = np.all(keys[np.array(local)[check]] == head_keys(np.array(head)[check]), axis=1)
+        for i in check[~same].tolist():
+            head[i] = -1
+    new = []
+    for i, b in enumerate(exact):
+        if head[i] < 0:
+            head[i] = n_heads + len(new)
+            new.append(local[i])
+        seen.setdefault(hash(b), head[i])
+    to = np.array(head)
+    return (slice(None), to) if new == first else (new, to[np.searchsorted(local, first)])
 
 
 def _split(state: TwoLayerState, names: Sequence[str],
            drop_named: bool) -> tuple[np.ndarray, np.ndarray]:
     """Split every branch of a state by the value y of the named variables.
 
-    Branch j becomes one branch per y whose probability p_j * m_jy exceeds
+    Branch j becomes one outcome per y whose probability p_j * m_jy exceeds
     PRUNE_EPS, where m_jy is the squared amplitude mass of the worlds
-    showing y; the new branches come in (j, y ascending) order, their
-    probabilities are renormalized, and their amplitudes on those worlds
-    are divided by sqrt(m_jy). A new branch keeps all 2**n worlds, zero
-    where the named variables do not read y (measure), or with
+    showing y; outcomes come in (j, y ascending) order, and their amplitudes
+    on those worlds are divided by sqrt(m_jy). A new branch keeps all 2**n
+    worlds, zero where the named variables do not read y (measure), or with
     ``drop_named`` only the worlds showing y, indexed by the other
     variables (return). Raises KeyError if a named variable is not live.
 
-    The outcomes are counted first, a chunk of branches at a time, and
-    CapacityError is raised before any is built if their float64
-    amplitudes would exceed MAX_BLOCK_BYTES, counting every outcome that
-    survives pruning before any merge; for each such (branch, value) pair,
-    and for no other, the split keeps a few numbers.
-    Then every outcome equal up to a global sign to an earlier one is
-    merged into it: the earlier one keeps its amplitudes and its place and
-    gains the later one's probability. This is exact for every
-    observable: the state is seen only through its density matrix, the sum
-    of p * a a^T, and a a^T is unchanged when a becomes -a. Splits are the
-    only place that merges: computational statements and ``new`` are
-    isometries on each branch, so branches distinct after a split stay
-    distinct. Outcomes that do not fit in one chunk are built a chunk at a
-    time, once to find the merges and once into the new block, so a split
-    holds the old block, the new one, a chunk and the per-outcome numbers.
+    Every outcome equal up to a global sign to an earlier one is merged into
+    the first such, its head: the head keeps its amplitudes and its place
+    and gains the later one's probability, and the probabilities are
+    renormalized over the heads. This is exact for every observable: the
+    state is seen only through its density matrix, the sum of p * a a^T,
+    and a a^T is unchanged when a becomes -a. Splits are the only place
+    that merges: computational statements and ``new`` are isometries on
+    each branch, so branches distinct after a split stay distinct.
+
+    The split is one pass over the branches, a chunk at a time, that finds
+    their outcomes and merges them into the heads found so far (``_heads``),
+    raising CapacityError as soon as the heads' float64 amplitudes would
+    exceed MAX_BLOCK_BYTES; then the heads are rebuilt into the new block a
+    chunk at a time. A split holds the old block, the new one, a chunk and
+    three numbers per head, and nothing per outcome beyond its chunk.
     """
     env, amps, probs = state.env, state.amps, state.probs
     k, dim = len(names), amps.shape[1]
     n_values, width = 1 << k, dim >> k
     out_width = width if drop_named else dim
     by_value = _by_value(env.names, tuple(names))
-    # A chunk of branches at a time: the mass of each (branch, value),
-    # summed in world order, of which only the outcomes whose probability
-    # exceeds PRUNE_EPS are kept, as (branch, value, mass, probability).
     source = by_value(amps)
-    found, count = [], 0
-    for c in _chunks(len(amps), dim):
-        rows = source[c]
-        squares = (rows * rows).reshape(-1, n_values, width)
-        masses = np.add.accumulate(squares, axis=2)[:, :, -1]
-        weights = probs[c, None] * masses
-        j, y = (weights > PRUNE_EPS).nonzero()
-        count += len(j)
-        _check_block(count, out_width)
-        found.append((j + c.start if c.start else j, y, masses[j, y], weights[j, y]))
-    if not count:
-        raise ValueError("all branches were pruned")
-    js, ys, scale, weights = (found[0] if len(found) == 1 else
-                              (np.concatenate(f) for f in zip(*found)))
-    weights /= np.add.reduce(weights)
-    np.sqrt(scale, out=scale)
 
-    def rows_of(i):
-        """Amplitudes of the outcomes i on the worlds showing their value."""
-        rows = source[(js[i],) + _bits(ys[i], k)]
-        return rows.reshape(len(rows), width) / scale[i, None]
+    def rows_of(at, scale):
+        """Index and rows of the outcomes ``at`` (branch * n_values + y), over ``scale``."""
+        index = np.unravel_index(at, source.shape[:1 + k])
+        rows = source[index].reshape(len(at), width)
+        rows /= scale[:, None]
+        return index, rows
+
+    def key_of(rows, at):
+        """The rows of outcomes ``at`` as integer multiples of MERGE_GRID, negated
+        where the first nonzero entry is negative, so outcomes equal up to sign
+        share a key (integers have no -0.0); a measured outcome's key starts
+        with its value. Overwrites the rows."""
+        rows *= 1.0 / MERGE_GRID
+        key = np.rint(rows, out=rows).astype(np.int64)
+        key *= np.sign(key[np.arange(len(key)), (key != 0).argmax(1)])[:, None]
+        return key if drop_named else np.concatenate(((at & (n_values - 1))[:, None], key), 1)
 
     # An outcome of a measurement is zero off its own worlds, so outcomes
     # with different values never merge, and neither do the outcomes of a
-    # single branch; on return they may. ``heads`` lists the outcomes
-    # that stay, when some merged.
-    heads = None
-    if count > 1 and (drop_named or len(amps) > 1):
-        if len(_chunks(count, width)) == 1:  # outcomes that fit in one chunk are built once
-            rows_of = rows_of(slice(None)).__getitem__
-        first = _first_equal(rows_of, count, width, np.zeros_like(ys) if drop_named else ys)
-        heads = np.flatnonzero(first == np.arange(count))
-        if len(heads) < count:
-            group = np.searchsorted(heads, first)
-            weights = np.bincount(group, weights=weights, minlength=len(heads))
-        else:
-            heads = None
-    n_out = count if heads is None else len(heads)
-    out = (np.empty if drop_named else np.zeros)((n_out, out_width))
+    # single branch; on return they may.
+    merging = drop_named or len(amps) > 1
+    n_heads, seen = 0, {}  # and the first head with each hash of a key
+    for c in _chunks(len(amps), dim):
+        block = source[c].reshape(-1, width)  # row j * n_values + y; a copy unless named bits lead
+        masses = np.add.accumulate(block * block, axis=1)[:, -1].copy()  # summed in world order
+        weights = (probs[c, None] * masses.reshape(-1, n_values)).ravel()
+        survivors = (weights > PRUNE_EPS).nonzero()[0]
+        # Merging holds a key of width + 1 entries and about seven numbers per
+        # outcome, so it takes a chunk's worth of the survivors at a time.
+        for part in _chunks(len(survivors), width + 8 if merging else width):
+            found = survivors[part]
+            w, s = weights[found], np.sqrt(masses[found])
+            if merging:
+                new, to = _heads(key_of(block[found] / s[:, None], found), seen, n_heads,
+                                 lambda j: key_of(rows_of(at[j], scale[j])[1], at[j]))
+                found, s = found[new], s[new]
+            else:
+                to = np.arange(n_heads, n_heads + len(found))
+            found = found + (c.start << k)
+            end = n_heads + len(found)
+            _check_block(end, out_width)
+            if not n_heads:  # per head: its outcome, sqrt(m_jy) and summed probability
+                at, scale, weight = found, s, np.zeros(len(found))
+            elif end > len(at):  # room for twice the heads, the new ones at zero
+                at, scale, weight = (np.pad(a[:n_heads], (0, n_heads + end))
+                                     for a in (at, scale, weight))
+            at[n_heads:end], scale[n_heads:end] = found, s
+            np.add.at(weight, to, w)  # in outcome order
+            n_heads = end
+        del block, masses, weights, survivors  # before the next chunk's are built
+    if not n_heads:
+        raise ValueError("all branches were pruned")
+    at, scale, weight = at[:n_heads], scale[:n_heads], weight[:n_heads]
+    weight /= np.add.reduce(weight)
+    out = (np.empty if drop_named else np.zeros)((n_heads, out_width))
     target = None if drop_named else by_value(out)
-    for c in _chunks(n_out, width):
-        i = c if heads is None else heads[c]
-        rows = rows_of(i)
+    for c in _chunks(n_heads, width):
+        (_, *ys), rows = rows_of(at[c], scale[c])
         if drop_named:
             out[c] = rows
         else:
-            at = (np.arange(c.start, c.start + len(rows)),) + _bits(ys[i], k)
-            target[at] = rows.reshape((len(rows),) + target.shape[1 + k:])
-    return out, weights
+            target[(np.arange(c.start, c.start + len(rows)), *ys)] = rows.reshape(
+                (len(rows),) + target.shape[1 + k:])
+    return out, weight
 
 
 def apply_measure(state: TwoLayerState, names: Sequence[str]) -> TwoLayerState:

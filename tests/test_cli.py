@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -143,6 +144,33 @@ class TestTrace:
         assert "  p=0.5: 0.707107|0⟩ + 0.707107|1⟩" in out.splitlines()
         assert "  p=0.5: 0.707107|0⟩ + -0.707107|1⟩" in out.splitlines()
 
+    def test_a_wide_branch_is_written_a_chunk_at_a_time(self):
+        # One uniform branch of 16 bits (a 512 KiB block) prints a line of
+        # about 2 million characters; joined whole, as a str with "⟩" in it,
+        # it would take about 4 MiB.
+        st_ = qppl.TwoLayerState(qppl.Environment(tuple(f"v{i}" for i in range(16))),
+                                 np.full((1, 1 << 16), 2.0 ** -8), np.ones(1))
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                cli._print_quantum_trace("qrand_bit(v0)", st_, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("vec", [[0.0] * 8, [0.0, 0.5, 0.0, 0.0, 0.25, -0.25, 0.0, 1.0],
+                                     [0.0] * 7 + [1.0]])
+    def test_kets_do_not_depend_on_the_chunking(self, monkeypatch, vec):
+        vec = np.array(vec)
+        whole = "  p=1: " + " + ".join(f"{vec[k]:.6g}|{qppl.basis_label(int(k), 3)}⟩"
+                                       for k in np.flatnonzero(vec)) + "\n"
+        for chunk in (1, 3, 8):
+            monkeypatch.setattr(cli, "KETS_CHUNK", chunk)
+            out = io.StringIO()
+            cli._write_kets("  p=1: ", vec, 3, out)
+            assert out.getvalue() == whole
+
 
 class TestOracle:
     def test_prints_small_deviation_for_whole_corpus(self, invoke, corpus):
@@ -191,6 +219,12 @@ class TestCheckAndErrors:
         code, _, err = invoke("check", str(path))
         assert code == 1
         assert "error[SYNTAX]" in err and "2:" in err
+
+    def test_byte_order_mark_is_not_part_of_the_source(self, invoke, tmp_path):
+        path = tmp_path / "bom.qppl"
+        path.write_bytes(b"\xef\xbb\xbf" + qppl.bundled_programs()["interference"].encode())
+        assert invoke("check", str(path)) == (0, "", "")
+        assert invoke("run", str(path)) == (0, "11: 1.000000\n", "")
 
     def test_quantum_file_fails_classical_check(self, invoke):
         code, _, err = invoke("check", "interference", "--mode", "classical")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qppl
@@ -609,20 +609,37 @@ class TestBranchMerge:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_byte_bound_counts_outcomes_times_output_length(self, monkeypatch):
+    def test_byte_bound_counts_merged_branches_times_output_length(self, monkeypatch):
         st = make_state(["x", "y", "z"], [(1.0, np.full(8, 8 ** -0.5))])
-        # Measuring all three bits: 8 outcomes of 8 amplitudes.
+        # Measuring all three bits: 8 branches of 8 amplitudes.
         monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8)
         assert len(apply_measure(st, ["x", "y", "z"]).branches) == 8
         monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8 - 1)
         with pytest.raises(CapacityError):
             apply_measure(st, ["x", "y", "z"])
-        # Returning nothing: 8 outcomes of 1 amplitude, merged into one.
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 1 * 8)
+        # Returning nothing: 8 outcomes of 1 amplitude merge into 1 branch.
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * 1 * 8)
         assert len(apply_return(st, []).branches) == 1
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 1 * 8 - 1)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * 1 * 8 - 1)
         with pytest.raises(CapacityError):
             apply_return(st, [])
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    def test_a_split_that_merges_under_the_byte_bound_runs(self, monkeypatch, chunk):
+        # qrand, measure, qrand and measure every bit of 6: the second
+        # measurement has 4096 outcomes of 64 amplitudes (2 MiB), which
+        # merge into 64 branches (32 KiB). The bound counts the 64.
+        names = ", ".join(f"x{i}" for i in range(6))
+        coins = "".join(f"  qrand_bit(x{i})\n" for i in range(6))
+        p = parse(f"def main():\n  new {names}\n" + f"{coins}  measure({names})\n" * 2)
+        whole = run(p)
+        if chunk:
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 64 << 10)
+        bounded = run(p)
+        assert bounded.amps.shape == (64, 64)
+        assert np.array_equal(bounded.amps, whole.amps)
+        assert np.array_equal(bounded.probs, whole.probs)
 
 
 class TestNewAndReturn:
@@ -833,6 +850,63 @@ class TestBlockStore:
         block = len(final.branches) * final.env.dim * 8
         assert block == 8 << 20
         assert peak <= 2.25 * block
+
+
+@st.composite
+def budget_programs(draw):
+    """Programs that press on the block budget: up to 16 bits, a qrand on
+    each, a measurement of all or some of them, maybe a ``new`` after it
+    with qrands on some of the new bits, and maybe a return."""
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 16)))]
+    ys = [f"y{i}" for i in range(draw(st.integers(0, 16 - len(xs))))]
+    measured = draw(st.just(xs) | st.lists(st.sampled_from(xs), min_size=1, unique=True))
+    body = [f"new {', '.join(xs)}", *(f"qrand_bit({x})" for x in xs),
+            f"measure({', '.join(measured)})"]
+    if ys:
+        body += [f"new {', '.join(ys)}",
+                 *(f"qrand_bit({y})" for y in ys[:draw(st.integers(0, len(ys)))])]
+    returns = draw(st.none() | st.lists(st.sampled_from(xs + ys), unique=True))
+    if returns is not None:
+        body.append(("return " + ", ".join(returns)).rstrip())
+    return "def main():\n" + "".join(f"  {line}\n" for line in body)
+
+
+XS13, XS16 = (", ".join(f"x{i}" for i in range(n)) for n in (13, 16))
+COINS13, COINS16 = ("".join(f"  qrand_bit(x{i})\n" for i in range(n)) for n in (13, 16))
+# Four branches of 15 bits fill the 1 MiB budget, and returning every bit
+# copies them: a split that held every outcome's numbers and keys until its
+# build peaked at 4.5 MiB here.
+WIDE_RETURN = (f"def main():\n  new {XS13}\n{COINS13}  measure(x0, x1)\n  new y0, y1\n"
+               f"  qrand_bit(y0)\n  qrand_bit(y1)\n  return {XS13}, y0, y1\n")
+# Two branches of 16 bits, each 65,536 outcomes of one amplitude when
+# nothing is returned: a split that unravelled every outcome's value into
+# 16 index arrays and kept per-outcome lists peaked at 14.8 MiB here.
+RETURN_NOTHING = f"def main():\n  new {XS16}\n{COINS16}  measure(x0)\n  return\n"
+
+
+class TestMemoryBudget:
+    @given(budget_programs())
+    @example(WIDE_RETURN)
+    @example(RETURN_NOTHING)
+    @settings(max_examples=60, deadline=None)
+    def test_a_run_is_refused_or_stays_within_four_budgets(self, source):
+        # With a 1 MiB budget a run either raises CapacityError or holds at
+        # most a few blocks and chunks: an allocation that skips the check
+        # shows as a peak over the bound.
+        p = parse(source)
+        assert not qppl.has_errors(validate(p))
+        budget, real = 1 << 20, qppl.engine.MAX_BLOCK_BYTES
+        qppl.engine.MAX_BLOCK_BYTES = budget
+        tracemalloc.start()
+        try:
+            run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        except CapacityError:
+            peak = 0
+        finally:
+            tracemalloc.stop()
+            qppl.engine.MAX_BLOCK_BYTES = real
+        assert peak < 4 * budget
 
 
 class TestInputsUnchanged:
