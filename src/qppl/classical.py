@@ -1,23 +1,25 @@
 """Classical stochastic execution: one layer, nonnegative weights.
 
 The state is a single probability distribution over worlds (weights sum
-to 1 rather than having unit length). Statements go through the engine's
-kernel, ``engine.apply_comp``, the same one that moves quantum amplitudes:
-destructive assignment merges worlds, rand_bit splits them half and half,
-and conditionals act on the worlds where the condition holds. Every
-statement is a column-stochastic linear map. Return sums the
-distribution over the discarded variables' axes of its (2,)*n view.
+to 1 rather than having unit length). A run goes through the engine's run
+loop, ``engine._run``, and each statement through its kernel,
+``engine.apply_comp``, as quantum amplitudes do; only the step and the
+return here are classical. Destructive assignment merges worlds, rand_bit
+splits them half and half, and conditionals act on the worlds where the
+condition holds: every statement is a column-stochastic linear map. Return
+sums the distribution over the discarded variables' axes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
-from .engine import QUANTUM_ONLY, apply_comp
-from .syntax import Program, return_source, statement_source
+from .engine import QUANTUM_ONLY, Observer, _run, apply_comp
+from .syntax import Program, Statement
 from .state import Environment
 
 
@@ -29,27 +31,23 @@ class ClassicalState:
     def distribution(self) -> dict[int, float]:
         return {int(k): float(self.probs[k]) for k in np.flatnonzero(self.probs)}
 
+    def to_json(self) -> str:
+        return json.dumps({"vars": list(self.env.names), "probs": self.probs.tolist()}, indent=2)
 
-Observer = Callable[[str, ClassicalState], None]
+
+def _step(state: ClassicalState, stmt: Statement, _in_place: bool) -> ClassicalState:
+    return ClassicalState(state.env, apply_comp(state.probs, stmt, state.env, QUANTUM_ONLY))
+
+
+def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
+    env = state.env
+    kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
+    discarded = tuple(i for i, n in enumerate(env.names) if n not in kept)
+    marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
+    return ClassicalState(Environment(kept), marginal)
 
 
 def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalState:
     """Execute a validated classical program; returns the final distribution."""
     env = Environment(()).extended(tuple(p.inputs))  # CapacityError past MAX_LIVE_BITS
-    probs = np.zeros(env.dim)
-    probs[0] = 1.0
-    state = ClassicalState(env, probs)
-    if observer:
-        observer("", state)
-    for stmt in p.body:
-        state = ClassicalState(env, apply_comp(state.probs, stmt, env, QUANTUM_ONLY))
-        if observer:
-            observer(statement_source(stmt), state)
-    if p.returns is not None:
-        kept = tuple(n for n in env.names if n in set(p.returns))
-        discarded = tuple(i for i, n in enumerate(env.names) if n not in set(p.returns))
-        marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
-        state = ClassicalState(Environment(kept), marginal)
-        if observer:
-            observer(return_source(p.returns), state)
-    return state
+    return _run(p, ClassicalState(env, np.eye(1, env.dim)[0]), _step, _marginalize, observer)

@@ -16,7 +16,6 @@ a fixed (file, flags, seed) is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterator
@@ -41,17 +40,15 @@ def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
     out.write("\n")
 
 
-def _print_quantum_trace(label: str, st: state_mod.TwoLayerState, out):
+def _print_trace(label: str, st: state_mod.TwoLayerState | classical.ClassicalState, out):
+    """The statement's text, then a line of kets per branch, or of weights if classical."""
     if label:
         print(label, file=out)
-    for p, amps in zip(st.probs.tolist(), st.amps):
-        _write_kets(f"  p={p:.6g}: ", amps, st.env.n_bits, out)
-
-
-def _print_classical_trace(label: str, st: classical.ClassicalState, out):
-    if label:
-        print(label, file=out)
-    _write_kets("  ", st.probs, st.env.n_bits, out)
+    if isinstance(st, classical.ClassicalState):
+        _write_kets("  ", st.probs, st.env.n_bits, out)
+    else:
+        for p, amps in zip(st.probs.tolist(), st.amps):
+            _write_kets(f"  p={p:.6g}: ", amps, st.env.n_bits, out)
 
 
 # Most draws one call to the generator makes; each draw reads one uniform
@@ -121,37 +118,26 @@ def _dump(path: str, text: str):
 
 def _cmd_run(args) -> int:
     _, program = _load_program(args.file, args.mode)
+    if args.mode == validator.QUANTUM:
+        run, to_json, distribution = (engine.run, state_mod.state_to_json,
+                                      state_mod.output_distribution)
+    else:
+        run, to_json, distribution = (classical.run_classical, classical.ClassicalState.to_json,
+                                      classical.ClassicalState.distribution)
     observer = None
     if args.trace:
-        if args.mode == validator.QUANTUM:
-            observer = lambda label, st: _print_quantum_trace(label, st, sys.stdout)
-        else:
-            observer = lambda label, st: _print_classical_trace(label, st, sys.stdout)
-        header = syntax.unparse(program).splitlines()[0]
-        print(header)
-
+        print(syntax.unparse(program).splitlines()[0])
+        observer = lambda label, st: _print_trace(label, st, sys.stdout)
     try:
-        if args.mode == validator.QUANTUM:
-            final = engine.run(program, observer=observer)
-            dist = state_mod.output_distribution(final)
-            n_bits = final.env.n_bits
-            if args.dump_state:
-                _dump(args.dump_state, state_mod.state_to_json(final))
-            if args.oracle:
-                deviation = density.check_equivalence(program)
-                print(f"oracle deviation: {deviation:.3e}")
-        else:
-            final = classical.run_classical(program, observer=observer)
-            dist = final.distribution()
-            n_bits = final.env.n_bits
-            if args.dump_state:
-                payload = {"vars": list(final.env.names),
-                           "probs": [float(x) for x in final.probs]}
-                _dump(args.dump_state, json.dumps(payload, indent=2))
+        final = run(program, observer=observer)
+        if args.dump_state:
+            _dump(args.dump_state, to_json(final))
+        if args.oracle:
+            print(f"oracle deviation: {density.check_equivalence(program):.3e}")
     except state_mod.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    dist, n_bits = distribution(final), final.env.n_bits
     if args.shots is not None:
         for outcome in sample(dist, args.seed, args.shots):
             print(state_mod.basis_label(outcome, n_bits))
@@ -177,10 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a program")
-    run_p.add_argument("file", help="path to a .qppl file or a bundled example name")
-    run_p.add_argument("--mode", choices=[validator.QUANTUM, validator.CLASSICAL],
-                       default=validator.QUANTUM)
+    program = argparse.ArgumentParser(add_help=False)  # what run and check both take
+    program.add_argument("file", help="path to a .qppl file or a bundled example name")
+    program.add_argument("--mode", choices=[validator.QUANTUM, validator.CLASSICAL],
+                         default=validator.QUANTUM)
+    run_p = sub.add_parser("run", parents=[program], help="execute a program")
     run_p.add_argument("--trace", action="store_true",
                        help="print the state after every statement")
     run_p.add_argument("--dist", action="store_true",
@@ -194,10 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     run_p.set_defaults(func=_cmd_run)
 
-    check_p = sub.add_parser("check", help="validate a program without running it")
-    check_p.add_argument("file")
-    check_p.add_argument("--mode", choices=[validator.QUANTUM, validator.CLASSICAL],
-                         default=validator.QUANTUM)
+    check_p = sub.add_parser("check", parents=[program],
+                             help="validate a program without running it")
     check_p.set_defaults(func=_cmd_check)
 
     ex_p = sub.add_parser("examples", help="list bundled example programs")

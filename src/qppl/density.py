@@ -52,10 +52,12 @@ def run_density(p: Program) -> np.ndarray:
     their extracted matrix; new embeds through the zero-initialized
     inclusion; measure applies the projector sum; return measures the
     discarded variables and traces them out (exact, since the matrix is
-    block diagonal by then). Dense matrices cap the oracle at 10 bits.
+    block diagonal by then). Dense matrices cap the oracle at 10 bits: the
+    inputs and the names of every ``new`` are counted before any is built.
     """
     env = Environment(tuple(p.inputs))
-    if env.n_bits > COMP_MATRIX_MAX_BITS:
+    n_bits = len(p.inputs) + sum(len(s.names) for s in p.body if isinstance(s, New))
+    if n_bits > COMP_MATRIX_MAX_BITS:
         raise CapacityError(f"density semantics supports at most {COMP_MATRIX_MAX_BITS} bits")
     rho = np.zeros((env.dim, env.dim))
     rho[0, 0] = 1.0
@@ -72,9 +74,6 @@ def run_density(p: Program) -> np.ndarray:
     for stmt in p.body:
         if isinstance(stmt, New):
             flush()
-            if env.n_bits + len(stmt.names) > COMP_MATRIX_MAX_BITS:
-                raise CapacityError(
-                    f"density semantics supports at most {COMP_MATRIX_MAX_BITS} bits")
             rho = _embed(rho, len(stmt.names))
             env = env.extended(stmt.names)
         elif isinstance(stmt, Measure):

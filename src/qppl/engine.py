@@ -31,13 +31,15 @@ rather than 2**k. A ``new`` whose block, or a split whose branches after
 merging, would hold more than MAX_BLOCK_BYTES of amplitudes raises
 CapacityError before it is built.
 
-Runs are deterministic; sampling happens only when rendering output.
+``run`` and ``classical.run_classical`` share one run loop, ``_run``,
+and differ only in the step and the return they pass it. Runs are
+deterministic; sampling happens only when rendering output.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -59,7 +61,7 @@ MERGE_GRID = 2.0 ** -40
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-Observer = Callable[[str, TwoLayerState], None]
+Observer = Callable[[str, Any], None]  # (label, a TwoLayerState or a ClassicalState)
 
 # Trailing world axes a mask is expanded over when it reads a low-order
 # bit: numpy's inner loop runs over the axes that every operand walks
@@ -458,25 +460,29 @@ def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
     return _step(state, QRand(target), in_place=False)
 
 
-def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
-    """Execute a validated program and return its final two-layer state.
-
-    The observer, if given, is called with ("", initial state) and then
-    (statement text, state) after every top-level statement, including the
-    final return. The states it sees are never written to afterwards.
+def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer | None):
+    """The run loop of both modes: ``step(state, stmt, in_place)`` runs each
+    top-level statement and ``finish(state, returns)`` the return, if any.
+    The observer, if given, gets ("", initial state), then (statement text,
+    state) after each statement and the return. Only an unobserved run lets
+    a step overwrite its state, so no state the observer saw changes later.
     """
-    state = initial_state(p.inputs)
     if observer:
         observer("", state)
     for stmt in p.body:
-        state = _step(state, stmt, in_place=observer is None)
+        state = step(state, stmt, observer is None)
         if observer:
             observer(statement_source(stmt), state)
     if p.returns is not None:
-        state = apply_return(state, p.returns)
+        state = finish(state, p.returns)
         if observer:
             observer(return_source(p.returns), state)
     return state
+
+
+def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
+    """Execute a validated program; returns its final two-layer state."""
+    return _run(p, initial_state(p.inputs), _step, apply_return, observer)
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

@@ -43,13 +43,9 @@ class _Checker:
         self.read: set[str] = set()  # names observed after allocation
         self.allocated: dict[str, Loc] = {}
 
-    def error(self, code: str, message: str, loc: Loc | None):
+    def report(self, code: str, message: str, loc: Loc | None, severity: str = "error"):
         line, col = loc or (0, 0)
-        self.out.append(Diagnostic("error", code, message, line, col))
-
-    def warning(self, code: str, message: str, loc: Loc | None):
-        line, col = loc or (0, 0)
-        self.out.append(Diagnostic("warning", code, message, line, col))
+        self.out.append(Diagnostic(severity, code, message, line, col))
 
     def check_expr_vars(self, e, loc: Loc | None) -> set[str]:
         """Report undeclared names read by ``e``, each at its leftmost
@@ -59,46 +55,39 @@ class _Checker:
                     _FIRST_LOCS)
         for name in sorted(locs):
             self.read.add(name)
-            if name not in self.declared:
-                self.error("UNDECLARED_VARIABLE", f"variable '{name}' is not declared",
-                           locs[name] or loc)
+            self.check_target(name, locs[name] or loc)
         return set(locs)
 
     def check_target(self, name: str, loc: Loc | None):
         if name not in self.declared:
-            self.error("UNDECLARED_VARIABLE", f"variable '{name}' is not declared", loc)
+            self.report("UNDECLARED_VARIABLE", f"variable '{name}' is not declared", loc)
 
-    def quantum_only(self, what: str, loc: Loc | None) -> bool:
-        if self.mode == CLASSICAL:
-            self.error("QUANTUM_STATEMENT", f"{what} is not allowed in classical mode", loc)
-            return False
-        return True
-
-    def classical_only(self, what: str, loc: Loc | None) -> bool:
-        if self.mode == QUANTUM:
-            self.error("CLASSICAL_STATEMENT", f"{what} is not allowed in quantum mode", loc)
-            return False
-        return True
+    def only_in(self, mode: str, what: str, loc: Loc | None) -> bool:
+        """True if the checked mode is ``mode``, else report ``what`` as not allowed."""
+        if self.mode != mode:
+            self.report(f"{mode.upper()}_STATEMENT",
+                        f"{what} is not allowed in {self.mode} mode", loc)
+        return self.mode == mode
 
     def check_statement(self, s: Statement):
         if isinstance(s, XorAssign):
             self.check_target(s.target, s.loc)
             reads = self.check_expr_vars(s.rhs, s.loc)
             if self.mode == QUANTUM and s.target in reads:
-                self.error("XOR_SELF_REFERENCE",
-                           f"'{s.target}' may not appear on the right-hand side of its own "
-                           f"XOR-assignment", s.loc)
+                self.report("XOR_SELF_REFERENCE",
+                            f"'{s.target}' may not appear on the right-hand side of its own "
+                            f"XOR-assignment", s.loc)
         elif isinstance(s, QRand):
-            if self.quantum_only("qrand_bit", s.loc):
+            if self.only_in(QUANTUM, "qrand_bit", s.loc):
                 self.check_target(s.target, s.loc)
         elif isinstance(s, QNeg):
-            self.quantum_only("qnegate", s.loc)
+            self.only_in(QUANTUM, "qnegate", s.loc)
         elif isinstance(s, Assign):
-            if self.classical_only("':=' assignment", s.loc):
+            if self.only_in(CLASSICAL, "':=' assignment", s.loc):
                 self.check_target(s.target, s.loc)
                 self.check_expr_vars(s.rhs, s.loc)
         elif isinstance(s, RandBit):
-            if self.classical_only("rand_bit", s.loc):
+            if self.only_in(CLASSICAL, "rand_bit", s.loc):
                 self.check_target(s.target, s.loc)
         elif isinstance(s, If):
             reads = self.check_expr_vars(s.cond, s.loc)
@@ -106,32 +95,32 @@ class _Checker:
                 overlap = reads & _safe_assigned(s.body)
                 if overlap:
                     names = ", ".join(f"'{n}'" for n in sorted(overlap))
-                    self.error("COND_ASSIGNS_CONDITION_VAR",
-                               f"'if' body assigns to {names}, which the condition reads",
-                               s.loc)
+                    self.report("COND_ASSIGNS_CONDITION_VAR",
+                                f"'if' body assigns to {names}, which the condition reads",
+                                s.loc)
             for inner in s.body:
                 if isinstance(inner, (Measure, New)):
-                    self.error("NON_COMP_IN_CONDITIONAL",
-                               "only computational statements may appear inside 'if'",
-                               inner.loc)
+                    self.report("NON_COMP_IN_CONDITIONAL",
+                                "only computational statements may appear inside 'if'",
+                                inner.loc)
                     continue
                 self.check_statement(inner)
         elif isinstance(s, Measure):
-            if self.quantum_only("measure", s.loc):
+            if self.only_in(QUANTUM, "measure", s.loc):
                 seen: set[str] = set()
                 for name in s.names:
                     self.read.add(name)
                     self.check_target(name, s.loc)
                     if name in seen:
-                        self.error("DUPLICATE_MEASURE",
-                                   f"variable '{name}' measured twice in one statement", s.loc)
+                        self.report("DUPLICATE_MEASURE",
+                                    f"variable '{name}' measured twice in one statement", s.loc)
                     seen.add(name)
         elif isinstance(s, New):
-            if self.quantum_only("new", s.loc):
+            if self.only_in(QUANTUM, "new", s.loc):
                 for name in s.names:
                     if name in self.declared:
-                        self.error("REDECLARED_VARIABLE",
-                                   f"variable '{name}' is already declared", s.loc)
+                        self.report("REDECLARED_VARIABLE",
+                                    f"variable '{name}' is already declared", s.loc)
                     else:
                         self.declared.add(name)
                         self.allocated[name] = s.loc
@@ -174,7 +163,7 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
     c = _Checker(mode)
     for name in p.inputs:
         if name in c.declared:
-            c.error("DUPLICATE_INPUT", f"input '{name}' declared twice", p.loc)
+            c.report("DUPLICATE_INPUT", f"input '{name}' declared twice", p.loc)
         c.declared.add(name)
     for s in p.body:
         c.check_statement(s)
@@ -183,14 +172,14 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
         for name in p.returns:
             c.read.add(name)
             if name not in c.declared:
-                c.error("UNDECLARED_VARIABLE",
-                        f"returned variable '{name}' is not declared", p.return_loc)
+                c.report("UNDECLARED_VARIABLE",
+                         f"returned variable '{name}' is not declared", p.return_loc)
             if name in seen:
-                c.error("DUPLICATE_RETURN", f"variable '{name}' returned twice", p.return_loc)
+                c.report("DUPLICATE_RETURN", f"variable '{name}' returned twice", p.return_loc)
             seen.add(name)
     for name, loc in c.allocated.items():
         if name not in c.read:
-            c.warning("UNUSED_VARIABLE",
-                      f"variable '{name}' is allocated but never read, measured, or returned",
-                      loc)
+            c.report("UNUSED_VARIABLE",
+                     f"variable '{name}' is allocated but never read, measured, or returned",
+                     loc, "warning")
     return c.out

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qppl
-from qppl import CLASSICAL, Environment, parse, run_classical, validate
+from qppl import (
+    CLASSICAL, Const, Environment, Program, XorAssign, parse, run, run_classical, validate,
+)
 from qppl.engine import QUANTUM_ONLY, apply_comp
 from qppl.randprog import random_classical_program
 
@@ -123,3 +125,35 @@ class TestTraceObserver:
         np.testing.assert_allclose(seen[2][1], [0.5, 0, 0.5, 0])
         np.testing.assert_allclose(seen[3][1], [0.5, 0, 0, 0.5])
         assert seen[-1][0] == "return x, y"
+
+
+class TestBothModes:
+    """``run`` and ``run_classical`` share one run loop, so they keep one contract."""
+
+    SOURCE = ("def main(x, y, z : bit):\n  x ^= 1\n  if x:\n    y ^= not z\n"
+              "  z ^= x and y\n  return y, z")
+
+    @pytest.mark.parametrize("run_mode", [run, run_classical])
+    def test_returning_a_name_that_is_not_live_raises(self, run_mode):
+        body = (XorAssign("x", Const(1)),)
+        with pytest.raises(KeyError, match="variable 'zz' is not live"):
+            run_mode(Program(("x",), body, ("x", "zz")))
+
+    def test_observer_labels_agree_and_observed_states_stay_unwritten(self):
+        p = parse(self.SOURCE)
+        assert not validate(p) and not validate(p, CLASSICAL)
+        labels = {}
+        for run_mode in (run, run_classical):
+            seen = []
+
+            def observe(label, st):
+                arrays = [st.probs] + ([st.amps] if run_mode is run else [])
+                seen.append((label, arrays, [a.copy() for a in arrays]))
+
+            run_mode(p, observer=observe)
+            labels[run_mode] = [label for label, _, _ in seen]
+            for label, arrays, copies in seen:
+                for a, copy in zip(arrays, copies):
+                    np.testing.assert_array_equal(a, copy, err_msg=label)
+        assert labels[run] == labels[run_classical] == [
+            "", "x ^= 1", "if x: y ^= not z", "z ^= x and y", "return y, z"]

@@ -153,7 +153,7 @@ class TestTrace:
         with open(os.devnull, "w", encoding="utf-8") as sink:
             tracemalloc.start()
             try:
-                cli._print_quantum_trace("qrand_bit(v0)", st_, sink)
+                cli._print_trace("qrand_bit(v0)", st_, sink)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -324,11 +324,14 @@ class TestGolden:
     # Recorded before the engine held a run's branches as one block, with
     # `qppl run NAME --trace --dump-state NAME.state.json > NAME.trace.txt`:
     # branch order, merging and every printed digit must stay the same.
+    # classical_coins was recorded with `--mode classical` before the two
+    # modes shared one run loop and one trace printer.
     @pytest.mark.parametrize("name", sorted(
         p.name.removesuffix(".trace.txt") for p in GOLDEN.glob("*.trace.txt")))
     def test_trace_and_dump_match_byte_for_byte(self, invoke, tmp_path, name):
         dump = tmp_path / "state.json"
-        code, out, _ = invoke("run", name, "--trace", "--dump-state", str(dump))
+        mode = "classical" if name == "classical_coins" else "quantum"
+        code, out, _ = invoke("run", name, "--mode", mode, "--trace", "--dump-state", str(dump))
         assert code == 0
         assert out == (GOLDEN / f"{name}.trace.txt").read_text(encoding="utf-8")
         assert dump.read_bytes() == (GOLDEN / f"{name}.state.json").read_bytes()
