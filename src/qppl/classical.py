@@ -12,15 +12,15 @@ sums the distribution over the discarded variables' axes.
 
 from __future__ import annotations
 
-import json
+import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .engine import QUANTUM_ONLY, Observer, _run, apply_comp
 from .syntax import Program, Statement
-from .state import Environment
+from .state import Environment, _json_head, _write_json_floats
 
 
 @dataclass
@@ -31,8 +31,18 @@ class ClassicalState:
     def distribution(self) -> dict[int, float]:
         return {int(k): float(self.probs[k]) for k in np.flatnonzero(self.probs)}
 
-    def to_json(self) -> str:
-        return json.dumps({"vars": list(self.env.names), "probs": self.probs.tolist()}, indent=2)
+    def to_json(self, out: TextIO | None = None) -> str | None:
+        """{"vars": [...], "probs": [...]} as json.dumps(..., indent=2) lays
+        it out, written to ``out`` a chunk at a time, or, with no ``out``,
+        returned as one string."""
+        if out is None:
+            out = io.StringIO()
+            self.to_json(out)
+            return out.getvalue()
+        out.write(_json_head(self.env, "probs"))
+        _write_json_floats(out, self.probs, 1)
+        out.write("\n}")
+        return None
 
 
 def _step(state: ClassicalState, stmt: Statement, _in_place: bool) -> ClassicalState:

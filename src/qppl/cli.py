@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +107,12 @@ def _load_program(file_arg: str, mode: str):
     return filename, program
 
 
-def _dump(path: str, text: str):
-    """Write the --dump-state file, or exit with code 1 if it cannot be written."""
+def _dump(path: str, final, to_json: Callable):
+    """Write the --dump-state file, a chunk at a time, or exit with code 1
+    if it cannot be written."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            to_json(final, out)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(1)
@@ -131,7 +133,7 @@ def _cmd_run(args) -> int:
     try:
         final = run(program, observer=observer)
         if args.dump_state:
-            _dump(args.dump_state, to_json(final))
+            _dump(args.dump_state, final, to_json)
         if args.oracle:
             print(f"oracle deviation: {density.check_equivalence(program):.3e}")
     except state_mod.CapacityError as exc:

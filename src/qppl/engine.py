@@ -16,10 +16,19 @@ expression's truth table has a length-2 axis only for each variable the
 expression reads, so it holds 2**|FV| entries and is broadcast against
 the worlds. ``x ^= E`` swaps the two halves of x's axis where E holds;
 ``x := E`` moves the worlds where E differs from x to their partner
-across that axis; ``if`` masks: the body runs on the worlds where the
-condition holds and the rest pass through, the block form of the
-statement's matrix without materializing it, and an ``if`` of negations
-only is one multiply by a table of signs.
+across that axis; an ``if`` of negations only negates the worlds of one
+table.
+
+A table that holds on exactly one assignment of the variables it reads
+(a cube: a conjunction of literals such as ``x1``, ``x1 == 0`` or ``a and
+not b``) marks one basic-slice sub-block of the view, and the statement
+copies the worlds once and moves or negates only inside that sub-block,
+as state-vector simulators update the controlled block of a gate. Under
+_SUB_BLOCK_MIN entries, and for any other table, the statement takes the
+mask path: ``np.where`` for a swap, a multiply by a table of signs for
+negations, and for any other ``if`` a mask, whose body runs on the worlds
+where the condition holds while the rest pass through: the block form of
+the statement's matrix without materializing it.
 
 Measurement splits the block into one outcome per (branch, observed
 value), squaring amplitude mass into classical probability; return
@@ -97,6 +106,33 @@ def _bit_table(n_bits: int, pos: int) -> np.ndarray:
     table = np.array([False, True]).reshape((1,) * pos + (2,) + (1,) * (n_bits - pos - 1))
     table.flags.writeable = False
     return table
+
+
+_ALL, _AT = slice(None), (slice(0, 1), slice(1, 2))
+# Entries (worlds times columns) from which a statement on a cube takes the
+# sub-block path: below it the mask path's fewer numpy calls cost less.
+_SUB_BLOCK_MIN = 1 << 9
+
+
+def _cube(table: np.ndarray) -> tuple[slice, ...] | None:
+    """The worlds where a table holds, as a basic-slice index of the world
+    view, if it holds on exactly one assignment of the variables it reads
+    (a conjunction of literals such as ``a and not b``); else None.
+
+    A read axis is fixed by a length-1 slice and the others stay whole, so
+    the sub-block keeps every axis; a trailing Ellipsis keeps the columns
+    of a stack, and keeps the index a view on a 0-bit vector. The test
+    counts the table's 2**|FV| bytes, which costs less than a numpy call on
+    the tiny tables of most statements.
+    """
+    flat = table.tobytes()
+    if flat.count(1) != 1:
+        return None
+    k, cube = flat.index(1), []
+    for size in reversed(table.shape):
+        cube.append(_AT[k & 1] if size == 2 else _ALL)
+        k >>= size - 1
+    return (*reversed(cube), ...)
 
 
 def _mask(table: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -191,6 +227,13 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     if isinstance(stmt, If):
         negated = None if QNeg in foreign else _negated(stmt, env)
         if negated is not None:
+            if vec.size >= _SUB_BLOCK_MIN and (cube := _cube(negated)) is not None:
+                out = worlds.copy(order="K")
+                # Not np.negative: numpy 2.4.6 writes wrong values with it into
+                # a view whose world axes are all length 1 and whose columns
+                # are strided, as a chunk of a block's transpose is.
+                np.multiply(worlds[cube], -1.0, out=out[cube])
+                return out.reshape(vec.shape)
             signs = _mask(np.where(negated, -1.0, 1.0), vec)
             return (worlds * signs).reshape(vec.shape)
         # Linear in the vector: the body may write the condition's variables
@@ -201,18 +244,39 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         for inner in stmt.body:
             inside = apply_comp(inside, inner, env, foreign)
         return inside + (worlds * ~mask).reshape(vec.shape)
+    # Each world whose target bit must change moves to its partner across
+    # the target axis: for x ^= E where E holds, for x := E where E differs
+    # from x.
     pos = env.position(stmt.target)
     value = _table(stmt.rhs, env)
-    flip = (slice(None),) * pos + (slice(None, None, -1),)
-    if isinstance(stmt, XorAssign) and value.shape[pos] == 1:
-        # The right-hand side does not read the target, so the statement
-        # swaps the two halves of the target axis wherever it holds.
-        return np.where(_mask(value, vec), worlds[flip], worlds).reshape(vec.shape)
-    # Otherwise each world whose target bit must change moves to its partner
-    # across the target axis, and worlds may merge: for x := E, where E
-    # differs from x; for x ^= E (in classical mode E may read x), where E
-    # holds.
     move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
+    cube = None
+    if vec.size >= _SUB_BLOCK_MIN:
+        if value.shape[pos] == 2:
+            # E reads x (classical mode). A move alike on both halves of x's
+            # axis, as for x := x ^ y, is kept on one half: it is a swap.
+            halves = move[(_ALL,) * pos + (_AT[0],)], move[(_ALL,) * pos + (_AT[1],)]
+            if halves[0].tobytes() == halves[1].tobytes():
+                move = halves[0]
+        cube = _cube(move)
+    if cube is not None:
+        # The worlds that move are one sub-block: copy the worlds once and
+        # move that sub-block's halves of the target axis.
+        out = worlds.copy(order="K")
+        zero, one = (cube[:pos] + (at,) + cube[pos + 1:] for at in _AT)
+        if move.shape[pos] == 1:  # both halves move: a swap
+            out[zero], out[one] = worlds[one], worlds[zero]
+        else:  # one half moves onto the other, as for x := 0
+            to, source = (zero, one) if cube[pos] is _AT[1] else (one, zero)
+            out[to] += worlds[source]
+            out[source] = 0.0
+        return out.reshape(vec.shape)
+    flip = (_ALL,) * pos + (slice(None, None, -1),)
+    if move.shape[pos] == 1:
+        # The move does not depend on the target, so the statement swaps the
+        # two halves of the target axis wherever it holds.
+        return np.where(_mask(move, vec), worlds[flip], worlds).reshape(vec.shape)
+    # Otherwise worlds may merge.
     move = _mask(move, vec)
     out = worlds * ~move
     out += (worlds * move)[flip]

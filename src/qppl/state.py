@@ -21,9 +21,10 @@ appended at the low-order end.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -162,15 +163,45 @@ def basis_label(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
 
 
-def state_to_json(state: TwoLayerState) -> str:
-    """The state as JSON. A zero amplitude prints as 0.0 whatever its sign,
+# Floats of the JSON form written at a time: about 100 KiB of text.
+_JSON_CHUNK = 1 << 12
+
+
+def _write_json_floats(out: TextIO, values: np.ndarray, depth: int):
+    """Write a nonempty float vector as the JSON list that json.dumps(...,
+    indent=2) lays out at nesting depth ``depth``, a chunk at a time, so
+    the text is never held whole. A zero prints as 0.0 whatever its sign,
     so the text does not depend on which kernel wrote the zero."""
-    rows = (state.amps + 0.0).tolist()
-    payload = {
-        "vars": list(state.env.names),
-        "branches": [{"p": p, "amps": amps} for p, amps in zip(state.probs.tolist(), rows)],
-    }
-    return json.dumps(payload, indent=2)
+    sep = ",\n" + "  " * (depth + 1)
+    out.write("[" + sep[1:])
+    for start in range(0, len(values), _JSON_CHUNK):
+        chunk = (values[start:start + _JSON_CHUNK] + 0.0).tolist()
+        out.write((sep if start else "") + json.dumps(chunk, separators=(sep, ":"))[1:-1])
+    out.write("\n" + "  " * depth + "]")
+
+
+def _json_head(env: Environment, key: str) -> str:
+    """The JSON form's text up to the list under ``key``, after "vars"."""
+    names = json.dumps(list(env.names), indent=2).replace("\n", "\n  ")
+    return f'{{\n  "vars": {names},\n  "{key}": '
+
+
+def state_to_json(state: TwoLayerState, out: TextIO | None = None) -> str | None:
+    """The state as JSON, laid out as json.dumps(..., indent=2) lays out
+    {"vars": [...], "branches": [{"p": ..., "amps": [...]}, ...]}. It is
+    written to ``out`` a chunk of a row at a time, or, with no ``out``,
+    returned as one string."""
+    if out is None:
+        out = io.StringIO()
+        state_to_json(state, out)
+        return out.getvalue()
+    out.write(_json_head(state.env, "branches") + "[")
+    for j, (p, row) in enumerate(zip(state.probs.tolist(), state.amps)):
+        out.write(("," if j else "") + f'\n    {{\n      "p": {json.dumps(p)},\n      "amps": ')
+        _write_json_floats(out, row, 3)
+        out.write("\n    }")
+    out.write("\n  ]\n}")
+    return None
 
 
 def state_from_json(text: str) -> TwoLayerState:

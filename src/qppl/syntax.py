@@ -37,7 +37,7 @@ text; the parser is recursive descent over those tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Callable, Iterable, TypeVar, Union
 
@@ -344,6 +344,29 @@ def _names(tokens: list[_TokenTuple]) -> tuple[str, ...]:
     return tuple(tok[1] for tok in tokens)
 
 
+def _builder(cls: type[T]) -> Callable[..., T]:
+    """A function that builds a ``cls`` node from all its fields, in order,
+    by plain ``__dict__`` stores on an ``object.__new__`` instance.
+
+    A frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``, which costs about twice as much, and the parser
+    builds a node or more per token. The node is the same: its class,
+    ``==``, ``hash`` and frozenness are the dataclass's (no node class has
+    a ``__post_init__`` to skip). The function is generated once per class,
+    as dataclasses generate ``__init__``, so each store is one dict write.
+    """
+    names = [f.name for f in fields(cls)]
+    stores = "".join(f"\n    d[{name!r}] = {name}" for name in names)
+    scope = {"new": object.__new__, "cls": cls}
+    exec(f"def build({', '.join(names)}):\n    node = new(cls)\n    d = node.__dict__{stores}"
+         "\n    return node", scope)
+    return scope["build"]
+
+
+_BUILD = {cls: _builder(cls) for cls in (Var, Const, Not, And, Or, Xor, QRand, QNeg, XorAssign,
+                                         If, Assign, RandBit, New, Measure, Program)}
+
+
 class _Parser:
     """Recursive descent over the tokens, a line at a time.
 
@@ -427,10 +450,10 @@ class _Parser:
             self.pos += 1
             rhs, rhs_depth = self.binary(prec + 1)
             loc = tok[2:]
-            expr = (Xor if prec == 0 else Or if prec == 1 else And)(expr, rhs, loc)
+            expr = _BUILD[Xor if prec == 0 else Or if prec == 1 else And](expr, rhs, loc)
             depth = max(depth, rhs_depth) + 1
             if tok[0] == "==":
-                expr, depth = Not(expr, loc), depth + 1
+                expr, depth = _BUILD[Not](expr, loc), depth + 1
             _check_nesting(depth, "expression", tok)
         return expr, depth
 
@@ -446,11 +469,11 @@ class _Parser:
             if text not in ("0", "1"):
                 raise ParseError(f"only the bits 0 and 1 are valid constants, found {text!r}",
                                  line, col)
-            expr, depth = Const(int(text), (line, col)), 0
+            expr, depth = _BUILD[Const](int(text), (line, col)), 0
         elif kind == "NAME":
             if text in KEYWORDS:
                 raise ParseError(f"{text!r} is a reserved word", line, col)
-            expr, depth = Var(text, (line, col)), 0
+            expr, depth = _BUILD[Var](text, (line, col)), 0
         elif kind == "(":
             self.parens += 1
             _check_nesting(self.parens, "parentheses", tok)
@@ -462,7 +485,7 @@ class _Parser:
         else:
             raise ParseError(f"expected an expression, found {text!r}", line, col)
         for tok in reversed(nots):
-            expr, depth = Not(expr, tok[2:]), depth + 1
+            expr, depth = _BUILD[Not](expr, tok[2:]), depth + 1
             _check_nesting(depth, "expression", tok)
         return expr, depth
 
@@ -477,7 +500,7 @@ class _Parser:
         inputs, loc = self._parse_header()
         self.i = 1
         if self.i >= len(self.lines):
-            return Program(inputs, (), None, loc, None)
+            return _BUILD[Program](inputs, (), None, loc, None)
         body_indent, _, line_no, _ = self.lines[self.i]
         if body_indent == 0:
             raise ParseError("program body must be indented", line_no, 1)
@@ -485,7 +508,7 @@ class _Parser:
         if self.i < len(self.lines):
             indent, _, line_no, _ = self.lines[self.i]
             raise ParseError("inconsistent indentation", line_no, indent + 1)
-        return Program(inputs, tuple(body), returns, loc, return_loc)
+        return _BUILD[Program](inputs, tuple(body), returns, loc, return_loc)
 
     def _parse_header(self) -> tuple[tuple[str, ...], Loc]:
         tok = self.next()
@@ -557,27 +580,27 @@ class _Parser:
                 raise ParseError("expected an indented block after 'if'", line[2], line[0] + 1)
             body, _, _ = self._parse_block(self.lines[self.i][0], top_level=False)
             self.if_depth -= 1
-            out.append(If(cond, tuple(body), loc, src))
+            out.append(_BUILD[If](cond, tuple(body), loc, src))
             return
 
         if word in ("qrand_bit", "qrand"):
             names = self.call_names(allow_empty=False)
             if len(names) != 1:
                 raise ParseError(f"{word} takes exactly one variable", names[1][2], names[1][3])
-            out.append(QRand(names[0][1], loc, src))
+            out.append(_BUILD[QRand](names[0][1], loc, src))
         elif word in ("qnegate", "qneg"):
             self.expect("(")
             self.expect(")")
-            out.append(QNeg(loc, src))
+            out.append(_BUILD[QNeg](loc, src))
         elif word == "measure":
             if not top_level:
                 raise ParseError("'measure' is not allowed inside 'if'", *loc)
-            out.append(Measure(_names(self.call_names(allow_empty=True)), loc, src))
+            out.append(_BUILD[Measure](_names(self.call_names(allow_empty=True)), loc, src))
         elif word == "new":
             if not top_level:
                 raise ParseError("'new' is not allowed inside 'if'", *loc)
             if self.peek()[0] == "(":
-                out.append(New(_names(self.call_names(allow_empty=False)), loc, src))
+                out.append(_BUILD[New](_names(self.call_names(allow_empty=False)), loc, src))
             else:
                 names = self.name_list()
                 if self.match(":="):
@@ -585,25 +608,25 @@ class _Parser:
                         raise ParseError("an initializer requires a single variable",
                                          names[1][2], names[1][3])
                     # The initializing XOR is synthesized; it renders canonically.
-                    out += [New((names[0][1],), loc, src),
-                            XorAssign(names[0][1], self.expression(), loc)]
+                    out += [_BUILD[New]((names[0][1],), loc, src),
+                            _BUILD[XorAssign](names[0][1], self.expression(), loc, None)]
                 else:
-                    out.append(New(_names(names), loc, src))
+                    out.append(_BUILD[New](_names(names), loc, src))
         elif word in KEYWORDS:
             raise ParseError(f"unexpected keyword {word!r}", *loc)
         else:
             op = self.next()
             if op[0] == "^=":
-                out.append(XorAssign(word, self.expression(), loc, src))
+                out.append(_BUILD[XorAssign](word, self.expression(), loc, src))
             elif op[0] != ":=":
                 raise ParseError(f"expected '^=' or ':=', found {op[1]!r}", op[2], op[3])
             elif self.peek()[1] == "rand_bit":
                 self.pos += 1
                 self.expect("(")
                 self.expect(")")
-                out.append(RandBit(word, loc, src))
+                out.append(_BUILD[RandBit](word, loc, src))
             else:
-                out.append(Assign(word, self.expression(), loc, src))
+                out.append(_BUILD[Assign](word, self.expression(), loc, src))
         self.expect_end()
         self.i += 1
 

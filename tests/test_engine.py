@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -13,6 +14,7 @@ from qppl import (
     assert_valid_state, check_equivalence, comp_matrix, extend, free_vars,
     output_distribution, parse, run, to_density, truth_table, validate,
 )
+from qppl import engine
 from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp
 from qppl.syntax import MAX_NESTING
 from qppl.randprog import random_comp_program, random_program
@@ -302,6 +304,87 @@ def kernel_cases(draw, kinds=None):
     return env, stmt, vec
 
 
+ALL, ZERO, ONE = slice(None), slice(0, 1), slice(1, 2)
+
+
+def literals(names):
+    """x, not x, x == 0 and x == 1, as the parser builds them."""
+    forms = (lambda v: v, Not, lambda v: Not(Xor(v, Const(0))), lambda v: Not(Xor(v, Const(1))))
+    return st.builds(lambda name, form: form(Var(name)), st.sampled_from(names),
+                     st.sampled_from(forms))
+
+
+def cubes(names):
+    """Conjunctions of literals, which may repeat or contradict each other,
+    and the constant 1."""
+    conjunctions = st.lists(literals(names), min_size=1, max_size=4).map(
+        lambda ls: functools.reduce(And, ls))
+    return st.just(Const(1)) | conjunctions
+
+
+@st.composite
+def cube_cases(draw, quantum):
+    """An environment of 1-6 bits, a statement whose table is, or may be, a
+    cube, and a vector of weights in [0, 1).
+
+    Quantum: x ^= C with x outside C, and if C: bodies of qnegate() and
+    such ifs. Classical: x ^= C, x := x ^ C, x := 0 or 1, x := x and C, and
+    if C: with one of those, or with a write of a variable C reads (an if
+    whose condition its body changes must still run on a mask). One
+    statement per body, as two merges would sum four worlds in another
+    order than the reference does.
+    """
+    env = Environment(NAMES[:draw(st.integers(1, 6))])
+    names, target = env.names, st.sampled_from(env.names)
+    cond = cubes(names)
+    if quantum:
+        xor = st.builds(XorAssign, target, cond).filter(
+            lambda s: s.target not in free_vars(s.rhs))
+        negations = st.recursive(st.just(QNeg()), lambda body: st.builds(
+            If, cond, st.lists(body, min_size=1, max_size=3).map(tuple)), max_leaves=5)
+        stmt = draw(xor | negations.filter(lambda s: isinstance(s, If)))
+    else:
+        leaf = (st.builds(XorAssign, target, cond)
+                | st.builds(lambda x, c: Assign(x, Xor(Var(x), c)), target, cond)
+                | st.builds(Assign, target, st.sampled_from((Const(0), Const(1))))
+                | st.builds(lambda x, c: Assign(x, And(Var(x), c)), target, cond))
+        writes_cond = st.builds(
+            lambda c, x, v: If(c, (Assign(sorted(free_vars(c) or {x})[0], v),)),
+            cond, target, st.sampled_from((Const(0), Const(1))))
+        stmt = draw(leaf | st.builds(lambda c, s: If(c, (s,)), cond, leaf) | writes_cond)
+    vec = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(env.dim)
+    return env, stmt, vec
+
+
+def both_paths(apply):
+    """apply() with the sub-block path taken at any size, then with the
+    engine's own size threshold, below which cubes take the mask path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        first = apply()
+    return first, apply()
+
+
+def spy_cubes(monkeypatch):
+    """The list that every later engine._cube result is appended to."""
+    found, real = [], engine._cube
+    monkeypatch.setattr(engine, "_cube", lambda table: found.append(real(table)) or found[-1])
+    return found
+
+
+STACKS = ("vector", "eye", "block")
+
+
+def stacked(vec, env, stack):
+    """The vector; or the columns of np.eye; or the transpose of a block of
+    three rows, as _step passes a block to apply_comp."""
+    if stack == "vector":
+        return vec
+    if stack == "eye":
+        return np.eye(env.dim)
+    return np.stack([vec, vec[::-1], vec * 0.5]).T
+
+
 class TestWorldKernels:
     """apply_comp against the per-world reference, on vectors and on the
     columns of np.eye."""
@@ -370,6 +453,120 @@ class TestWorldKernels:
         table = truth_table(expr, env)
         assert table.dtype == np.int64 and table.shape == (env.dim,)
         assert list(table) == [world_value(expr, k, env) for k in range(env.dim)]
+
+    @given(cube_cases(quantum=True), st.sampled_from(STACKS))
+    @example((Environment(("a", "b", "c")),  # a sub-block of one world per column
+              If(And(And(Var("a"), Var("b")), Not(Var("c"))), (QNeg(),)), np.arange(8) / 8),
+             "block")
+    @settings(max_examples=150, deadline=None)
+    def test_quantum_statements_on_cubes(self, case, stack):
+        # Conditions that hold on one assignment of the variables they read
+        # take the sub-block path; the results must be exactly the reference's.
+        env, stmt, vec = case
+        vec = stacked(vec - 0.5, env, stack)
+        expected = kernel_reference(vec, stmt, env)
+        for got in both_paths(lambda: apply_comp(vec, stmt, env, CLASSICAL_ONLY)):
+            np.testing.assert_array_equal(got, expected)
+
+    @given(cube_cases(quantum=False), st.sampled_from(STACKS))
+    @settings(max_examples=150, deadline=None)
+    def test_classical_statements_on_cubes(self, case, stack):
+        env, stmt, vec = case
+        vec = stacked(vec, env, stack)
+        expected = kernel_reference(vec, stmt, env)
+        for got in both_paths(lambda: apply_comp(vec, stmt, env, QUANTUM_ONLY)):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("source, cube", [
+        ("x1", (ALL, ONE, ALL)), ("x1 == 0", (ALL, ZERO, ALL)), ("not x0", (ZERO, ALL, ALL)),
+        ("x0 and not x2", (ONE, ALL, ZERO)), ("(x2 == 1) and x1 and x2", (ALL, ONE, ONE)),
+        ("1", (ALL, ALL, ALL)), ("0", None), ("x0 or x1", None), ("x0 ^ x1", None),
+        ("x0 and not x0", None), ("x0 == x1", None),
+    ])
+    def test_conjunctions_of_literals_are_cubes(self, source, cube):
+        env = Environment(("x0", "x1", "x2"))
+        expr = parse(f"def main(x0, x1, x2, y : bit):\n  y ^= {source}\n").body[0].rhs
+        assert engine._cube(engine._table(expr, env)) == (cube and cube + (...,))
+
+    @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
+    def test_a_sub_block_of_no_bits(self, monkeypatch, vec):
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        stmt = If(Const(1), (QNeg(),))
+        got = apply_comp(vec, stmt, Environment(()), CLASSICAL_ONLY)
+        np.testing.assert_array_equal(got, -vec)
+
+    @pytest.mark.parametrize("source, cube", [
+        ("a := a ^ b", (ALL, ONE, ALL)), ("a := not b ^ not a", (ALL, ONE, ALL)),
+        ("a := 0", (ONE, ALL, ALL)), ("a := 1", (ZERO, ALL, ALL)),
+        ("a := a and not c", (ONE, ALL, ONE)), ("b ^= b and a", (ONE, ONE, ALL)),
+        ("a := a or b", (ZERO, ONE, ALL)), ("a := b", None), ("a := a ^ b ^ c", None),
+    ])
+    def test_classical_writes_that_move_one_sub_block(self, monkeypatch, source, cube):
+        # x := x ^ y moves alike on both halves of x's axis: its move table
+        # is taken on one half, where it is a cube, and the statement is a swap.
+        env = Environment(("a", "b", "c"))
+        stmt = parse(f"def main(a, b, c : bit):\n  {source}\n").body[0]
+        probs = np.random.default_rng(3).random(env.dim)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        cubes_found = spy_cubes(monkeypatch)
+        got = apply_comp(probs, stmt, env, QUANTUM_ONLY)
+        assert cubes_found == [cube and cube + (...,)]
+        np.testing.assert_array_equal(got, kernel_reference(probs, stmt, env))
+
+    @pytest.mark.parametrize("n_bits, takes_sub_block", [(8, False), (9, True)])
+    def test_small_vectors_take_the_mask_path(self, monkeypatch, n_bits, takes_sub_block):
+        # Under engine._SUB_BLOCK_MIN entries a cube is not looked for: the
+        # mask path's fewer numpy calls cost less there.
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        vec = np.random.default_rng(n_bits).standard_normal(env.dim)
+        for source in ("x0 ^= x1", "if x1:\n    qnegate()"):
+            stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+            with pytest.MonkeyPatch.context() as mp:
+                cubes_found = spy_cubes(mp)
+                got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+            assert len(cubes_found) == takes_sub_block
+            np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
+
+    @pytest.mark.parametrize("n_bits, chunk", [(15, None), (3, 16)])
+    @pytest.mark.parametrize("source", [
+        "x1 ^= x0 and not {last}", "{last} ^= x0 == 0", "if x2 and {last}:\n    qnegate()",
+        "if not x1:\n    if x0 and x2 and {last}:\n      qnegate()",
+    ])
+    def test_a_block_of_several_chunks_takes_the_sub_block_path(self, monkeypatch, n_bits,
+                                                                chunk, source):
+        # Three branches are more than state._CHUNK entries, so _step writes
+        # the block back in place a chunk of rows at a time: two rows, then
+        # one. At 3 bits the last source fixes every world axis of the
+        # sub-block.
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        source = source.format(last=names[-1])
+        stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+        amps = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        state = TwoLayerState(env, amps.copy(), np.full(3, 1 / 3))
+        if chunk:
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+            monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        assert len(qppl.state._chunks(3, env.dim)) == 2
+        cubes_found = spy_cubes(monkeypatch)
+        got = engine._step(state, stmt, in_place=True)
+        assert got.amps is state.amps
+        assert len(cubes_found) == 2 and None not in cubes_found
+        # The statement's map, by world index: where each world goes and its sign.
+        k = np.arange(env.dim)
+        bit = {n: (k >> env.shift(n)) & 1 for n in names}
+        last = bit[names[-1]]
+        if isinstance(stmt, XorAssign):
+            cond = bit["x0"] & (1 - last) if stmt.target == "x1" else 1 - bit["x0"]
+            expected = np.empty_like(amps)
+            expected[:, k ^ (cond << env.shift(stmt.target))] = amps
+        else:
+            cond = bit["x2"] & last
+            if "not x1" in source:
+                cond = (1 - bit["x1"]) & bit["x0"] & cond
+            expected = amps * np.where(cond, -1.0, 1.0)
+        np.testing.assert_array_equal(got.amps, expected)
 
 
 def counted(monkeypatch, module, name):

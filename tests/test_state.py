@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,38 @@ class TestJson:
         plain = make_state(["x", "y"], [(1.0, [S, 0, -S, 0])])
         assert state_to_json(negated) == state_to_json(plain)
         assert "-0.0" not in state_to_json(negated)
+
+    @pytest.mark.parametrize("n_bits, n_branches", [(0, 1), (1, 3), (13, 2)])
+    def test_text_is_json_dumps_of_the_whole_payload(self, n_bits, n_branches):
+        # 2**13 amplitudes are two chunks of the streamed form.
+        st = random_two_layer(np.random.default_rng(n_bits), n_bits, n_branches)
+        payload = {"vars": list(st.env.names), "branches": [
+            {"p": p, "amps": row} for p, row in zip(st.probs.tolist(), st.amps.tolist())]}
+        assert state_to_json(st) == json.dumps(payload, indent=2)
+        env = st.env
+        dist = qppl.ClassicalState(env, st.amps[0] ** 2)
+        assert dist.to_json() == json.dumps(
+            {"vars": list(env.names), "probs": dist.probs.tolist()}, indent=2)
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_a_16_bit_dump_is_written_a_chunk_at_a_time(self, tmp_path, mode):
+        env = Environment(tuple(f"x{i}" for i in range(16)))
+        weights = np.random.default_rng(16).random(env.dim)
+        if mode == "quantum":
+            st = qppl.TwoLayerState(env, weights[None] / np.linalg.norm(weights), np.ones(1))
+            write = lambda out: state_to_json(st, out)
+        else:
+            write = qppl.ClassicalState(env, weights / weights.sum()).to_json
+        with open(tmp_path / "state.json", "w", encoding="utf-8") as out:
+            tracemalloc.start()
+            try:
+                write(out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The 0.5 MiB vector as text is about 1.3 MiB; whole, it peaked at 8 MiB.
+        assert peak < 2 << 20
+        assert len(json.loads((tmp_path / "state.json").read_text())["vars"]) == 16
 
 
 def test_basis_label():

@@ -1,4 +1,4 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -401,15 +401,20 @@ class TestRoundTrip:
                 check_stmt(stmt)
 
 
-def assert_no_shared_node(node, seen):
-    """Walk a tree by object identity; fails on a node object met twice."""
-    assert id(node) not in seen, node
-    seen.add(id(node))
+def all_nodes(node):
+    """The nodes of a tree, each time it is met."""
+    yield node
     for f in fields(node):
         value = getattr(node, f.name)
         for child in value if isinstance(value, tuple) else (value,):
             if is_dataclass(child):
-                assert_no_shared_node(child, seen)
+                yield from all_nodes(child)
+
+
+def assert_no_shared_node(tree):
+    """Fails on a node object met twice in a walk of the tree."""
+    ids = [id(node) for node in all_nodes(tree)]
+    assert len(set(ids)) == len(ids)
 
 
 class TestParsedTreesAreTrees:
@@ -421,7 +426,7 @@ class TestParsedTreesAreTrees:
                 tree = parse(src)
             except ParseError:
                 continue
-            assert_no_shared_node(tree, set())
+            assert_no_shared_node(tree)
 
     @given(comparison_texts)
     @settings(max_examples=200, deadline=None)
@@ -430,7 +435,7 @@ class TestParsedTreesAreTrees:
             tree = parse(f"def main(a, b, c, x : bit):\n  x ^= {rhs}\n")
         except ParseError:  # nested past MAX_NESTING
             return
-        assert_no_shared_node(tree, set())
+        assert_no_shared_node(tree)
 
     def test_comparison_chain_repr_is_linear(self):
         # 16 chained `==`; each operand is held once, so the repr names
@@ -439,3 +444,33 @@ class TestParsedTreesAreTrees:
         src = f"def main(x, y, z, w : bit):\n  x ^= {rhs}\n"
         assert len(src) == 117
         assert len(repr(parse(src))) < 2000
+
+
+class TestParsedNodes:
+    """The parser builds nodes without their dataclass __init__; they must
+    be the nodes __init__ would build."""
+
+    def test_nodes_equal_their_rebuilt_selves(self, corpus):
+        from test_parse_golden import golden_inputs
+
+        for src in [*corpus.values(), *golden_inputs()]:
+            try:
+                tree = parse(src)
+            except ParseError:
+                continue
+            for node in all_nodes(tree):
+                rebuilt = type(node)(**{f.name: getattr(node, f.name) for f in fields(node)})
+                assert rebuilt == node and hash(rebuilt) == hash(node)
+                assert rebuilt.__dict__ == node.__dict__  # loc and source too
+                assert repr(rebuilt) == repr(node)
+
+    def test_parsed_nodes_are_frozen(self):
+        tree = parse("def main(x, y : bit):\n  if x and not y:\n    y ^= x == 1\n  return y\n")
+        for node in all_nodes(tree):
+            name = fields(node)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
+        # Program, If, XorAssign, And, Not, Xor, Var and Const
+        assert len({type(n) for n in all_nodes(tree)}) == 8
