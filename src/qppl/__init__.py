@@ -15,16 +15,15 @@ from .syntax import (
 )
 from .validator import CLASSICAL, Diagnostic, QUANTUM, has_errors, validate
 from .state import (
-    Branch, CapacityError, Environment, MAX_LIVE_BITS, TwoLayerState,
+    Branch, CapacityError, ClassicalState, Environment, MAX_LIVE_BITS, TwoLayerState,
     assert_valid_state, basis_label, output_distribution, state_from_json,
     state_to_json, to_density,
 )
 from .engine import (
     apply_measure, apply_qrand, apply_return, comp_matrix, extend, initial_state, run,
-    truth_table,
+    run_classical, truth_table,
 )
 from .density import check_equivalence, run_density
-from .classical import ClassicalState, run_classical
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical, density, engine, state as state_mod, syntax, validator
+from . import density, engine, state as state_mod, syntax, validator
 
 
 KETS_CHUNK = 1 << 10  # worlds searched at once; a trace line is written a ket at a time
@@ -40,11 +40,11 @@ def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
     out.write("\n")
 
 
-def _print_trace(label: str, st: state_mod.TwoLayerState | classical.ClassicalState, out):
+def _print_trace(label: str, st: state_mod.TwoLayerState | state_mod.ClassicalState, out):
     """The statement's text, then a line of kets per branch, or of weights if classical."""
     if label:
         print(label, file=out)
-    if isinstance(st, classical.ClassicalState):
+    if isinstance(st, state_mod.ClassicalState):
         _write_kets("  ", st.probs, st.env.n_bits, out)
     else:
         for p, amps in zip(st.probs.tolist(), st.amps):
@@ -124,8 +124,8 @@ def _cmd_run(args) -> int:
         run, to_json, distribution = (engine.run, state_mod.state_to_json,
                                       state_mod.output_distribution)
     else:
-        run, to_json, distribution = (classical.run_classical, classical.ClassicalState.to_json,
-                                      classical.ClassicalState.distribution)
+        run, to_json, distribution = (engine.run_classical, state_mod.ClassicalState.to_json,
+                                      state_mod.ClassicalState.distribution)
     observer = None
     if args.trace:
         print(syntax.unparse(program).splitlines()[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import COMP_MATRIX_MAX_BITS, comp_matrix, run
+from . import engine
 from .state import CapacityError, Environment, to_density
 from .syntax import Measure, New, Program, Statement
 
@@ -57,8 +57,9 @@ def run_density(p: Program) -> np.ndarray:
     """
     env = Environment(tuple(p.inputs))
     n_bits = len(p.inputs) + sum(len(s.names) for s in p.body if isinstance(s, New))
-    if n_bits > COMP_MATRIX_MAX_BITS:
-        raise CapacityError(f"density semantics supports at most {COMP_MATRIX_MAX_BITS} bits")
+    if n_bits > engine.COMP_MATRIX_MAX_BITS:
+        raise CapacityError(
+            f"density semantics supports at most {engine.COMP_MATRIX_MAX_BITS} bits")
     rho = np.zeros((env.dim, env.dim))
     rho[0, 0] = 1.0
 
@@ -67,7 +68,7 @@ def run_density(p: Program) -> np.ndarray:
     def flush():
         nonlocal rho
         if pending:
-            u = comp_matrix(pending, env)
+            u = engine.comp_matrix(pending, env)
             rho = u @ rho @ u.T
             pending.clear()
 
@@ -97,5 +98,5 @@ def check_equivalence(p: Program) -> float:
     The oracle runs first, so a program over its bit cap raises
     CapacityError before the engine's state is turned into a matrix."""
     direct = run_density(p)
-    via_branches = to_density(run(p))
+    via_branches = to_density(engine.run(p))
     return float(np.max(np.abs(via_branches - direct)))

@@ -40,9 +40,15 @@ rather than 2**k. A ``new`` whose block, or a split whose branches after
 merging, would hold more than MAX_BLOCK_BYTES of amplitudes raises
 CapacityError before it is built.
 
-``run`` and ``classical.run_classical`` share one run loop, ``_run``,
-and differ only in the step and the return they pass it. Runs are
-deterministic; sampling happens only when rendering output.
+``run`` and ``run_classical`` share one run loop, ``_run``, and differ
+only in the step and the return they pass it. A classical state is one
+probability vector (``ClassicalState``), and each statement goes through
+``apply_comp`` as amplitudes do: destructive assignment merges worlds,
+rand_bit splits them half and half, and conditionals act on the worlds
+where the condition holds, so every classical statement is a
+column-stochastic linear map. The classical return sums the distribution
+over the discarded variables' axes. Runs are deterministic; sampling
+happens only when rendering output.
 """
 
 from __future__ import annotations
@@ -57,12 +63,12 @@ from .syntax import (
     Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
 )
 from . import state as _state
-from .state import (
-    CapacityError, Environment, MAX_BLOCK_BYTES, PRUNE_EPS, TwoLayerState, _chunks,
-)
+from .state import CapacityError, ClassicalState, Environment, TwoLayerState, _chunks
 
 # Most bits of a dense 2**n x 2**n matrix: comp_matrix and the density oracle.
 COMP_MATRIX_MAX_BITS = 10
+MAX_BLOCK_BYTES = 1 << 30  # amplitudes one state's block may hold
+PRUNE_EPS = 1e-12  # a split drops outcomes of this probability or less
 # Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
 # a power of two, so scaling onto it is exact) are merged. A merge moves no
 # density entry by more than about 1e-12.
@@ -547,6 +553,25 @@ def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer
 def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     """Execute a validated program; returns its final two-layer state."""
     return _run(p, initial_state(p.inputs), _step, apply_return, observer)
+
+
+def _classical_step(state: ClassicalState, stmt: Statement, _in_place: bool) -> ClassicalState:
+    return ClassicalState(state.env, apply_comp(state.probs, stmt, state.env, QUANTUM_ONLY))
+
+
+def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
+    env = state.env
+    kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
+    discarded = tuple(i for i, n in enumerate(env.names) if n not in kept)
+    marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
+    return ClassicalState(Environment(kept), marginal)
+
+
+def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalState:
+    """Execute a validated classical program; returns the final distribution."""
+    env = Environment(()).extended(tuple(p.inputs))  # CapacityError past MAX_LIVE_BITS
+    start = ClassicalState(env, np.eye(1, env.dim)[0])
+    return _run(p, start, _classical_step, _marginalize, observer)
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

@@ -13,6 +13,10 @@ probabilities. The engine, the observables and the JSON form all work on
 that block; ``branches`` lists it as ``Branch`` records whose amplitudes
 are views of the rows.
 
+A classical program's state, a ``ClassicalState``, has one layer: a
+probability vector over the worlds, whose weights sum to 1 rather than
+having unit length.
+
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
 most significant bit of the world index. Newly allocated variables are
@@ -29,9 +33,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 MAX_LIVE_BITS = 24      # dense vectors; refuse anything bigger up front
-MAX_BLOCK_BYTES = 1 << 30  # amplitudes one state's block may hold
 STATE_TOL = 1e-10       # norm and total-probability invariants
-PRUNE_EPS = 1e-12       # branch probabilities at or below this are dropped
 
 
 class CapacityError(RuntimeError):
@@ -99,6 +101,30 @@ class TwoLayerState:
     def branches(self) -> list[Branch]:
         """The branches as records whose amplitudes are views of the rows."""
         return [Branch(p, row) for p, row in zip(self.probs.tolist(), self.amps)]
+
+
+@dataclass
+class ClassicalState:
+    """World k has probability probs[k]: one layer, nonnegative weights."""
+
+    env: Environment
+    probs: np.ndarray
+
+    def distribution(self) -> dict[int, float]:
+        return {int(k): float(self.probs[k]) for k in np.flatnonzero(self.probs)}
+
+    def to_json(self, out: TextIO | None = None) -> str | None:
+        """{"vars": [...], "probs": [...]} as json.dumps(..., indent=2) lays
+        it out, written to ``out`` a chunk at a time, or, with no ``out``,
+        returned as one string."""
+        if out is None:
+            out = io.StringIO()
+            self.to_json(out)
+            return out.getvalue()
+        out.write(_json_head(self.env, "probs"))
+        _write_json_floats(out, self.probs, 1)
+        out.write("\n}")
+        return None
 
 
 # Entries of a block that one chunk holds (512 KiB of float64): statements,

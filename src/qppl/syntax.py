@@ -213,18 +213,17 @@ def free_vars(e: Expression) -> set[str]:
     return fold(e, lambda leaf: {leaf.name} if isinstance(leaf, Var) else set(), _UNION)
 
 
-def assigned_vars(stmts: Iterable[CompStatement]) -> set[str]:
-    """Names written by a sequence of computational statements."""
+def assigned_vars(stmts: Iterable[Statement]) -> set[str]:
+    """Names written by a sequence of statements, ``if`` bodies included.
+    A ``measure`` or ``new`` writes none, also in a hand-built ``if`` body."""
     out: set[str] = set()
     for s in stmts:
         if isinstance(s, (XorAssign, QRand, Assign, RandBit)):
             out.add(s.target)
         elif isinstance(s, If):
             out |= assigned_vars(s.body)
-        elif isinstance(s, QNeg):
-            pass
-        else:
-            raise TypeError(f"not a computational statement: {s!r}")
+        elif not isinstance(s, (QNeg, Measure, New)):
+            raise TypeError(f"not a statement: {s!r}")
     return out
 
 

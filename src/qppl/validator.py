@@ -92,7 +92,7 @@ class _Checker:
         elif isinstance(s, If):
             reads = self.check_expr_vars(s.cond, s.loc)
             if self.mode == QUANTUM:
-                overlap = reads & _safe_assigned(s.body)
+                overlap = reads & assigned_vars(s.body)
                 if overlap:
                     names = ", ".join(f"'{n}'" for n in sorted(overlap))
                     self.report("COND_ASSIGNS_CONDITION_VAR",
@@ -126,17 +126,6 @@ class _Checker:
                         self.allocated[name] = s.loc
         else:
             raise TypeError(f"not a statement: {s!r}")
-
-
-def _safe_assigned(body) -> set[str]:
-    # Tolerate Measure/New smuggled into a body at any depth; they are reported separately.
-    out: set[str] = set()
-    for s in body:
-        if isinstance(s, If):
-            out |= _safe_assigned(s.body)
-        elif not isinstance(s, (Measure, New)):
-            out |= assigned_vars((s,))
-    return out
 
 
 def _first_locs(left: dict[str, Loc | None],

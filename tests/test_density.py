@@ -34,6 +34,16 @@ class TestRunDensity:
         with pytest.raises(qppl.CapacityError):
             run_density(p)
 
+    def test_cap_is_read_from_the_engine(self, monkeypatch):
+        # The oracle reads the engine's one cap, so a lowered cap refuses the
+        # program with the up-front check's message, before any matrix is
+        # built, rather than where comp_matrix meets it.
+        monkeypatch.setattr(qppl.engine, "COMP_MATRIX_MAX_BITS", 4)
+        p = parse("def main(a, b, c, d : bit):\n  qrand_bit(a)\n  new e\n  e ^= a")
+        with pytest.raises(qppl.CapacityError) as err:
+            run_density(p)
+        assert str(err.value) == "density semantics supports at most 4 bits"
+
     def test_equivalence_check_raises_before_building_a_density_matrix(self):
         # The engine's 12-bit state as a density matrix would be 128 MiB.
         names = ", ".join(f"v{i}" for i in range(12))

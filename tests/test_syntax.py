@@ -253,6 +253,11 @@ class TestAnalyses:
         stmt = If(Var("c"), (XorAssign("y", Var("x")),))
         assert assigned_vars([stmt]) == {"y"}
 
+    def test_assigned_vars_skips_measure_and_new_in_an_if_body(self):
+        # Not constructible from source; the validator reports them on its own.
+        stmt = If(Var("x"), (XorAssign("z", Var("x")), Measure(("y",)), New(("w",))))
+        assert assigned_vars([stmt]) == {"z"}
+
     def test_assigned_vars_union(self):
         stmts = [QRand("x"), XorAssign("y", Var("x"))]
         assert assigned_vars(stmts) == {"x", "y"}
