@@ -5,29 +5,31 @@ j's amplitudes, and a vector of the B probabilities (``TwoLayerState``).
 The functions here take states and return new ones; a state that has
 been handed out, to a caller or an observer, is never written to.
 
-``apply_comp`` is the one statement kernel. It maps a world vector to a
-world vector: signed amplitudes here and in ``comp_matrix``, probabilities
-in classical mode. It works on the (2,)*n view of the vector, one axis per
-live variable and the columns of a stack trailing, and builds no index
-array. A block goes in as its transpose, worlds on axis 0 and a column
-per branch, so a statement is one call on the block, or on a chunk of
-rows at a time when the block is larger than state._CHUNK entries. An
-expression's truth table has a length-2 axis only for each variable the
-expression reads, so it holds 2**|FV| entries and is broadcast against
-the worlds. ``x ^= E`` swaps the two halves of x's axis where E holds;
-``x := E`` moves the worlds where E differs from x to their partner
-across that axis; an ``if`` of negations only negates the worlds of one
-table.
+``apply_comp`` is the one statement kernel. It writes a statement into
+the world vector it is given: signed amplitudes here and in
+``comp_matrix``, probabilities in classical mode. It works on the (2,)*n
+view of the vector, one axis per live variable and the columns of a stack
+trailing, and builds no index array. A block goes in as its transpose,
+worlds on axis 0 and a column per branch, a chunk of rows at a time (at
+most state._CHUNK entries, or one row), so a statement holds the block and
+a chunk's temporaries. An unobserved run writes its own block; a state
+that must stay as it was (an observed run's, or the argument of
+``apply_qrand``) is copied once and the copy is written. An expression's
+truth table has a length-2 axis only for each variable the expression
+reads, so it holds 2**|FV| entries and is broadcast against the worlds.
+``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
+moves the worlds where E differs from x to their partner across that
+axis; an ``if`` of negations only negates the worlds of one table.
 
 A table that holds on exactly one assignment of the variables it reads
 (a cube: a conjunction of literals such as ``x1``, ``x1 == 0`` or ``a and
 not b``) marks one basic-slice sub-block of the view, and the statement
-copies the worlds once and moves or negates only inside that sub-block,
-as state-vector simulators update the controlled block of a gate. Under
-_SUB_BLOCK_MIN entries, and for any other table, the statement takes the
-mask path: ``np.where`` for a swap, a multiply by a table of signs for
-negations, and for any other ``if`` a mask, whose body runs on the worlds
-where the condition holds while the rest pass through: the block form of
+moves or negates only inside that sub-block, as state-vector simulators
+update the controlled block of a gate. Under _SUB_BLOCK_MIN entries, and
+for any other table, the statement takes the mask path: ``np.where`` for a
+swap, a multiply by a table of signs for negations, and for any other
+``if`` a mask: its body runs on a masked copy of the worlds, which is added
+back to the worlds where the condition fails. That is the block form of
 the statement's matrix without materializing it.
 
 Measurement splits the block into one outcome per (branch, observed
@@ -118,6 +120,9 @@ _ALL, _AT = slice(None), (slice(0, 1), slice(1, 2))
 # Entries (worlds times columns) from which a statement on a cube takes the
 # sub-block path: below it the mask path's fewer numpy calls cost less.
 _SUB_BLOCK_MIN = 1 << 9
+# Worlds after a swap's last fixed axis from which the swap of a view of more
+# than one chunk goes through a copy of one half (see _swap).
+_SWAP_RUN = 1 << 6
 
 
 def _cube(table: np.ndarray) -> tuple[slice, ...] | None:
@@ -167,30 +172,52 @@ QUANTUM_ONLY = (QRand, QNeg, Measure, New)
 
 
 def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
-    """Mix each pair of worlds that differ only in the target bit.
+    """Mix each pair of worlds that differ only in the target bit, in place.
 
     Signed, the pair goes through the Hadamard matrix (qrand); unsigned,
     both worlds get the pair's average mass (rand_bit). The world axis is
     viewed as (higher bits, target bit, lower bits), so each half of every
     pair is a strided slice and no index array is built; trailing axes
-    (the columns of ``comp_matrix``) ride along.
+    (the columns of ``comp_matrix``) ride along. A vector of more than
+    state._CHUNK entries goes a piece of at most that many at a time, each
+    a power of two of rows and of lower bits, so all pieces have one shape:
+    a signed piece's sum and difference go into one scratch piece, which is
+    scaled back into place.
     """
     pairs = vec.reshape(-1, 2, 1 << shift, *vec.shape[1:])
-    out = np.empty_like(pairs)
-    # With the target bit next to the lowest, the halves interleave two by
-    # two and numpy's inner loop would be two long; each of the two lanes
-    # is one long strided pass instead.
-    for lane in (0, 1) if shift == 1 else (slice(None),):
-        zero, one = pairs[:, 0, lane], pairs[:, 1, lane]
-        np.add(zero, one, out=out[:, 0, lane])
+    n_rows, n_low = len(pairs), 1 << shift
+    if vec.size <= _state._CHUNK:
+        pieces = [pairs]
+    else:
+        cols = vec.size // (2 * n_rows * n_low)
+        width = min(n_low, _floor2(_state._CHUNK // (2 * cols)))
+        step = min(n_rows, _floor2(_state._CHUNK // (2 * width * cols)))
+        pieces = [pairs[r:r + step, :, low:low + width]
+                  for r in range(0, n_rows, step) for low in range(0, n_low, width)]
+    # With the target bit one or two above the lowest, the halves interleave
+    # in runs of two or four and numpy's inner loop would be that long; each
+    # lane of the lower bits is one long strided pass instead.
+    wide = n_low <= 4 and vec.size >= _SUB_BLOCK_MIN
+    lanes = range(pieces[0].shape[2]) if wide else (_ALL,)
+    mixed = np.empty_like(pieces[0]) if signed else None
+    for piece in pieces:
+        for lane in lanes:
+            zero, one = piece[:, 0, lane], piece[:, 1, lane]
+            if signed:
+                np.add(zero, one, out=mixed[:, 0, lane])
+                np.subtract(zero, one, out=mixed[:, 1, lane])
+            else:
+                zero += one
+                zero *= 0.5
+                one[...] = zero
         if signed:
-            np.subtract(zero, one, out=out[:, 1, lane])
-        else:
-            out[:, 0, lane] *= 0.5
-            out[:, 1, lane] = out[:, 0, lane]
-    if signed:
-        out *= _SQRT_HALF
-    return out.reshape(vec.shape)
+            np.multiply(mixed, _SQRT_HALF, out=piece)
+    return vec
+
+
+def _floor2(n: int) -> int:
+    """The largest power of two at most n, and 1 for n < 1."""
+    return 1 << max(n, 1).bit_length() - 1
 
 
 def _negated(stmt: If, env: Environment) -> np.ndarray | None:
@@ -213,43 +240,45 @@ def _negated(stmt: If, env: Environment) -> np.ndarray | None:
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
                foreign: tuple[type, ...]) -> np.ndarray:
-    """Apply one computational statement to a world vector.
+    """Apply one computational statement to a world vector, in place.
 
     The vector holds amplitudes in quantum mode and probabilities in
     classical mode; both go through this one kernel. A 2-D array is a
-    stack of column vectors, advanced together. ``foreign`` is the caller's
-    tuple of the other mode's statement kinds (CLASSICAL_ONLY or
-    QUANTUM_ONLY); meeting one at any depth raises ValueError.
+    stack of column vectors, advanced together. The result is written into
+    ``vec``, which is returned. ``foreign`` is the caller's tuple of the
+    other mode's statement kinds (CLASSICAL_ONLY or QUANTUM_ONLY); meeting
+    one at any depth raises ValueError.
     """
     if isinstance(stmt, foreign):
         raise ValueError(f"statement of the other mode: {statement_source(stmt)}")
     if isinstance(stmt, (QRand, RandBit)):
         return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
+    # Not np.negative: numpy 2.4.6 writes wrong values with it into a view
+    # whose world axes are all length 1 and whose columns are strided, as a
+    # chunk of a block's transpose is.
     if isinstance(stmt, QNeg):
-        return -vec
+        return np.multiply(vec, -1.0, out=vec)
     if not isinstance(stmt, (XorAssign, Assign, If)):
         raise TypeError(f"not a computational statement: {stmt!r}")
     worlds = vec.reshape((2,) * env.n_bits + vec.shape[1:])
     if isinstance(stmt, If):
         negated = None if QNeg in foreign else _negated(stmt, env)
-        if negated is not None:
-            if vec.size >= _SUB_BLOCK_MIN and (cube := _cube(negated)) is not None:
-                out = worlds.copy(order="K")
-                # Not np.negative: numpy 2.4.6 writes wrong values with it into
-                # a view whose world axes are all length 1 and whose columns
-                # are strided, as a chunk of a block's transpose is.
-                np.multiply(worlds[cube], -1.0, out=out[cube])
-                return out.reshape(vec.shape)
-            signs = _mask(np.where(negated, -1.0, 1.0), vec)
-            return (worlds * signs).reshape(vec.shape)
-        # Linear in the vector: the body may write the condition's variables
-        # in classical mode, so it must not be run on the whole vector.
-        # Multiplying by a boolean mask selects, and is faster than np.where.
-        mask = _mask(_table(stmt.cond, env), vec)
-        inside = (worlds * mask).reshape(vec.shape)
-        for inner in stmt.body:
-            inside = apply_comp(inside, inner, env, foreign)
-        return inside + (worlds * ~mask).reshape(vec.shape)
+        if negated is None:
+            # Linear in the vector: the body may write the condition's
+            # variables in classical mode, so it must not be run on the whole
+            # vector. Multiplying by a boolean mask selects, and is faster
+            # than np.where.
+            mask = _mask(_table(stmt.cond, env), vec)
+            inside = (worlds * mask).reshape(vec.shape)
+            for inner in stmt.body:
+                apply_comp(inside, inner, env, foreign)
+            worlds *= ~mask
+            worlds += inside.reshape(worlds.shape)
+        elif vec.size >= _SUB_BLOCK_MIN and (cube := _cube(negated)) is not None:
+            np.multiply(worlds[cube], -1.0, out=worlds[cube])
+        else:
+            worlds *= _mask(np.where(negated, -1.0, 1.0), vec)
+        return vec
     # Each world whose target bit must change moves to its partner across
     # the target axis: for x ^= E where E holds, for x := E where E differs
     # from x.
@@ -266,27 +295,61 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
                 move = halves[0]
         cube = _cube(move)
     if cube is not None:
-        # The worlds that move are one sub-block: copy the worlds once and
-        # move that sub-block's halves of the target axis.
-        out = worlds.copy(order="K")
+        # The worlds that move are one sub-block: move its halves of the
+        # target axis.
         zero, one = (cube[:pos] + (at,) + cube[pos + 1:] for at in _AT)
         if move.shape[pos] == 1:  # both halves move: a swap
-            out[zero], out[one] = worlds[one], worlds[zero]
+            _swap(worlds, zero, one)
         else:  # one half moves onto the other, as for x := 0
             to, source = (zero, one) if cube[pos] is _AT[1] else (one, zero)
-            out[to] += worlds[source]
-            out[source] = 0.0
-        return out.reshape(vec.shape)
+            worlds[to] += worlds[source]
+            worlds[source] = 0.0
+        return vec
     flip = (_ALL,) * pos + (slice(None, None, -1),)
+    move = _mask(move, vec)
     if move.shape[pos] == 1:
         # The move does not depend on the target, so the statement swaps the
         # two halves of the target axis wherever it holds.
-        return np.where(_mask(move, vec), worlds[flip], worlds).reshape(vec.shape)
+        worlds[...] = np.where(move, worlds[flip], worlds)
+        return vec
     # Otherwise worlds may merge.
-    move = _mask(move, vec)
-    out = worlds * ~move
-    out += (worlds * move)[flip]
-    return out.reshape(vec.shape)
+    moved = (worlds * move)[flip]
+    worlds *= ~move
+    worlds += moved
+    return vec
+
+
+def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
+    """Exchange the halves ``zero`` and ``one`` of a sub-block of the world
+    view in place.
+
+    Both halves fix the same world axes. On a view of more than one chunk
+    whose worlds after the last fixed axis are one world or a run of at
+    least _SWAP_RUN, one half is copied aside and written with a ufunc's
+    ``out=``: an assignment between interleaved halves of one array makes
+    numpy copy the source first. Shorter runs make numpy's strided loops
+    slow, and a smaller view is cheap to copy, so otherwise the worlds go a
+    chunk of the axes before the first fixed one at a time (all of them if
+    the first axis is fixed): the chunk is copied, and its halves are
+    assigned back from the copy.
+    """
+    n = len(zero) - 1  # the world axes; an Ellipsis keeps the columns
+    fixed = [i for i in range(n) if zero[i] is not _ALL]
+    run = 1 << n - 1 - fixed[-1]
+    if worlds.size > _state._CHUNK and (run == 1 or run >= _SWAP_RUN):
+        kept = worlds[zero].copy()
+        np.multiply(worlds[one], 1.0, out=worlds[zero])
+        worlds[one] = kept
+        return
+    rows = worlds.reshape((-1,) + worlds.shape[fixed[0]:])
+    zero, one = (_ALL,) + zero[fixed[0]:], (_ALL,) + one[fixed[0]:]
+    step = max(1, _state._CHUNK * len(rows) // worlds.size)
+    copied = np.empty(rows[:step].shape)
+    for r in range(0, len(rows), step):
+        chunk = rows[r:r + step]
+        source = copied[:len(chunk)]
+        source[...] = chunk
+        chunk[zero], chunk[one] = source[one], source[zero]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +493,8 @@ def _split(state: TwoLayerState, names: Sequence[str],
     n_heads, seen = 0, {}  # and the first head with each hash of a key
     for c in _chunks(len(amps), dim):
         block = source[c].reshape(-1, width)  # row j * n_values + y; a copy unless named bits lead
-        masses = np.add.accumulate(block * block, axis=1)[:, -1].copy()  # summed in world order
+        masses = block * block
+        masses = np.add.accumulate(masses, axis=1, out=masses)[:, -1].copy()  # in world order
         weights = (probs[c, None] * masses.reshape(-1, n_values)).ravel()
         survivors = (weights > PRUNE_EPS).nonzero()[0]
         # Merging holds a key of width + 1 entries and about seven numbers per
@@ -507,22 +571,20 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
 # ---------------------------------------------------------------------------
 
 def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerState:
-    """One top-level statement on a state; with ``in_place``, the state's
-    block may be overwritten."""
+    """One top-level statement on a state. With ``in_place`` the state's
+    block is written; otherwise it is copied once and the copy is written.
+
+    The transpose of a chunk of rows is a view with the worlds on axis 0
+    and one column per branch, so a statement holds the block and a chunk's
+    temporaries; a one-branch block is one chunk.
+    """
     if isinstance(stmt, New):
         return extend(state, stmt.names)
     if isinstance(stmt, Measure):
         return apply_measure(state, stmt.names)
-    env, amps = state.env, state.amps
-    # The transpose is a view: worlds on axis 0, one column per branch. A
-    # block of several chunks goes a chunk of rows at a time, written back
-    # in place when no one else holds the block, so a statement holds one
-    # block and a chunk's temporaries.
-    if len(amps) == 1 or amps.size <= _state._CHUNK:
-        return TwoLayerState(env, apply_comp(amps.T, stmt, env, CLASSICAL_ONLY).T, state.probs)
-    out = amps if in_place else np.empty_like(amps)
-    for c in _chunks(len(amps), env.dim):
-        out[c] = apply_comp(amps[c].T, stmt, env, CLASSICAL_ONLY).T
+    env, out = state.env, state.amps if in_place else state.amps.copy()
+    for c in _chunks(*out.shape):
+        apply_comp(out[c].T, stmt, env, CLASSICAL_ONLY)
     return TwoLayerState(env, out, state.probs)
 
 
@@ -555,8 +617,9 @@ def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     return _run(p, initial_state(p.inputs), _step, apply_return, observer)
 
 
-def _classical_step(state: ClassicalState, stmt: Statement, _in_place: bool) -> ClassicalState:
-    return ClassicalState(state.env, apply_comp(state.probs, stmt, state.env, QUANTUM_ONLY))
+def _classical_step(state: ClassicalState, stmt: Statement, in_place: bool) -> ClassicalState:
+    probs = state.probs if in_place else state.probs.copy()
+    return ClassicalState(state.env, apply_comp(probs, stmt, state.env, QUANTUM_ONLY))
 
 
 def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
@@ -586,5 +649,5 @@ def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:
             f"comp_matrix supports at most {COMP_MATRIX_MAX_BITS} bits, got {env.n_bits}")
     matrix = np.eye(env.dim)
     for stmt in body:
-        matrix = apply_comp(matrix, stmt, env, CLASSICAL_ONLY)
+        apply_comp(matrix, stmt, env, CLASSICAL_ONLY)
     return matrix

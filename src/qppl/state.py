@@ -136,6 +136,8 @@ _CHUNK = 1 << 16
 def _chunks(n_rows: int, row_len: int) -> list[slice]:
     """Consecutive row ranges of at most _CHUNK entries (one row at least)."""
     step = _CHUNK // row_len or 1
+    if 0 < n_rows <= step:  # the common case, without the comprehension's cost
+        return [slice(0, n_rows)]
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 

@@ -25,7 +25,7 @@ S = 1 / RT2
 
 def step(state, stmt):
     """One computational statement on every branch, through the engine's kernel."""
-    rows = [apply_comp(row, stmt, state.env, CLASSICAL_ONLY) for row in state.amps]
+    rows = [apply_comp(row.copy(), stmt, state.env, CLASSICAL_ONLY) for row in state.amps]
     return TwoLayerState(state.env, np.array(rows), state.probs)
 
 
@@ -128,20 +128,20 @@ class TestCoinKernel:
     @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
     def test_qrand_on_a_vector(self, target):
         v = np.random.default_rng(3).standard_normal(16)
-        got = apply_comp(v, QRand(target), self.ENV, CLASSICAL_ONLY)
+        got = apply_comp(v.copy(), QRand(target), self.ENV, CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, coin_reference(v, self.ENV, target, True))
 
     @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
     def test_qrand_on_matrix_columns(self, target):
         m = np.random.default_rng(4).standard_normal((16, 5))
-        got = apply_comp(m, QRand(target), self.ENV, CLASSICAL_ONLY)
+        got = apply_comp(m.copy(), QRand(target), self.ENV, CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, coin_reference(m, self.ENV, target, True))
 
     @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
     def test_rand_bit_on_probabilities(self, target):
         probs = np.random.default_rng(5).random(16)
         probs /= probs.sum()
-        got = apply_comp(probs, RandBit(target), self.ENV, QUANTUM_ONLY)
+        got = apply_comp(probs.copy(), RandBit(target), self.ENV, QUANTUM_ONLY)
         np.testing.assert_array_equal(got, coin_reference(probs, self.ENV, target, False))
 
     @pytest.mark.parametrize("target", ["x0", "x9", "x10"])
@@ -153,7 +153,7 @@ class TestCoinKernel:
         foreign = CLASSICAL_ONLY if kind is QRand else QUANTUM_ONLY
         rows = np.random.default_rng(9).random((3, env.dim))
         for vec in (rows[0], rows.T):
-            got = apply_comp(vec, kind(target), env, foreign)
+            got = apply_comp(vec.copy(order="K"), kind(target), env, foreign)
             np.testing.assert_array_equal(
                 got, coin_reference(vec, env, target, kind is QRand))
 
@@ -394,7 +394,7 @@ class TestWorldKernels:
     def test_quantum_statements(self, case, stacked):
         env, stmt, vec = case
         vec = np.eye(env.dim) if stacked else vec - 0.5
-        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
         np.testing.assert_allclose(got, kernel_reference(vec, stmt, env), atol=1e-12)
 
     @given(kernel_cases((XorAssign, Assign, RandBit)) | kernel_cases(), st.booleans())
@@ -402,7 +402,7 @@ class TestWorldKernels:
     def test_classical_statements(self, case, stacked):
         env, stmt, vec = case
         vec = np.eye(env.dim) if stacked else vec
-        got = apply_comp(vec, stmt, env, QUANTUM_ONLY)
+        got = apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY)
         np.testing.assert_allclose(got, kernel_reference(vec, stmt, env), atol=1e-12)
 
     @given(kernel_cases((QNeg,)), st.booleans())
@@ -412,7 +412,7 @@ class TestWorldKernels:
         # multiply by a +-1 table; it must equal the per-world reference.
         env, stmt, vec = case
         vec = np.eye(env.dim) if stacked else vec - 0.5
-        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
 
     def test_nested_negation_is_rejected_in_classical_mode(self):
@@ -433,7 +433,7 @@ class TestWorldKernels:
         env = Environment(names)
         stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
         vec = np.random.default_rng(6).standard_normal(env.dim)
-        got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+        got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
 
     @pytest.mark.parametrize("source", [
@@ -444,7 +444,7 @@ class TestWorldKernels:
         env = Environment(names)
         stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
         probs = np.random.default_rng(7).random(env.dim)
-        got = apply_comp(probs, stmt, env, QUANTUM_ONLY)
+        got = apply_comp(probs.copy(), stmt, env, QUANTUM_ONLY)
         np.testing.assert_allclose(got, kernel_reference(probs, stmt, env), atol=1e-15)
 
     def test_truth_table_on_a_wide_state(self):
@@ -465,7 +465,7 @@ class TestWorldKernels:
         env, stmt, vec = case
         vec = stacked(vec - 0.5, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec, stmt, env, CLASSICAL_ONLY)):
+        for got in both_paths(lambda: apply_comp(vec.copy(order="K"), stmt, env, CLASSICAL_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
     @given(cube_cases(quantum=False), st.sampled_from(STACKS))
@@ -474,7 +474,7 @@ class TestWorldKernels:
         env, stmt, vec = case
         vec = stacked(vec, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec, stmt, env, QUANTUM_ONLY)):
+        for got in both_paths(lambda: apply_comp(vec.copy(order="K"), stmt, env, QUANTUM_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("source, cube", [
@@ -492,7 +492,7 @@ class TestWorldKernels:
     def test_a_sub_block_of_no_bits(self, monkeypatch, vec):
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         stmt = If(Const(1), (QNeg(),))
-        got = apply_comp(vec, stmt, Environment(()), CLASSICAL_ONLY)
+        got = apply_comp(vec.copy(), stmt, Environment(()), CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, -vec)
 
     @pytest.mark.parametrize("source, cube", [
@@ -509,7 +509,7 @@ class TestWorldKernels:
         probs = np.random.default_rng(3).random(env.dim)
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         cubes_found = spy_cubes(monkeypatch)
-        got = apply_comp(probs, stmt, env, QUANTUM_ONLY)
+        got = apply_comp(probs.copy(), stmt, env, QUANTUM_ONLY)
         assert cubes_found == [cube and cube + (...,)]
         np.testing.assert_array_equal(got, kernel_reference(probs, stmt, env))
 
@@ -524,7 +524,7 @@ class TestWorldKernels:
             stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
             with pytest.MonkeyPatch.context() as mp:
                 cubes_found = spy_cubes(mp)
-                got = apply_comp(vec, stmt, env, CLASSICAL_ONLY)
+                got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
             assert len(cubes_found) == takes_sub_block
             np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
 
@@ -567,6 +567,108 @@ class TestWorldKernels:
                 cond = (1 - bit["x1"]) & bit["x0"] & cond
             expected = amps * np.where(cond, -1.0, 1.0)
         np.testing.assert_array_equal(got.amps, expected)
+
+
+# Statements of every kernel path, on a target x, with a and b the two
+# lowest-order other variables, so the cubes fix the lowest bits, and h the
+# highest-order one.
+QUANTUM_FORMS = (
+    "qrand_bit({x})",
+    "{x} ^= {a} and {b}",  # a swap on a cube
+    "{x} ^= not {a}",
+    "{x} ^= {h}",
+    "{x} ^= {rest}",  # a cube that fixes every world axis
+    "{x} ^= {a} ^ {b}",  # a swap on a mask
+    "if {x}:\n    qnegate()",  # negations on a cube
+    "if {a} and {b}:\n    qnegate()",
+    "if not {h}:\n    qnegate()",
+    "if {x} == {a}:\n    qnegate()",  # a table of signs
+    "if {a} and not {x}:\n    qrand_bit({b})\n    {b} ^= {x}\n    qnegate()",  # a mask
+    "qnegate()",
+)
+CLASSICAL_FORMS = (
+    "{x} := rand_bit()",
+    "{x} ^= {a} and {b}",
+    "{x} := {x} ^ {a}",  # a swap on a cube of one half of x's axis
+    "{x} := 0",  # a merge on a cube
+    "{x} := {a} or {b}",  # a merge on a mask
+    "if {a} and {b}:\n    {x} := not {x}",  # a mask
+)
+
+
+def statements_on_every_target(names, forms):
+    """Each form on each target, as a parsed statement."""
+    header = f"def main({', '.join(names)} : bit):\n  "
+    for x in names:
+        others = [n for n in names if n != x]
+        for form in forms:
+            source = form.format(x=x, a=others[-1], b=others[-2], h=others[0],
+                                 rest=" and ".join(others))
+            yield parse(header + source + "\n").body[0]
+
+
+def step_both_ways(state, stmt, classical):
+    """The statement on a copy (in_place=False), which must leave the state
+    as it was, then in place, which must write the state's own array and
+    give the same numbers; returns that array."""
+    step = engine._classical_step if classical else engine._step
+    numbers = (lambda s: s.probs) if classical else (lambda s: s.amps)
+    before = numbers(state).copy()
+    copied = step(state, stmt, False)
+    assert numbers(copied) is not numbers(state)
+    assert np.array_equal(numbers(state), before)
+    got = step(state, stmt, True)
+    assert numbers(got) is numbers(state)
+    np.testing.assert_array_equal(numbers(got), numbers(copied))
+    return numbers(got)
+
+
+class TestInPlace:
+    """A statement in place and on a copy gives the same numbers, bit for
+    bit, and with state._CHUNK patched small, so that vectors go in pieces
+    and chunks and the swap of a long run takes the in-place path, it gives
+    them too."""
+
+    @pytest.mark.parametrize("n_bits", [9, 10, 11, 12])
+    @pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+    def test_one_row_at_every_target_shift(self, n_bits, classical):
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        rng = np.random.default_rng(n_bits)
+        for stmt in statements_on_every_target(names, CLASSICAL_FORMS if classical
+                                               else QUANTUM_FORMS):
+            vec = rng.random(env.dim)
+            results = []
+            for chunk in (None, 64):
+                with pytest.MonkeyPatch.context() as mp:
+                    if chunk:
+                        mp.setattr(qppl.state, "_CHUNK", chunk)
+                    state = (qppl.ClassicalState(env, vec.copy()) if classical
+                             else TwoLayerState(env, vec[None].copy(), np.ones(1)))
+                    results.append(step_both_ways(state, stmt, classical).reshape(-1))
+            np.testing.assert_array_equal(results[1], results[0])
+            if n_bits == 9:
+                np.testing.assert_allclose(results[0], kernel_reference(vec, stmt, env),
+                                           atol=1e-12)
+
+    @pytest.mark.parametrize("n_bits, chunk", [(4, None), (4, 16), (10, None), (10, 2048),
+                                               (10, 1024), (10, 100)])
+    def test_blocks_of_several_rows(self, n_bits, chunk):
+        # Three rows: one chunk; two rows and then one; a row a chunk; a row
+        # in pieces of 64 entries.
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        rng = np.random.default_rng(n_bits)
+        for stmt in statements_on_every_target(names, QUANTUM_FORMS):
+            rows = rng.standard_normal((3, env.dim))
+            whole = step_both_ways(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt,
+                                   classical=False)
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk:
+                    mp.setattr(qppl.state, "_CHUNK", chunk)
+                got = step_both_ways(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt,
+                                     classical=False)
+            np.testing.assert_array_equal(got, whole)
 
 
 def counted(monkeypatch, module, name):
@@ -1014,6 +1116,27 @@ class TestBlockStore:
         assert len(final.branches) == 1024 and block == 8 << 20
         assert peak <= 1.5 * block
 
+    def test_peak_memory_of_a_one_branch_run_stays_under_two_blocks(self):
+        # One branch of 18 bits (2 MiB): qrand every bit, the
+        # x{i+2} ^= x{i} and x{i+1} chain, then if x{i} == x{i+5}: qnegate().
+        # Unobserved, each statement writes the block with at most half a
+        # sub-block or a chunk beside it; a new vector built beside the old
+        # one would peak at two blocks.
+        n = 18
+        xs = [f"x{i}" for i in range(n)]
+        body = [f"new {', '.join(xs)}", *(f"qrand_bit({x})" for x in xs),
+                *(f"x{i + 2} ^= x{i} and x{i + 1}" for i in range(n - 2)),
+                *(f"if x{i} == x{(i + 5) % n}:\n    qnegate()" for i in range(n - 1))]
+        p = parse("def main():\n" + "".join(f"  {line}\n" for line in body))
+        tracemalloc.start()
+        try:
+            final = run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert final.amps.shape == (1, 1 << n)
+        assert peak < 1.6 * final.amps.nbytes
+
     def test_peak_memory_of_to_density_is_the_matrix_and_a_chunk(self):
         # 2048 branches of 2048 amplitudes (32 MiB) give a 32 MiB matrix;
         # weighting the whole block before the product would hold a second
@@ -1128,6 +1251,19 @@ class TestInputsUnchanged:
         out = call(st)
         assert_valid_state(out)
         assert np.array_equal(st.amps, amps) and np.array_equal(st.probs, probs)
+
+
+    @pytest.mark.parametrize("target", ["x0", "x7", "x8", "x9"])
+    def test_qrand_leaves_a_wide_branch_alone(self, target):
+        # One row of 10 bits, above engine._SUB_BLOCK_MIN, where the coin on
+        # x7 and x8 goes by lanes: it writes a copy, never the given block.
+        env = Environment(tuple(f"x{i}" for i in range(10)))
+        row = np.random.default_rng(10).standard_normal(env.dim)
+        st = TwoLayerState(env, (row / np.linalg.norm(row))[None], np.ones(1))
+        amps = st.amps.copy()
+        out = apply_qrand(st, target)
+        assert_valid_state(out)
+        assert np.array_equal(st.amps, amps) and out.amps is not st.amps
 
 
 class TestRun:
