@@ -6,17 +6,17 @@ The functions here take states and return new ones; a state that has
 been handed out, to a caller or an observer, is never written to.
 
 ``apply_comp`` is the one statement kernel. It writes a statement into
-the world vector it is given: signed amplitudes here and in
-``comp_matrix``, probabilities in classical mode. It works on the (2,)*n
-view of the vector, one axis per live variable and the columns of a stack
-trailing, and builds no index array. A block goes in as its transpose,
-worlds on axis 0 and a column per branch, a chunk of rows at a time (at
-most state._CHUNK entries, or one row), so a statement holds the block and
-a chunk's temporaries. An unobserved run writes its own block; a state
-that must stay as it was (an observed run's, or the argument of
-``apply_qrand``) is copied once and the copy is written. An expression's
-truth table has a length-2 axis only for each variable the expression
-reads, so it holds 2**|FV| entries and is broadcast against the worlds.
+the world vector it is given, or into each row of a batch of them:
+signed amplitudes here and in ``comp_matrix``, probabilities in classical
+mode. It works on the (2,)*n view of the last axis, one axis per live
+variable with the rows of a batch in front, and builds no index array. A
+block goes in a chunk of rows at a time (at most state._CHUNK entries, or
+one row), so a statement holds the block and a chunk's temporaries. An
+unobserved run writes its own block; a state that must stay as it was (an
+observed run's, or the argument of ``apply_qrand``) is copied once and the
+copy is written. An expression's truth table has a length-2 axis only for
+each variable the expression reads, so it holds 2**|FV| entries and is
+broadcast against the worlds of every row.
 ``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
 moves the worlds where E differs from x to their partner across that
 axis; an ``if`` of negations only negates the worlds of one table.
@@ -75,6 +75,10 @@ PRUNE_EPS = 1e-12  # a split drops outcomes of this probability or less
 # a power of two, so scaling onto it is exact) are merged. A merge moves no
 # density entry by more than about 1e-12.
 MERGE_GRID = 2.0 ** -40
+# Bytes a split holds per head beside its row: its entry in the hash dict
+# ``seen`` (about 107: a slot, a hash and a head number) and its place in
+# the three head arrays, which double when full (up to 48).
+_HEAD_BYTES = 160
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -117,7 +121,7 @@ def _bit_table(n_bits: int, pos: int) -> np.ndarray:
 
 
 _ALL, _AT = slice(None), (slice(0, 1), slice(1, 2))
-# Entries (worlds times columns) from which a statement on a cube takes the
+# Entries (worlds times rows) from which a statement on a cube takes the
 # sub-block path: below it the mask path's fewer numpy calls cost less.
 _SUB_BLOCK_MIN = 1 << 9
 # Worlds after a swap's last fixed axis from which the swap of a view of more
@@ -131,10 +135,10 @@ def _cube(table: np.ndarray) -> tuple[slice, ...] | None:
     (a conjunction of literals such as ``a and not b``); else None.
 
     A read axis is fixed by a length-1 slice and the others stay whole, so
-    the sub-block keeps every axis; a trailing Ellipsis keeps the columns
-    of a stack, and keeps the index a view on a 0-bit vector. The test
-    counts the table's 2**|FV| bytes, which costs less than a numpy call on
-    the tiny tables of most statements.
+    the sub-block keeps every axis; a leading Ellipsis keeps the rows of a
+    batch, and keeps the index a view on a 0-bit vector. The test counts
+    the table's 2**|FV| bytes, which costs less than a numpy call on the
+    tiny tables of most statements.
     """
     flat = table.tobytes()
     if flat.count(1) != 1:
@@ -143,23 +147,17 @@ def _cube(table: np.ndarray) -> tuple[slice, ...] | None:
     for size in reversed(table.shape):
         cube.append(_AT[k & 1] if size == 2 else _ALL)
         k >>= size - 1
-    return (*reversed(cube), ...)
+    return (..., *reversed(cube))
 
 
-def _mask(table: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """A table shaped to broadcast against the world view of ``vec``.
-
-    If the table reads one of the last _INNER_AXES bits of a wider state,
-    those axes are expanded, which costs at most 2**(|FV| + _INNER_AXES)
-    entries and keeps numpy's inner loops 2**_INNER_AXES long. Length-1
-    axes are appended for the columns of a stack.
-    """
+def _mask(table: np.ndarray) -> np.ndarray:
+    """The table, with its last _INNER_AXES axes expanded if it reads one of
+    them on a wider state: that costs at most 2**(|FV| + _INNER_AXES)
+    entries and keeps numpy's inner loops 2**_INNER_AXES long."""
     n = table.ndim
     if n > _INNER_AXES and max(table.shape[n - _INNER_AXES:]) == 2:
         table = np.ascontiguousarray(
             np.broadcast_to(table, table.shape[:n - _INNER_AXES] + (2,) * _INNER_AXES))
-    if vec.ndim > 1:
-        table = table.reshape(table.shape + (1,) * (vec.ndim - 1))
     return table
 
 
@@ -175,23 +173,22 @@ def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     """Mix each pair of worlds that differ only in the target bit, in place.
 
     Signed, the pair goes through the Hadamard matrix (qrand); unsigned,
-    both worlds get the pair's average mass (rand_bit). The world axis is
-    viewed as (higher bits, target bit, lower bits), so each half of every
-    pair is a strided slice and no index array is built; trailing axes
-    (the columns of ``comp_matrix``) ride along. A vector of more than
+    both worlds get the pair's average mass (rand_bit). The worlds are
+    viewed as (rows and higher bits, target bit, lower bits), so each half
+    of every pair is a strided slice and no index array is built; the rows
+    of a batch fold into the higher bits. A vector of more than
     state._CHUNK entries goes a piece of at most that many at a time, each
     a power of two of rows and of lower bits, so all pieces have one shape:
     a signed piece's sum and difference go into one scratch piece, which is
     scaled back into place.
     """
-    pairs = vec.reshape(-1, 2, 1 << shift, *vec.shape[1:])
+    pairs = vec.reshape(-1, 2, 1 << shift)
     n_rows, n_low = len(pairs), 1 << shift
     if vec.size <= _state._CHUNK:
         pieces = [pairs]
     else:
-        cols = vec.size // (2 * n_rows * n_low)
-        width = min(n_low, _floor2(_state._CHUNK // (2 * cols)))
-        step = min(n_rows, _floor2(_state._CHUNK // (2 * width * cols)))
+        width = min(n_low, _floor2(_state._CHUNK // 2))
+        step = min(n_rows, _floor2(_state._CHUNK // (2 * width)))
         pieces = [pairs[r:r + step, :, low:low + width]
                   for r in range(0, n_rows, step) for low in range(0, n_low, width)]
     # With the target bit one or two above the lowest, the halves interleave
@@ -243,24 +240,24 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     """Apply one computational statement to a world vector, in place.
 
     The vector holds amplitudes in quantum mode and probabilities in
-    classical mode; both go through this one kernel. A 2-D array is a
-    stack of column vectors, advanced together. The result is written into
-    ``vec``, which is returned. ``foreign`` is the caller's tuple of the
-    other mode's statement kinds (CLASSICAL_ONLY or QUANTUM_ONLY); meeting
-    one at any depth raises ValueError.
+    classical mode; both go through this one kernel. The worlds are the
+    last axis; any leading axes hold a batch of rows, each advanced alone.
+    The result is written into ``vec``, which is returned. ``foreign`` is
+    the caller's tuple of the other mode's statement kinds (CLASSICAL_ONLY
+    or QUANTUM_ONLY); meeting one at any depth raises ValueError.
     """
     if isinstance(stmt, foreign):
         raise ValueError(f"statement of the other mode: {statement_source(stmt)}")
     if isinstance(stmt, (QRand, RandBit)):
         return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
     # Not np.negative: numpy 2.4.6 writes wrong values with it into a view
-    # whose world axes are all length 1 and whose columns are strided, as a
-    # chunk of a block's transpose is.
+    # whose world axes are all length 1 and whose rows are strided, as a
+    # sub-block of a batch is.
     if isinstance(stmt, QNeg):
         return np.multiply(vec, -1.0, out=vec)
     if not isinstance(stmt, (XorAssign, Assign, If)):
         raise TypeError(f"not a computational statement: {stmt!r}")
-    worlds = vec.reshape((2,) * env.n_bits + vec.shape[1:])
+    worlds = vec.reshape(vec.shape[:-1] + (2,) * env.n_bits)
     if isinstance(stmt, If):
         negated = None if QNeg in foreign else _negated(stmt, env)
         if negated is None:
@@ -268,7 +265,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
             # variables in classical mode, so it must not be run on the whole
             # vector. Multiplying by a boolean mask selects, and is faster
             # than np.where.
-            mask = _mask(_table(stmt.cond, env), vec)
+            mask = _mask(_table(stmt.cond, env))
             inside = (worlds * mask).reshape(vec.shape)
             for inner in stmt.body:
                 apply_comp(inside, inner, env, foreign)
@@ -277,7 +274,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         elif vec.size >= _SUB_BLOCK_MIN and (cube := _cube(negated)) is not None:
             np.multiply(worlds[cube], -1.0, out=worlds[cube])
         else:
-            worlds *= _mask(np.where(negated, -1.0, 1.0), vec)
+            worlds *= _mask(np.where(negated, -1.0, 1.0))
         return vec
     # Each world whose target bit must change moves to its partner across
     # the target axis: for x ^= E where E holds, for x := E where E differs
@@ -296,17 +293,17 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         cube = _cube(move)
     if cube is not None:
         # The worlds that move are one sub-block: move its halves of the
-        # target axis.
-        zero, one = (cube[:pos] + (at,) + cube[pos + 1:] for at in _AT)
+        # target axis, which is cube[pos + 1] after the Ellipsis.
+        zero, one = (cube[:pos + 1] + (at,) + cube[pos + 2:] for at in _AT)
         if move.shape[pos] == 1:  # both halves move: a swap
             _swap(worlds, zero, one)
         else:  # one half moves onto the other, as for x := 0
-            to, source = (zero, one) if cube[pos] is _AT[1] else (one, zero)
+            to, source = (zero, one) if cube[pos + 1] is _AT[1] else (one, zero)
             worlds[to] += worlds[source]
             worlds[source] = 0.0
         return vec
-    flip = (_ALL,) * pos + (slice(None, None, -1),)
-    move = _mask(move, vec)
+    flip = (..., slice(None, None, -1)) + (_ALL,) * env.shift(stmt.target)
+    move = _mask(move)
     if move.shape[pos] == 1:
         # The move does not depend on the target, so the statement swaps the
         # two halves of the target axis wherever it holds.
@@ -323,19 +320,18 @@ def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
     """Exchange the halves ``zero`` and ``one`` of a sub-block of the world
     view in place.
 
-    Both halves fix the same world axes. On a view of more than one chunk
-    whose worlds after the last fixed axis are one world or a run of at
-    least _SWAP_RUN, one half is copied aside and written with a ufunc's
-    ``out=``: an assignment between interleaved halves of one array makes
-    numpy copy the source first. Shorter runs make numpy's strided loops
-    slow, and a smaller view is cheap to copy, so otherwise the worlds go a
-    chunk of the axes before the first fixed one at a time (all of them if
-    the first axis is fixed): the chunk is copied, and its halves are
-    assigned back from the copy.
+    Both halves fix the same world axes, after an Ellipsis that keeps the
+    rows. On a view of more than one chunk whose worlds after the last
+    fixed axis are one world or a run of at least _SWAP_RUN, one half is
+    copied aside and written with a ufunc's ``out=``: an assignment between
+    interleaved halves of one array makes numpy copy the source first.
+    Shorter runs make numpy's strided loops slow, and a smaller view is
+    cheap to copy, so otherwise the worlds go a chunk of the rows and the
+    axes before the first fixed one at a time: the chunk is copied, and its
+    halves are assigned back from the copy.
     """
-    n = len(zero) - 1  # the world axes; an Ellipsis keeps the columns
-    fixed = [i for i in range(n) if zero[i] is not _ALL]
-    run = 1 << n - 1 - fixed[-1]
+    fixed = [i for i in range(1 - len(zero), 0) if zero[i] is not _ALL]
+    run = 1 << -1 - fixed[-1]
     if worlds.size > _state._CHUNK and (run == 1 or run >= _SWAP_RUN):
         kept = worlds[zero].copy()
         np.multiply(worlds[one], 1.0, out=worlds[zero])
@@ -356,13 +352,13 @@ def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
 # Blocks: a state's branches as one array
 # ---------------------------------------------------------------------------
 
-def _check_block(rows: int, width: int):
-    """Raise CapacityError if rows x width float64 amplitudes exceed
-    MAX_BLOCK_BYTES; a split's rows are its branches after merging."""
-    if rows * width * 8 > MAX_BLOCK_BYTES:
+def _check_block(rows: int, width: int, per_row: int = 0):
+    """Raise CapacityError if rows of width float64 amplitudes and per_row
+    bytes each exceed MAX_BLOCK_BYTES; a split's rows are its heads."""
+    if rows * (width * 8 + per_row) > MAX_BLOCK_BYTES:
         raise CapacityError(
-            f"{rows} branches of {width} amplitudes need "
-            f"{rows * width * 8 >> 20} MiB, over the {MAX_BLOCK_BYTES >> 20} MiB limit")
+            f"{rows} branches of {width} amplitudes need {rows * (width * 8 + per_row) >> 20} "
+            f"MiB, over the {MAX_BLOCK_BYTES >> 20} MiB limit")
 
 
 def initial_state(inputs: Sequence[str]) -> TwoLayerState:
@@ -457,10 +453,11 @@ def _split(state: TwoLayerState, names: Sequence[str],
 
     The split is one pass over the branches, a chunk at a time, that finds
     their outcomes and merges them into the heads found so far (``_heads``),
-    raising CapacityError as soon as the heads' float64 amplitudes would
-    exceed MAX_BLOCK_BYTES; then the heads are rebuilt into the new block a
-    chunk at a time. A split holds the old block, the new one, a chunk and
-    three numbers per head, and nothing per outcome beyond its chunk.
+    raising CapacityError as soon as the heads' amplitudes and bookkeeping
+    (_HEAD_BYTES each) would exceed MAX_BLOCK_BYTES; then the heads are
+    rebuilt into the new block a chunk at a time. A split holds the old
+    block, the new one, a chunk and the heads' bookkeeping, and nothing per
+    outcome beyond its chunk.
     """
     env, amps, probs = state.env, state.amps, state.probs
     k, dim = len(names), amps.shape[1]
@@ -510,7 +507,7 @@ def _split(state: TwoLayerState, names: Sequence[str],
                 to = np.arange(n_heads, n_heads + len(found))
             found = found + (c.start << k)
             end = n_heads + len(found)
-            _check_block(end, out_width)
+            _check_block(end, out_width, _HEAD_BYTES)
             if not n_heads:  # per head: its outcome, sqrt(m_jy) and summed probability
                 at, scale, weight = found, s, np.zeros(len(found))
             elif end > len(at):  # room for twice the heads, the new ones at zero
@@ -526,7 +523,7 @@ def _split(state: TwoLayerState, names: Sequence[str],
     weight /= np.add.reduce(weight)
     out = (np.empty if drop_named else np.zeros)((n_heads, out_width))
     target = None if drop_named else by_value(out)
-    for c in _chunks(n_heads, width):
+    for c in _chunks(n_heads, width + 1 + k):  # a row and an index per named bit
         (_, *ys), rows = rows_of(at[c], scale[c])
         if drop_named:
             out[c] = rows
@@ -574,9 +571,9 @@ def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerStat
     """One top-level statement on a state. With ``in_place`` the state's
     block is written; otherwise it is copied once and the copy is written.
 
-    The transpose of a chunk of rows is a view with the worlds on axis 0
-    and one column per branch, so a statement holds the block and a chunk's
-    temporaries; a one-branch block is one chunk.
+    The kernel takes a chunk of rows at a time as a batch, so a statement
+    holds the block and a chunk's temporaries; a one-branch block is one
+    chunk.
     """
     if isinstance(stmt, New):
         return extend(state, stmt.names)
@@ -584,7 +581,7 @@ def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerStat
         return apply_measure(state, stmt.names)
     env, out = state.env, state.amps if in_place else state.amps.copy()
     for c in _chunks(*out.shape):
-        apply_comp(out[c].T, stmt, env, CLASSICAL_ONLY)
+        apply_comp(out[c], stmt, env, CLASSICAL_ONLY)
     return TwoLayerState(env, out, state.probs)
 
 
@@ -640,14 +637,16 @@ def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalS
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:
     """Matrix of a computational-statement sequence.
 
-    Column k is the result of running the body on basis state k; all
-    columns are advanced together. A test and oracle utility, capped at
-    10 bits since the matrix is dense.
+    Column k is the result of running the body on basis state k. The
+    column index is n more low-order bits that no statement reads (named
+    ``#i``, as no variable can be), so the matrix goes through the kernel
+    as one vector of 2n bits. A test and oracle utility, capped at 10 bits.
     """
     if env.n_bits > COMP_MATRIX_MAX_BITS:
         raise CapacityError(
             f"comp_matrix supports at most {COMP_MATRIX_MAX_BITS} bits, got {env.n_bits}")
+    columns = env.extended(tuple(f"#{i}" for i in range(env.n_bits)))
     matrix = np.eye(env.dim)
     for stmt in body:
-        apply_comp(matrix, stmt, env, CLASSICAL_ONLY)
+        apply_comp(matrix.reshape(-1), stmt, columns, CLASSICAL_ONLY)
     return matrix

@@ -156,7 +156,7 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
         c.declared.add(name)
     for s in p.body:
         c.check_statement(s)
-    if p.returns is not None:
+    if p.returns is not None:  # without a return every live variable is returned
         seen: set[str] = set()
         for name in p.returns:
             c.read.add(name)
@@ -166,9 +166,9 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
             if name in seen:
                 c.report("DUPLICATE_RETURN", f"variable '{name}' returned twice", p.return_loc)
             seen.add(name)
-    for name, loc in c.allocated.items():
-        if name not in c.read:
-            c.report("UNUSED_VARIABLE",
-                     f"variable '{name}' is allocated but never read, measured, or returned",
-                     loc, "warning")
+        for name, loc in c.allocated.items():
+            if name not in c.read:
+                c.report("UNUSED_VARIABLE",
+                         f"variable '{name}' is allocated but never read, measured, or returned",
+                         loc, "warning")
     return c.out

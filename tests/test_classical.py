@@ -101,7 +101,7 @@ class TestStochasticity:
         for snippet in snippets:
             src = "def main(a, b, c : bit):\n  " + snippet.replace("\n", "\n  ")
             stmt = parse(src).body[0]
-            m = apply_comp(np.eye(env.dim), stmt, env, QUANTUM_ONLY)
+            m = apply_comp(np.eye(env.dim), stmt, env, QUANTUM_ONLY).T
             assert np.all(m >= 0), snippet
             np.testing.assert_allclose(m.sum(axis=0), np.ones(env.dim), atol=1e-12)
 

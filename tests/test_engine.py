@@ -108,17 +108,18 @@ class TestQRand:
 
 
 def coin_reference(vec, env, target, signed):
-    """qrand (signed) or rand_bit on each world k, reading its pair partner."""
+    """qrand (signed) or rand_bit on each world k, reading its pair partner,
+    in a vector or in each row of a batch."""
     out = np.empty_like(vec)
     for k in range(env.dim):
         other = k ^ (1 << env.shift(target))
-        zero, one = vec[min(k, other)], vec[max(k, other)]
+        zero, one = vec[..., min(k, other)], vec[..., max(k, other)]
         if not signed:
-            out[k] = (zero + one) * 0.5
+            out[..., k] = (zero + one) * 0.5
         elif env.bit(k, target) == 0:
-            out[k] = (zero + one) * S
+            out[..., k] = (zero + one) * S
         else:
-            out[k] = (zero - one) * S
+            out[..., k] = (zero - one) * S
     return out
 
 
@@ -132,8 +133,8 @@ class TestCoinKernel:
         np.testing.assert_array_equal(got, coin_reference(v, self.ENV, target, True))
 
     @pytest.mark.parametrize("target", ["a", "b", "c", "d"])
-    def test_qrand_on_matrix_columns(self, target):
-        m = np.random.default_rng(4).standard_normal((16, 5))
+    def test_qrand_on_matrix_rows(self, target):
+        m = np.random.default_rng(4).standard_normal((5, 16))
         got = apply_comp(m.copy(), QRand(target), self.ENV, CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, coin_reference(m, self.ENV, target, True))
 
@@ -146,14 +147,14 @@ class TestCoinKernel:
 
     @pytest.mark.parametrize("target", ["x0", "x9", "x10"])
     @pytest.mark.parametrize("kind", [QRand, RandBit])
-    def test_wide_vectors_and_block_columns(self, target, kind):
+    def test_wide_vectors_and_block_rows(self, target, kind):
         # 11 bits, past the size from which a target next to the lowest bit
-        # (x9) is split into lanes; vectors and the transposed rows of a block.
+        # (x9) is split into lanes; a vector and the rows of a block.
         env = Environment(tuple(f"x{i}" for i in range(11)))
         foreign = CLASSICAL_ONLY if kind is QRand else QUANTUM_ONLY
         rows = np.random.default_rng(9).random((3, env.dim))
-        for vec in (rows[0], rows.T):
-            got = apply_comp(vec.copy(order="K"), kind(target), env, foreign)
+        for vec in (rows[0], rows):
+            got = apply_comp(vec.copy(), kind(target), env, foreign)
             np.testing.assert_array_equal(
                 got, coin_reference(vec, env, target, kind is QRand))
 
@@ -241,12 +242,12 @@ def world_moves(stmt, k, env):
 
 
 def kernel_reference(vec, stmt, env):
-    """A statement applied to a vector, or to the rows of a column stack,
-    one world at a time."""
+    """A statement applied to a vector, or to each row of a batch, one world
+    at a time."""
     out = np.zeros_like(vec)
     for k in range(env.dim):
         for k2, w in world_moves(stmt, k, env):
-            out[k2] += w * vec[k]
+            out[..., k2] += w * vec[..., k]
     return out
 
 
@@ -376,18 +377,18 @@ STACKS = ("vector", "eye", "block")
 
 
 def stacked(vec, env, stack):
-    """The vector; or the columns of np.eye; or the transpose of a block of
-    three rows, as _step passes a block to apply_comp."""
+    """The vector; or the rows of np.eye; or a block of three rows, as _step
+    passes a chunk of a block to apply_comp."""
     if stack == "vector":
         return vec
     if stack == "eye":
         return np.eye(env.dim)
-    return np.stack([vec, vec[::-1], vec * 0.5]).T
+    return np.stack([vec, vec[::-1], vec * 0.5])
 
 
 class TestWorldKernels:
     """apply_comp against the per-world reference, on vectors and on the
-    columns of np.eye."""
+    rows of np.eye."""
 
     @given(kernel_cases((XorAssign, QNeg, QRand)), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -455,7 +456,7 @@ class TestWorldKernels:
         assert list(table) == [world_value(expr, k, env) for k in range(env.dim)]
 
     @given(cube_cases(quantum=True), st.sampled_from(STACKS))
-    @example((Environment(("a", "b", "c")),  # a sub-block of one world per column
+    @example((Environment(("a", "b", "c")),  # a strided sub-block of one world per row
               If(And(And(Var("a"), Var("b")), Not(Var("c"))), (QNeg(),)), np.arange(8) / 8),
              "block")
     @settings(max_examples=150, deadline=None)
@@ -465,7 +466,7 @@ class TestWorldKernels:
         env, stmt, vec = case
         vec = stacked(vec - 0.5, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec.copy(order="K"), stmt, env, CLASSICAL_ONLY)):
+        for got in both_paths(lambda: apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
     @given(cube_cases(quantum=False), st.sampled_from(STACKS))
@@ -474,7 +475,7 @@ class TestWorldKernels:
         env, stmt, vec = case
         vec = stacked(vec, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec.copy(order="K"), stmt, env, QUANTUM_ONLY)):
+        for got in both_paths(lambda: apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("source, cube", [
@@ -486,7 +487,7 @@ class TestWorldKernels:
     def test_conjunctions_of_literals_are_cubes(self, source, cube):
         env = Environment(("x0", "x1", "x2"))
         expr = parse(f"def main(x0, x1, x2, y : bit):\n  y ^= {source}\n").body[0].rhs
-        assert engine._cube(engine._table(expr, env)) == (cube and cube + (...,))
+        assert engine._cube(engine._table(expr, env)) == (cube and (...,) + cube)
 
     @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
     def test_a_sub_block_of_no_bits(self, monkeypatch, vec):
@@ -510,7 +511,7 @@ class TestWorldKernels:
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         cubes_found = spy_cubes(monkeypatch)
         got = apply_comp(probs.copy(), stmt, env, QUANTUM_ONLY)
-        assert cubes_found == [cube and cube + (...,)]
+        assert cubes_found == [cube and (...,) + cube]
         np.testing.assert_array_equal(got, kernel_reference(probs, stmt, env))
 
     @pytest.mark.parametrize("n_bits, takes_sub_block", [(8, False), (9, True)])
@@ -669,6 +670,48 @@ class TestInPlace:
                 got = step_both_ways(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt,
                                      classical=False)
             np.testing.assert_array_equal(got, whole)
+
+
+class TestBatches:
+    """apply_comp reads the worlds on the last axis and treats any leading
+    axes as independent rows: a batch gives, bit for bit, what each of its
+    rows gives alone as a 1-D vector."""
+
+    @pytest.mark.parametrize("n_bits", [4, 8, 10])
+    @pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+    def test_a_batch_is_its_rows(self, n_bits, classical):
+        # At 8 bits a row alone takes the mask path and a batch of three
+        # the sub-block path (engine._SUB_BLOCK_MIN counts rows too).
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        forms, foreign = ((CLASSICAL_FORMS, QUANTUM_ONLY) if classical
+                          else (QUANTUM_FORMS, CLASSICAL_ONLY))
+        rng = np.random.default_rng(n_bits)
+        for stmt in statements_on_every_target(names, forms):
+            rows = rng.random((3, env.dim)) - (0.0 if classical else 0.5)
+            alone = np.array([apply_comp(row.copy(), stmt, env, foreign) for row in rows])
+            np.testing.assert_array_equal(apply_comp(rows.copy(), stmt, env, foreign), alone)
+            for row, expected in zip(rows, alone):
+                got = apply_comp(row[None].copy(), stmt, env, foreign)
+                assert got.shape == (1, env.dim)
+                np.testing.assert_array_equal(got[0], expected)
+
+    @pytest.mark.parametrize("n_bits, chunk", [(4, 16), (4, 32), (10, 2048), (10, 64)])
+    def test_a_block_in_several_chunks_is_its_rows(self, n_bits, chunk):
+        # _step hands the kernel a chunk of rows at a time: one row, two
+        # rows and then one, or one row in pieces of 64 entries.
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        rng = np.random.default_rng(n_bits)
+        for stmt in statements_on_every_target(names, QUANTUM_FORMS):
+            rows = rng.standard_normal((3, env.dim))
+            alone = np.array([apply_comp(row.copy(), stmt, env, CLASSICAL_ONLY) for row in rows])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qppl.state, "_CHUNK", chunk)
+                assert len(qppl.state._chunks(3, env.dim)) > 1
+                got = engine._step(TwoLayerState(env, rows, np.full(3, 1 / 3)), stmt, True)
+            assert got.amps is rows
+            np.testing.assert_array_equal(got.amps, alone)
 
 
 def counted(monkeypatch, module, name):
@@ -910,16 +953,18 @@ class TestBranchMerge:
 
     def test_byte_bound_counts_merged_branches_times_output_length(self, monkeypatch):
         st = make_state(["x", "y", "z"], [(1.0, np.full(8, 8 ** -0.5))])
+        # Each branch counts its amplitudes and the split's bookkeeping for it.
+        head = qppl.engine._HEAD_BYTES
         # Measuring all three bits: 8 branches of 8 amplitudes.
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * (8 * 8 + head))
         assert len(apply_measure(st, ["x", "y", "z"]).branches) == 8
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * 8 * 8 - 1)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 8 * (8 * 8 + head) - 1)
         with pytest.raises(CapacityError):
             apply_measure(st, ["x", "y", "z"])
         # Returning nothing: 8 outcomes of 1 amplitude merge into 1 branch.
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * 1 * 8)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * (1 * 8 + head))
         assert len(apply_return(st, []).branches) == 1
-        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * 1 * 8 - 1)
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 * (1 * 8 + head) - 1)
         with pytest.raises(CapacityError):
             apply_return(st, [])
 
@@ -1226,6 +1271,26 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
             qppl.engine.MAX_BLOCK_BYTES = real
+        assert peak < 4 * budget
+
+    def test_many_narrow_heads_are_refused_within_four_budgets(self, monkeypatch):
+        # Returning x0 from two random 16-bit branches gives 65,536 distinct
+        # heads of two amplitudes: 1 MiB of rows, but several MiB of hash
+        # entries and head arrays. Counting only the rows, the split ran to
+        # the end and peaked at 18.7 MiB.
+        env = Environment(tuple(f"x{i}" for i in range(16)))
+        rows = np.random.default_rng(16).standard_normal((2, env.dim))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        st_ = TwoLayerState(env, rows, np.array([0.5, 0.5]))
+        budget = 1 << 20
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                apply_return(st_, ["x0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 4 * budget
 
 

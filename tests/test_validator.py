@@ -99,10 +99,16 @@ class TestQuantumMode:
         assert codes(validate(p)) == ["NON_COMP_IN_CONDITIONAL"]
 
     def test_unused_new_variable_warns(self):
-        p = parse("def main(x : bit):\n  new y\n  y ^= x")
+        p = parse("def main(x : bit):\n  new y\n  y ^= x\n  return x")
         diags = validate(p)
         assert codes(diags) == []
         assert codes(diags, "warning") == ["UNUSED_VARIABLE"]
+
+    def test_without_a_return_every_variable_is_returned(self):
+        # With no return the run keeps every live variable, y included.
+        p = parse("def main(x : bit):\n  new y\n  y ^= x")
+        assert validate(p) == []
+        assert validate(parse("def main():\n  new y, z\n  qrand_bit(y)")) == []
 
     def test_read_new_variable_does_not_warn(self):
         p = parse("def main(x : bit):\n  new y\n  x ^= y")
