@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,16 @@ import numpy as np
 from . import density, engine, state as state_mod, syntax, validator
 
 
-KETS_CHUNK = 1 << 10  # worlds searched at once; a trace line is written a ket at a time
+def _nonzero(vec: np.ndarray) -> Iterator[list[int]]:
+    """The ascending indices of a vector's nonzero entries, a list per text chunk."""
+    for start in range(0, len(vec), state_mod._TEXT_CHUNK):
+        yield (np.flatnonzero(vec[start:start + state_mod._TEXT_CHUNK]) + start).tolist()
 
 
 def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
     """Write the prefix and the nonzero entries of a world vector as kets, one line."""
     kets = (f"{vec[k]:.6g}|{state_mod.basis_label(k, n_bits)}⟩"
-            for start in range(0, len(vec), KETS_CHUNK)
-            for k in (np.flatnonzero(vec[start:start + KETS_CHUNK]) + start).tolist())
+            for ks in _nonzero(vec) for k in ks)
     out.write(prefix + next(kets, ""))
     for ket in kets:
         out.write(" + " + ket)
@@ -51,25 +53,23 @@ def _print_trace(label: str, st: state_mod.TwoLayerState | state_mod.ClassicalSt
             _write_kets(f"  p={p:.6g}: ", amps, st.env.n_bits, out)
 
 
-# Most draws one call to the generator makes; each draw reads one uniform
-# number, so the draws for a seed do not depend on how they are chunked.
-SAMPLE_CHUNK = 1 << 16
+def _print_distribution(weights: np.ndarray, n_bits: int, out):
+    """Write a line per nonzero world, its label and weight, a text chunk at a time."""
+    for ks in _nonzero(weights):
+        out.write("".join(f"{state_mod.basis_label(k, n_bits)}: {w:.6f}\n"
+                          for k, w in zip(ks, weights[ks].tolist())))
 
 
-def sample(dist: dict[int, float], seed: int, shots: int) -> Iterator[int]:
-    """Yield shots i.i.d. outcomes from a distribution, deterministically."""
-    keys = sorted(dist)
-    probs = np.array([dist[k] for k in keys], dtype=float)
+def sample(weights: np.ndarray, seed: int, shots: int) -> Iterator[int]:
+    """Yield shots i.i.d. worlds drawn from a weight vector, deterministically:
+    each draw reads one uniform number, however many one call makes."""
+    keys = np.flatnonzero(weights)
+    probs = weights[keys]
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    for start in range(0, shots, SAMPLE_CHUNK):
-        for i in rng.choice(len(keys), size=min(SAMPLE_CHUNK, shots - start), p=probs).tolist():
-            yield keys[i]
-
-
-def _print_distribution(dist: dict[int, float], n_bits: int, out):
-    for k in sorted(dist):
-        print(f"{state_mod.basis_label(k, n_bits)}: {dist[k]:.6f}", file=out)
+    for start in range(0, shots, state_mod._CHUNK):
+        size = min(state_mod._CHUNK, shots - start)
+        yield from keys[rng.choice(len(keys), size=size, p=probs)].tolist()
 
 
 def _resolve_source(file_arg: str) -> tuple[str, str]:
@@ -107,12 +107,12 @@ def _load_program(file_arg: str, mode: str):
     return filename, program
 
 
-def _dump(path: str, final, to_json: Callable):
+def _dump(path: str, final):
     """Write the --dump-state file, a chunk at a time, or exit with code 1
     if it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as out:
-            to_json(final, out)
+            state_mod.state_to_json(final, out)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(1)
@@ -120,12 +120,7 @@ def _dump(path: str, final, to_json: Callable):
 
 def _cmd_run(args) -> int:
     _, program = _load_program(args.file, args.mode)
-    if args.mode == validator.QUANTUM:
-        run, to_json, distribution = (engine.run, state_mod.state_to_json,
-                                      state_mod.output_distribution)
-    else:
-        run, to_json, distribution = (engine.run_classical, state_mod.ClassicalState.to_json,
-                                      state_mod.ClassicalState.distribution)
+    run = engine.run if args.mode == validator.QUANTUM else engine.run_classical
     observer = None
     if args.trace:
         print(syntax.unparse(program).splitlines()[0])
@@ -133,18 +128,18 @@ def _cmd_run(args) -> int:
     try:
         final = run(program, observer=observer)
         if args.dump_state:
-            _dump(args.dump_state, final, to_json)
+            _dump(args.dump_state, final)
         if args.oracle:
             print(f"oracle deviation: {density.check_equivalence(program):.3e}")
     except state_mod.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dist, n_bits = distribution(final), final.env.n_bits
+    weights, n_bits = final.weights(), final.env.n_bits
     if args.shots is not None:
-        for outcome in sample(dist, args.seed, args.shots):
+        for outcome in sample(weights, args.seed, args.shots):
             print(state_mod.basis_label(outcome, n_bits))
     elif args.dist or not (args.trace or args.dump_state or args.oracle):
-        _print_distribution(dist, n_bits, sys.stdout)
+        _print_distribution(weights, n_bits, sys.stdout)
     return 0
 
 

@@ -355,9 +355,10 @@ def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
 def _check_block(rows: int, width: int, per_row: int = 0):
     """Raise CapacityError if rows of width float64 amplitudes and per_row
     bytes each exceed MAX_BLOCK_BYTES; a split's rows are its heads."""
-    if rows * (width * 8 + per_row) > MAX_BLOCK_BYTES:
-        raise CapacityError(
-            f"{rows} branches of {width} amplitudes need {rows * (width * 8 + per_row) >> 20} "
+    need = rows * (width * 8 + per_row)
+    if need > MAX_BLOCK_BYTES:
+        raise CapacityError(  # the MiB rounded up, so a refusal never reads as within the limit
+            f"{rows} branches of {width} amplitudes need {-(-need >> 20)} "
             f"MiB, over the {MAX_BLOCK_BYTES >> 20} MiB limit")
 
 

@@ -14,8 +14,8 @@ that block; ``branches`` lists it as ``Branch`` records whose amplitudes
 are views of the rows.
 
 A classical program's state, a ``ClassicalState``, has one layer: a
-probability vector over the worlds, whose weights sum to 1 rather than
-having unit length.
+probability vector over the worlds. That vector is its ``weights()``, the
+chance of each world, which a ``TwoLayerState`` sums from its block.
 
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
@@ -102,6 +102,11 @@ class TwoLayerState:
         """The branches as records whose amplitudes are views of the rows."""
         return [Branch(p, row) for p, row in zip(self.probs.tolist(), self.amps)]
 
+    def weights(self) -> np.ndarray:
+        """Chance of observing each world, one vector: the sum of p *
+        amplitude**2 over the branches, the diagonal of to_density(state)."""
+        return np.einsum("j,jk,jk->k", self.probs, self.amps, self.amps)
+
 
 @dataclass
 class ClassicalState:
@@ -110,21 +115,12 @@ class ClassicalState:
     env: Environment
     probs: np.ndarray
 
-    def distribution(self) -> dict[int, float]:
-        return {int(k): float(self.probs[k]) for k in np.flatnonzero(self.probs)}
+    def weights(self) -> np.ndarray:
+        """Chance of observing each world: the probability vector itself."""
+        return self.probs
 
-    def to_json(self, out: TextIO | None = None) -> str | None:
-        """{"vars": [...], "probs": [...]} as json.dumps(..., indent=2) lays
-        it out, written to ``out`` a chunk at a time, or, with no ``out``,
-        returned as one string."""
-        if out is None:
-            out = io.StringIO()
-            self.to_json(out)
-            return out.getvalue()
-        out.write(_json_head(self.env, "probs"))
-        _write_json_floats(out, self.probs, 1)
-        out.write("\n}")
-        return None
+    def distribution(self) -> dict[int, float]:
+        return output_distribution(self)
 
 
 # Entries of a block that one chunk holds (512 KiB of float64): statements,
@@ -153,13 +149,10 @@ def to_density(state: TwoLayerState) -> np.ndarray:
     return rho
 
 
-def output_distribution(state: TwoLayerState) -> dict[int, float]:
-    """Chance of observing each world: sum of p * amplitude**2 over branches.
-
-    Worlds with zero weight are omitted. The values equal the diagonal of
-    to_density(state).
-    """
-    weights = np.einsum("j,jk,jk->k", state.probs, state.amps, state.amps)
+def output_distribution(state: TwoLayerState | ClassicalState) -> dict[int, float]:
+    """The state's weights as a dict from world index to probability,
+    without the worlds of weight zero."""
+    weights = state.weights()
     return {int(k): float(weights[k]) for k in np.flatnonzero(weights)}
 
 
@@ -191,8 +184,9 @@ def basis_label(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
 
 
-# Floats of the JSON form written at a time: about 100 KiB of text.
-_JSON_CHUNK = 1 << 12
+# Entries of a vector written as text at a time: floats of the JSON form,
+# kets of a trace line and lines of the distribution, about 100 KiB of text.
+_TEXT_CHUNK = 1 << 12
 
 
 def _write_json_floats(out: TextIO, values: np.ndarray, depth: int):
@@ -202,8 +196,8 @@ def _write_json_floats(out: TextIO, values: np.ndarray, depth: int):
     so the text does not depend on which kernel wrote the zero."""
     sep = ",\n" + "  " * (depth + 1)
     out.write("[" + sep[1:])
-    for start in range(0, len(values), _JSON_CHUNK):
-        chunk = (values[start:start + _JSON_CHUNK] + 0.0).tolist()
+    for start in range(0, len(values), _TEXT_CHUNK):
+        chunk = (values[start:start + _TEXT_CHUNK] + 0.0).tolist()
         out.write((sep if start else "") + json.dumps(chunk, separators=(sep, ":"))[1:-1])
     out.write("\n" + "  " * depth + "]")
 
@@ -214,15 +208,20 @@ def _json_head(env: Environment, key: str) -> str:
     return f'{{\n  "vars": {names},\n  "{key}": '
 
 
-def state_to_json(state: TwoLayerState, out: TextIO | None = None) -> str | None:
+def state_to_json(state: TwoLayerState | ClassicalState, out: TextIO | None = None) -> str | None:
     """The state as JSON, laid out as json.dumps(..., indent=2) lays out
-    {"vars": [...], "branches": [{"p": ..., "amps": [...]}, ...]}. It is
-    written to ``out`` a chunk of a row at a time, or, with no ``out``,
-    returned as one string."""
+    {"vars": [...], "branches": [{"p": ..., "amps": [...]}, ...]}, or a
+    classical state's {"vars": [...], "probs": [...]}, written to ``out`` a
+    chunk of a row at a time or, with no ``out``, returned as one string."""
     if out is None:
         out = io.StringIO()
         state_to_json(state, out)
         return out.getvalue()
+    if isinstance(state, ClassicalState):
+        out.write(_json_head(state.env, "probs"))
+        _write_json_floats(out, state.probs, 1)
+        out.write("\n}")
+        return None
     out.write(_json_head(state.env, "branches") + "[")
     for j, (p, row) in enumerate(zip(state.probs.tolist(), state.amps)):
         out.write(("," if j else "") + f'\n    {{\n      "p": {json.dumps(p)},\n      "amps": ')

@@ -60,6 +60,46 @@ class TestRunDistribution:
         assert out == "0: 0.500000\n1: 0.500000\n"
 
 
+def uniform_state(mode: str, n_bits: int):
+    """Every world of n_bits equally likely, as a state of the given mode."""
+    env = qppl.Environment(tuple(f"x{i}" for i in range(n_bits)))
+    if mode == "classical":
+        return qppl.ClassicalState(env, np.full(env.dim, 1.0 / env.dim))
+    return qppl.TwoLayerState(env, np.full((1, env.dim), 2.0 ** (-n_bits / 2)), np.ones(1))
+
+
+class TestOutputMemory:
+    # `qppl run` prints and samples from one vector of weights. At 18 bits
+    # that row is 2 MiB; through a dict of every world, the distribution
+    # peaked at 14.2 rows and 5 shots at 15.4.
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    @pytest.mark.parametrize("output,rows", [("dist", 1.5), ("shots", 4.5)])
+    def test_output_path_holds_a_few_rows_of_weights(self, mode, output, rows):
+        st_ = uniform_state(mode, 18)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                if output == "dist":
+                    cli._print_distribution(st_.weights(), 18, sink)
+                else:
+                    for outcome in cli.sample(st_.weights(), 1, 5):
+                        sink.write(qppl.basis_label(outcome, 18) + "\n")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < rows * st_.env.dim * 8
+
+    def test_distribution_does_not_depend_on_the_chunking(self, monkeypatch):
+        weights = np.array([0.0, 0.25, 0.0, 0.125, 0.125, 0.0, 0.0, 0.5])
+        whole = "".join(f"{qppl.basis_label(int(k), 3)}: {weights[k]:.6f}\n"
+                        for k in np.flatnonzero(weights))
+        for chunk in (1, 3, 8):
+            monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
+            out = io.StringIO()
+            cli._print_distribution(weights, 3, out)
+            assert out.getvalue() == whole
+
+
 class TestShots:
     def test_deterministic_program(self, invoke):
         code, out, _ = invoke("run", "interference", "--shots", "100", "--seed", "7")
@@ -73,18 +113,19 @@ class TestShots:
 
     def test_golden_sequence(self):
         # Frozen once from seed 123; guards the sampling stream.
-        assert list(cli.sample({0: 0.5, 1: 0.5}, 123, 10)) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+        assert list(cli.sample(np.array([0.5, 0.5]), 123, 10)) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
 
     def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
-        dist = {0: 0.1, 2: 0.3, 5: 0.6}
+        weights = np.array([0.1, 0.0, 0.3, 0.0, 0.0, 0.6])
         rng = np.random.default_rng(8)
         expected = [(0, 2, 5)[i] for i in rng.choice(3, size=50, p=[0.1, 0.3, 0.6])]
-        monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
-        assert list(cli.sample(dist, 8, 50)) == expected
+        monkeypatch.setattr(qppl.state, "_CHUNK", 7)
+        assert list(cli.sample(weights, 8, 50)) == expected
 
     def test_shots_are_drawn_lazily(self):
         # All 10**15 draws at once would need petabytes.
-        assert len(list(itertools.islice(cli.sample({0: 0.5, 1: 0.5}, 0, 10**15), 10))) == 10
+        shots = cli.sample(np.array([0.5, 0.5]), 0, 10**15)
+        assert len(list(itertools.islice(shots, 10))) == 10
 
     @pytest.mark.parametrize("flags", [["--shots", "-1"], ["--shots", "3", "--seed", "-3"]])
     def test_negative_numbers_are_usage_errors(self, invoke, flags):
@@ -113,7 +154,7 @@ class TestShots:
 
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
-            assert list(cli.sample({0: 1.0}, seed, 5)) == [0, 0, 0, 0, 0]
+            assert list(cli.sample(np.array([1.0]), seed, 5)) == [0, 0, 0, 0, 0]
 
     def test_zero_bit_outcomes_render_as_parens(self, invoke, tmp_path):
         path = tmp_path / "empty.qppl"
@@ -166,7 +207,7 @@ class TestTrace:
         whole = "  p=1: " + " + ".join(f"{vec[k]:.6g}|{qppl.basis_label(int(k), 3)}⟩"
                                        for k in np.flatnonzero(vec)) + "\n"
         for chunk in (1, 3, 8):
-            monkeypatch.setattr(cli, "KETS_CHUNK", chunk)
+            monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
             out = io.StringIO()
             cli._write_kets("  p=1: ", vec, 3, out)
             assert out.getvalue() == whole

@@ -1,5 +1,6 @@
 import functools
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from qppl import (
     assert_valid_state, check_equivalence, comp_matrix, extend, free_vars,
     output_distribution, parse, run, to_density, truth_table, validate,
 )
-from qppl import engine
+from qppl import cli, engine
 from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp
 from qppl.syntax import MAX_NESTING
 from qppl.randprog import random_comp_program, random_program
@@ -944,7 +945,7 @@ class TestBranchMerge:
         monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 << 20)
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="need 8 MiB"):
+            with pytest.raises(CapacityError, match="need 9 MiB"):
                 apply_measure(st, names)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1220,12 +1221,16 @@ class TestBlockStore:
 @st.composite
 def budget_programs(draw):
     """Programs that press on the block budget: up to 16 bits, a qrand on
-    each, a measurement of all or some of them, maybe a ``new`` after it
-    with qrands on some of the new bits, and maybe a return."""
+    each, some sign patterns ``if xi and not xj: qnegate()``, so that a
+    measurement leaves many distinct branches, a measurement of all or some
+    of the bits, maybe a ``new`` after it with qrands on some of the new
+    bits, and maybe a return."""
     xs = [f"x{i}" for i in range(draw(st.integers(1, 16)))]
     ys = [f"y{i}" for i in range(draw(st.integers(0, 16 - len(xs))))]
     measured = draw(st.just(xs) | st.lists(st.sampled_from(xs), min_size=1, unique=True))
+    signs = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=4))
     body = [f"new {', '.join(xs)}", *(f"qrand_bit({x})" for x in xs),
+            *(f"if {xi} and not {xj}:\n    qnegate()" for xi, xj in signs),
             f"measure({', '.join(measured)})"]
     if ys:
         body += [f"new {', '.join(ys)}",
@@ -1247,24 +1252,34 @@ WIDE_RETURN = (f"def main():\n  new {XS13}\n{COINS13}  measure(x0, x1)\n  new y0
 # nothing is returned: a split that unravelled every outcome's value into
 # 16 index arrays and kept per-outcome lists peaked at 14.8 MiB here.
 RETURN_NOTHING = f"def main():\n  new {XS16}\n{COINS16}  measure(x0)\n  return\n"
+# One branch of 16 bits, every world nonzero: printed through a dict of
+# every world, its distribution peaked at 7.6 MiB.
+UNIFORM16 = f"def main():\n  new {XS16}\n{COINS16}"
 
 
 class TestMemoryBudget:
     @given(budget_programs())
     @example(WIDE_RETURN)
     @example(RETURN_NOTHING)
+    @example(UNIFORM16)
     @settings(max_examples=60, deadline=None)
     def test_a_run_is_refused_or_stays_within_four_budgets(self, source):
         # With a 1 MiB budget a run either raises CapacityError or holds at
-        # most a few blocks and chunks: an allocation that skips the check
-        # shows as a peak over the bound.
+        # most a few blocks and chunks, also while it prints its
+        # distribution and draws 5 shots from the weights: an allocation
+        # that skips the check shows as a peak over the bound.
         p = parse(source)
         assert not qppl.has_errors(validate(p))
         budget, real = 1 << 20, qppl.engine.MAX_BLOCK_BYTES
         qppl.engine.MAX_BLOCK_BYTES = budget
         tracemalloc.start()
         try:
-            run(p)
+            final = run(p)
+            n_bits = final.env.n_bits
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                cli._print_distribution(final.weights(), n_bits, sink)
+                for outcome in cli.sample(final.weights(), 1, 5):
+                    sink.write(qppl.basis_label(outcome, n_bits) + "\n")
             peak = tracemalloc.get_traced_memory()[1]
         except CapacityError:
             peak = 0
@@ -1286,7 +1301,8 @@ class TestMemoryBudget:
         monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", budget)
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
+            with pytest.raises(CapacityError, match="^6553 branches of 2 amplitudes need 2 MiB, "
+                                                     "over the 1 MiB limit$"):
                 apply_return(st_, ["x0"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:

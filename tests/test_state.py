@@ -189,7 +189,7 @@ class TestJson:
         assert state_to_json(st) == json.dumps(payload, indent=2)
         env = st.env
         dist = qppl.ClassicalState(env, st.amps[0] ** 2)
-        assert dist.to_json() == json.dumps(
+        assert state_to_json(dist) == json.dumps(
             {"vars": list(env.names), "probs": dist.probs.tolist()}, indent=2)
 
     @pytest.mark.parametrize("mode", ["quantum", "classical"])
@@ -198,13 +198,12 @@ class TestJson:
         weights = np.random.default_rng(16).random(env.dim)
         if mode == "quantum":
             st = qppl.TwoLayerState(env, weights[None] / np.linalg.norm(weights), np.ones(1))
-            write = lambda out: state_to_json(st, out)
         else:
-            write = qppl.ClassicalState(env, weights / weights.sum()).to_json
+            st = qppl.ClassicalState(env, weights / weights.sum())
         with open(tmp_path / "state.json", "w", encoding="utf-8") as out:
             tracemalloc.start()
             try:
-                write(out)
+                state_to_json(st, out)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
