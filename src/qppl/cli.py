@@ -34,11 +34,11 @@ def _nonzero(vec: np.ndarray) -> Iterator[list[int]]:
 
 def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
     """Write the prefix and the nonzero entries of a world vector as kets, one line."""
-    kets = (f"{vec[k]:.6g}|{state_mod.basis_label(k, n_bits)}⟩"
-            for ks in _nonzero(vec) for k in ks)
+    ket = "{1:.6g}|" + state_mod._label_field(n_bits) + "⟩"
+    kets = (" + ".join(map(ket.format, ks, vec[ks].tolist())) for ks in _nonzero(vec) if ks)
     out.write(prefix + next(kets, ""))
-    for ket in kets:
-        out.write(" + " + ket)
+    for text in kets:
+        out.write(" + " + text)
     out.write("\n")
 
 
@@ -55,21 +55,23 @@ def _print_trace(label: str, st: state_mod.TwoLayerState | state_mod.ClassicalSt
 
 def _print_distribution(weights: np.ndarray, n_bits: int, out):
     """Write a line per nonzero world, its label and weight, a text chunk at a time."""
+    line = state_mod._label_field(n_bits) + ": {1:.6f}\n"
     for ks in _nonzero(weights):
-        out.write("".join(f"{state_mod.basis_label(k, n_bits)}: {w:.6f}\n"
-                          for k, w in zip(ks, weights[ks].tolist())))
+        out.write("".join(map(line.format, ks, weights[ks].tolist())))
 
 
 def sample(weights: np.ndarray, seed: int, shots: int) -> Iterator[int]:
-    """Yield shots i.i.d. worlds drawn from a weight vector, deterministically:
-    each draw reads one uniform number, however many one call makes."""
+    """Yield shots i.i.d. worlds drawn from a weight vector: Generator.choice's
+    draws, its cumulative sum built once, one uniform number a draw."""
     keys = np.flatnonzero(weights)
-    probs = weights[keys]
-    probs /= probs.sum()
+    cdf = weights[keys]
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     for start in range(0, shots, state_mod._CHUNK):
         size = min(state_mod._CHUNK, shots - start)
-        yield from keys[rng.choice(len(keys), size=size, p=probs)].tolist()
+        yield from keys[cdf.searchsorted(rng.random(size), side="right")].tolist()
 
 
 def _resolve_source(file_arg: str) -> tuple[str, str]:
@@ -135,9 +137,9 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     weights, n_bits = final.weights(), final.env.n_bits
-    if args.shots is not None:
-        for outcome in sample(weights, args.seed, args.shots):
-            print(state_mod.basis_label(outcome, n_bits))
+    if args.shots is not None:  # one write a line, not print's several
+        label = state_mod._label_field(n_bits) + "\n"
+        sys.stdout.writelines(map(label.format, sample(weights, args.seed, args.shots)))
     elif args.dist or not (args.trace or args.dump_state or args.oracle):
         _print_distribution(weights, n_bits, sys.stdout)
     return 0

@@ -17,6 +17,8 @@ observed run's, or the argument of ``apply_qrand``) is copied once and the
 copy is written. An expression's truth table has a length-2 axis only for
 each variable the expression reads, so it holds 2**|FV| entries and is
 broadcast against the worlds of every row.
+``qrand`` and ``rand_bit`` are one coin: a product of each pair of worlds
+with [[1, 1], [1, -1]] or [[1, 1], [1, 1]], then a scale, √½ or ½.
 ``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
 moves the worlds where E differs from x to their partner across that
 axis; an ``if`` of negations only negates the worlds of one table.
@@ -79,8 +81,6 @@ MERGE_GRID = 2.0 ** -40
 # ``seen`` (about 107: a slot, a hash and a head number) and its place in
 # the three head arrays, which double when full (up to 48).
 _HEAD_BYTES = 160
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 Observer = Callable[[str, Any], None]  # (label, a TwoLayerState or a ClassicalState)
 
@@ -169,52 +169,46 @@ CLASSICAL_ONLY = (Assign, RandBit)
 QUANTUM_ONLY = (QRand, QNeg, Measure, New)
 
 
+# A coin's product with its matrix of ones and signs is exact: each world
+# gets the rounded sum or difference of its pair, then the rounded scale.
+_COIN = {signed: (np.array([[1.0, 1.0], [1.0, -1.0 if signed else 1.0]]),
+                  1.0 / np.sqrt(2.0) if signed else 0.5) for signed in (True, False)}
+_ROW_COIN = {(signed, s): np.kron(np.eye(max(4 >> s, 1)), np.kron(m, np.eye(1 << s))).T
+             for signed, (m, _) in _COIN.items() for s in range(4)}
+for _matrix in (*(m for m, _ in _COIN.values()), *_ROW_COIN.values()):
+    _matrix.flags.writeable = False  # shared
+
+
 def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
-    """Mix each pair of worlds that differ only in the target bit, in place.
-
-    Signed, the pair goes through the Hadamard matrix (qrand); unsigned,
-    both worlds get the pair's average mass (rand_bit). The worlds are
-    viewed as (rows and higher bits, target bit, lower bits), so each half
-    of every pair is a strided slice and no index array is built; the rows
-    of a batch fold into the higher bits. A vector of more than
-    state._CHUNK entries goes a piece of at most that many at a time, each
-    a power of two of rows and of lower bits, so all pieces have one shape:
-    a signed piece's sum and difference go into one scratch piece, which is
-    scaled back into place.
-    """
-    pairs = vec.reshape(-1, 2, 1 << shift)
-    n_rows, n_low = len(pairs), 1 << shift
-    if vec.size <= _state._CHUNK:
-        pieces = [pairs]
+    """Mix each pair of worlds that differ only in the target bit, in place:
+    through the coin's matrix into one scratch piece, scaled back into place.
+    A target at shift 4 or more multiplies the (rows and higher bits, target
+    bit, lower bits) view; a lower one, rows of max(8, 2 << shift) worlds by
+    kron(I, M, I)ᵀ. A piece holds at most state._CHUNK entries, or in rows,
+    multiply-adds, so no product is big enough for BLAS to split across
+    threads: a chunk of rows, or half a chunk of a wider pair's lower bits."""
+    matrix, scale = _COIN[signed]
+    if rows := shift < 4:
+        matrix = _ROW_COIN[signed, shift]
+        width = min(len(matrix), vec.shape[-1])
+        view, matrix = vec.reshape(-1, width), matrix[:width, :width]
     else:
-        width = min(n_low, _floor2(_state._CHUNK // 2))
-        step = min(n_rows, _floor2(_state._CHUNK // (2 * width)))
-        pieces = [pairs[r:r + step, :, low:low + width]
-                  for r in range(0, n_rows, step) for low in range(0, n_low, width)]
-    # With the target bit one or two above the lowest, the halves interleave
-    # in runs of two or four and numpy's inner loop would be that long; each
-    # lane of the lower bits is one long strided pass instead.
-    wide = n_low <= 4 and vec.size >= _SUB_BLOCK_MIN
-    lanes = range(pieces[0].shape[2]) if wide else (_ALL,)
-    mixed = np.empty_like(pieces[0]) if signed else None
+        view = vec.reshape(-1, 2, 1 << shift)
+    per_row = view[0].size * (width if rows else 1)  # entries, or multiply-adds
+    pieces = [view]
+    if len(view) * per_row > _state._CHUNK:
+        width = view.shape[-1] if rows else min(1 << shift, _state._CHUNK // 2 or 1)
+        pieces = [view[c, ..., w:w + width] for c in _chunks(len(view), per_row)
+                  for w in range(0, view.shape[-1], width)]
+    scratch = np.empty(pieces[0].shape)
     for piece in pieces:
-        for lane in lanes:
-            zero, one = piece[:, 0, lane], piece[:, 1, lane]
-            if signed:
-                np.add(zero, one, out=mixed[:, 0, lane])
-                np.subtract(zero, one, out=mixed[:, 1, lane])
-            else:
-                zero += one
-                zero *= 0.5
-                one[...] = zero
-        if signed:
-            np.multiply(mixed, _SQRT_HALF, out=piece)
+        mixed = scratch[:len(piece), ..., :piece.shape[-1]]  # the last piece may be smaller
+        if rows:
+            np.dot(piece, matrix, out=mixed)
+        else:
+            np.matmul(matrix, piece, out=mixed)
+        np.multiply(mixed, scale, out=piece)
     return vec
-
-
-def _floor2(n: int) -> int:
-    """The largest power of two at most n, and 1 for n < 1."""
-    return 1 << max(n, 1).bit_length() - 1
 
 
 def _negated(stmt: If, env: Environment) -> np.ndarray | None:

@@ -179,9 +179,12 @@ def assert_valid_state(state: TwoLayerState, tol: float = STATE_TOL):
 
 def basis_label(index: int, n_bits: int) -> str:
     """World index as a bit string; the 0-bit world renders as '()'."""
-    if n_bits == 0:
-        return "()"
-    return format(index, f"0{n_bits}b")
+    return _label_field(n_bits).format(index)
+
+
+def _label_field(n_bits: int) -> str:
+    """The str.format field that writes argument 0, a world index, as basis_label does."""
+    return f"{{0:0{n_bits}b}}" if n_bits else "()"
 
 
 # Entries of a vector written as text at a time: floats of the JSON form,

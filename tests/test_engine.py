@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import os
 import tracemalloc
 
@@ -124,6 +125,15 @@ def coin_reference(vec, env, target, signed):
     return out
 
 
+def pair_formula(vec, shift, signed):
+    """Each world's coin value from its pair, read by fancy indexing: with a
+    the pair's world whose target bit is 0 and b the other, (a + b)·√½ and
+    (a − b)·√½ signed, (a + b)·½ unsigned."""
+    k, bit = np.arange(vec.shape[-1]), 1 << shift
+    a, b = vec[..., k & ~bit], vec[..., k | bit]
+    return np.where(k & bit, a - b, a + b) * S if signed else (a + b) * 0.5
+
+
 class TestCoinKernel:
     ENV = Environment(("a", "b", "c", "d"))
 
@@ -149,8 +159,9 @@ class TestCoinKernel:
     @pytest.mark.parametrize("target", ["x0", "x9", "x10"])
     @pytest.mark.parametrize("kind", [QRand, RandBit])
     def test_wide_vectors_and_block_rows(self, target, kind):
-        # 11 bits, past the size from which a target next to the lowest bit
-        # (x9) is split into lanes; a vector and the rows of a block.
+        # 11 bits, with targets near the lowest bit (x9, x10), whose rows of
+        # eight worlds go through one product, and at the top (x0), whose
+        # pairs do; a vector and the rows of a block.
         env = Environment(tuple(f"x{i}" for i in range(11)))
         foreign = CLASSICAL_ONLY if kind is QRand else QUANTUM_ONLY
         rows = np.random.default_rng(9).random((3, env.dim))
@@ -158,6 +169,23 @@ class TestCoinKernel:
             got = apply_comp(vec.copy(), kind(target), env, foreign)
             np.testing.assert_array_equal(
                 got, coin_reference(vec, env, target, kind is QRand))
+
+    @pytest.mark.parametrize("n_bits", range(1, 13))
+    def test_every_target_is_the_pair_formula_bit_for_bit(self, monkeypatch, n_bits):
+        # Both coins on a row and on a batch of three, at every target, with
+        # state._CHUNK at its default, at half a row and at 100, so that a
+        # wide vector goes in pieces and its last piece is smaller than the
+        # others. The inputs hold zeros of both signs.
+        env = Environment(tuple(f"x{i}" for i in range(n_bits)))
+        rows = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        rows[rows < -1.0] = 0.0
+        rows[rows > 1.0] = -0.0
+        for chunk in (qppl.state._CHUNK, env.dim // 2, 100):
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+            for vec, name in itertools.product((rows[0], rows), env.names):
+                for kind, foreign in ((QRand, CLASSICAL_ONLY), (RandBit, QUANTUM_ONLY)):
+                    got = apply_comp(vec.copy(), kind(name), env, foreign)
+                    assert np.array_equal(got, pair_formula(vec, env.shift(name), kind is QRand))
 
 
 class TestQNeg:
@@ -1288,6 +1316,34 @@ class TestMemoryBudget:
             qppl.engine.MAX_BLOCK_BYTES = real
         assert peak < 4 * budget
 
+    @pytest.mark.parametrize("source", [WIDE_RETURN, RETURN_NOTHING, UNIFORM16],
+                             ids=["wide_return", "return_nothing", "uniform16"])
+    def test_trace_and_dump_stay_within_four_budgets(self, monkeypatch, source):
+        # The --trace writer prints every state of the run, each a copy of
+        # the block, as no state an observer saw is written again; then the
+        # --dump-state writer writes the last state as JSON. With a 1 MiB
+        # budget both hold at most a few blocks and chunks, counted up to
+        # the return that the first two runs are refused at, where their
+        # last state has four and two wide branches.
+        monkeypatch.setattr(qppl.engine, "MAX_BLOCK_BYTES", 1 << 20)
+        p, last = parse(source), []
+
+        def observer(label, st_):
+            cli._print_trace(label, st_, sink)
+            last[:] = [st_]
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                try:
+                    run(p, observer=observer)
+                except CapacityError:
+                    assert source is not UNIFORM16
+                qppl.state_to_json(last.pop(), sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_many_narrow_heads_are_refused_within_four_budgets(self, monkeypatch):
         # Returning x0 from two random 16-bit branches gives 65,536 distinct
         # heads of two amplitudes: 1 MiB of rows, but several MiB of hash
@@ -1336,8 +1392,9 @@ class TestInputsUnchanged:
 
     @pytest.mark.parametrize("target", ["x0", "x7", "x8", "x9"])
     def test_qrand_leaves_a_wide_branch_alone(self, target):
-        # One row of 10 bits, above engine._SUB_BLOCK_MIN, where the coin on
-        # x7 and x8 goes by lanes: it writes a copy, never the given block.
+        # One row of 10 bits, with targets in the pair view (x0) and in rows
+        # of the row matrix (x7, x8, x9): the coin writes a copy, never the
+        # given block.
         env = Environment(tuple(f"x{i}" for i in range(10)))
         row = np.random.default_rng(10).standard_normal(env.dim)
         st = TwoLayerState(env, (row / np.linalg.norm(row))[None], np.ones(1))
