@@ -63,8 +63,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .syntax import (
-    And, Assign, Expression, If, Measure, New, Not, Or, Program, QNeg, QRand, RandBit,
-    Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
+    CLASSICAL_ONLY, QUANTUM_ONLY, And, Assign, Expression, If, Measure, New, Not, Or, Program,
+    QNeg, QRand, RandBit, Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
 )
 from . import state as _state
 from .state import CapacityError, ClassicalState, Environment, TwoLayerState, _chunks
@@ -165,10 +165,6 @@ def _mask(table: np.ndarray) -> np.ndarray:
 # The statement kernel, shared by both modes
 # ---------------------------------------------------------------------------
 
-CLASSICAL_ONLY = (Assign, RandBit)
-QUANTUM_ONLY = (QRand, QNeg, Measure, New)
-
-
 # A coin's product with its matrix of ones and signs is exact: each world
 # gets the rounded sum or difference of its pair, then the rounded scale.
 _COIN = {signed: (np.array([[1.0, 1.0], [1.0, -1.0 if signed else 1.0]]),
@@ -230,17 +226,18 @@ def _negated(stmt: If, env: Environment) -> np.ndarray | None:
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
-               foreign: tuple[type, ...]) -> np.ndarray:
+               foreign: dict[type, str]) -> np.ndarray:
     """Apply one computational statement to a world vector, in place.
 
     The vector holds amplitudes in quantum mode and probabilities in
     classical mode; both go through this one kernel. The worlds are the
     last axis; any leading axes hold a batch of rows, each advanced alone.
     The result is written into ``vec``, which is returned. ``foreign`` is
-    the caller's tuple of the other mode's statement kinds (CLASSICAL_ONLY
-    or QUANTUM_ONLY); meeting one at any depth raises ValueError.
+    the other dialect's table from ``syntax`` (CLASSICAL_ONLY in quantum
+    mode, QUANTUM_ONLY in classical); meeting one of its statements at any
+    depth raises ValueError.
     """
-    if isinstance(stmt, foreign):
+    if type(stmt) in foreign:
         raise ValueError(f"statement of the other mode: {statement_source(stmt)}")
     if isinstance(stmt, (QRand, RandBit)):
         return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
@@ -489,6 +486,8 @@ def _split(state: TwoLayerState, names: Sequence[str],
         masses = np.add.accumulate(masses, axis=1, out=masses)[:, -1].copy()  # in world order
         weights = (probs[c, None] * masses.reshape(-1, n_values)).ravel()
         survivors = (weights > PRUNE_EPS).nonzero()[0]
+        if not merging:  # every survivor is a head: refuse before building their numbers
+            _check_block(n_heads + len(survivors), out_width, _HEAD_BYTES)
         # Merging holds a key of width + 1 entries and about seven numbers per
         # outcome, so it takes a chunk's worth of the survivors at a time.
         for part in _chunks(len(survivors), width + 8 if merging else width):

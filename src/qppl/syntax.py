@@ -13,8 +13,8 @@ variables are bits. The statement forms are
     return x, y       final statement only; unlisted variables are discarded
 
 Classical programs use ``x := E`` and ``x := rand_bit()`` instead of the
-quantum statements; the parser accepts both dialects and the validator
-sorts out which mode a program belongs to.
+quantum statements; the parser accepts both dialects, and ``QUANTUM_ONLY``
+and ``CLASSICAL_ONLY`` list the statements only one of them has.
 
 Expressions are boolean: names, the constants 0 and 1, not/and/or (the
 symbols ``¬``, ``∧``, ``∨`` are accepted too) and the comparisons.
@@ -173,6 +173,11 @@ class Measure:
 
 CompStatement = Union[QRand, QNeg, XorAssign, If, Assign, RandBit]
 Statement = Union[CompStatement, New, Measure]
+
+# The statements only one dialect has, each with the word its diagnostic
+# uses (XorAssign and If are in both): the validator and the engine read them.
+QUANTUM_ONLY = {QRand: "qrand_bit", QNeg: "qnegate", Measure: "measure", New: "new"}
+CLASSICAL_ONLY = {Assign: "':=' assignment", RandBit: "rand_bit"}
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Quantum mode enforces the reversibility side conditions: an XOR-assignment
 may not read its own target, and an ``if`` body may not write variables
 the condition reads. Classical mode drops those two conditions (ordinary
-destructive assignment is fine there) but rejects the quantum statements.
-Both modes check declarations and the shapes of measure/new/return.
+destructive assignment is fine there). A statement of the other dialect
+(``syntax.QUANTUM_ONLY`` or ``CLASSICAL_ONLY``) gets one diagnostic and no
+other check. Both modes check declarations and the shapes of measure/new/return.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Assign, If, Loc, Measure, New, Not, Or, Program, QNeg, QRand, RandBit, Statement,
-    Var, Xor, XorAssign, assigned_vars, fold,
+    CLASSICAL_ONLY, QUANTUM_ONLY, And, Assign, If, Loc, Measure, New, Not, Or, Program, QNeg,
+    QRand, RandBit, Statement, Var, Xor, XorAssign, assigned_vars, fold,
 )
 
 QUANTUM, CLASSICAL = "quantum", "classical"
+# Each mode's table of the other dialect's statements, and their code.
+_FOREIGN = {QUANTUM: (CLASSICAL_ONLY, "CLASSICAL_STATEMENT"),
+            CLASSICAL: (QUANTUM_ONLY, "QUANTUM_STATEMENT")}
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,7 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 class _Checker:
     def __init__(self, mode: str):
         self.mode = mode
+        self.foreign, self.foreign_code = _FOREIGN[mode]
         self.out: list[Diagnostic] = []
         self.declared: set[str] = set()
         self.read: set[str] = set()  # names observed after allocation
@@ -62,33 +67,18 @@ class _Checker:
         if name not in self.declared:
             self.report("UNDECLARED_VARIABLE", f"variable '{name}' is not declared", loc)
 
-    def only_in(self, mode: str, what: str, loc: Loc | None) -> bool:
-        """True if the checked mode is ``mode``, else report ``what`` as not allowed."""
-        if self.mode != mode:
-            self.report(f"{mode.upper()}_STATEMENT",
-                        f"{what} is not allowed in {self.mode} mode", loc)
-        return self.mode == mode
-
     def check_statement(self, s: Statement):
-        if isinstance(s, XorAssign):
+        if (what := self.foreign.get(type(s))) is not None:
+            self.report(self.foreign_code, f"{what} is not allowed in {self.mode} mode", s.loc)
+        elif isinstance(s, (XorAssign, Assign)):  # an Assign is only met in classical mode
             self.check_target(s.target, s.loc)
             reads = self.check_expr_vars(s.rhs, s.loc)
             if self.mode == QUANTUM and s.target in reads:
                 self.report("XOR_SELF_REFERENCE",
                             f"'{s.target}' may not appear on the right-hand side of its own "
                             f"XOR-assignment", s.loc)
-        elif isinstance(s, QRand):
-            if self.only_in(QUANTUM, "qrand_bit", s.loc):
-                self.check_target(s.target, s.loc)
-        elif isinstance(s, QNeg):
-            self.only_in(QUANTUM, "qnegate", s.loc)
-        elif isinstance(s, Assign):
-            if self.only_in(CLASSICAL, "':=' assignment", s.loc):
-                self.check_target(s.target, s.loc)
-                self.check_expr_vars(s.rhs, s.loc)
-        elif isinstance(s, RandBit):
-            if self.only_in(CLASSICAL, "rand_bit", s.loc):
-                self.check_target(s.target, s.loc)
+        elif isinstance(s, (QRand, RandBit)):
+            self.check_target(s.target, s.loc)
         elif isinstance(s, If):
             reads = self.check_expr_vars(s.cond, s.loc)
             if self.mode == QUANTUM:
@@ -106,25 +96,23 @@ class _Checker:
                     continue
                 self.check_statement(inner)
         elif isinstance(s, Measure):
-            if self.only_in(QUANTUM, "measure", s.loc):
-                seen: set[str] = set()
-                for name in s.names:
-                    self.read.add(name)
-                    self.check_target(name, s.loc)
-                    if name in seen:
-                        self.report("DUPLICATE_MEASURE",
-                                    f"variable '{name}' measured twice in one statement", s.loc)
-                    seen.add(name)
+            seen: set[str] = set()
+            for name in s.names:
+                self.read.add(name)
+                self.check_target(name, s.loc)
+                if name in seen:
+                    self.report("DUPLICATE_MEASURE",
+                                f"variable '{name}' measured twice in one statement", s.loc)
+                seen.add(name)
         elif isinstance(s, New):
-            if self.only_in(QUANTUM, "new", s.loc):
-                for name in s.names:
-                    if name in self.declared:
-                        self.report("REDECLARED_VARIABLE",
-                                    f"variable '{name}' is already declared", s.loc)
-                    else:
-                        self.declared.add(name)
-                        self.allocated[name] = s.loc
-        else:
+            for name in s.names:
+                if name in self.declared:
+                    self.report("REDECLARED_VARIABLE",
+                                f"variable '{name}' is already declared", s.loc)
+                else:
+                    self.declared.add(name)
+                    self.allocated[name] = s.loc
+        elif not isinstance(s, QNeg):
             raise TypeError(f"not a statement: {s!r}")
 
 

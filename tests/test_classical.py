@@ -5,7 +5,8 @@ import qppl
 from qppl import (
     CLASSICAL, Const, Environment, Program, XorAssign, parse, run, run_classical, validate,
 )
-from qppl.engine import QUANTUM_ONLY, apply_comp
+from qppl.engine import apply_comp
+from qppl.syntax import QUANTUM_ONLY
 from qppl.randprog import random_classical_program
 
 

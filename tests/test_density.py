@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import qppl
 from qppl import (
-    Environment, Program, check_equivalence, comp_matrix, parse, run_density,
+    Environment, New, Program, check_equivalence, comp_matrix, parse, run_density,
     to_density, validate,
 )
 from qppl.randprog import random_program
@@ -98,6 +99,23 @@ class TestEquivalence:
             p = random_program(seed, max_bits=5, max_statements=25)
             assert not qppl.has_errors(validate(p)), seed
             assert check_equivalence(p) <= 1e-10, seed
+
+    def test_returns_of_more_than_5_bits_that_drop_a_high_bit(self):
+        # The programs above have at most 5 bits. Here a return of 6 to 9
+        # bits drops a bit above one it keeps, so the oracle's partial trace
+        # sums over axes of a wide tensor that are not its lowest.
+        checked = 0
+        for seed in itertools.count():
+            p = random_program(seed, max_bits=9)
+            names = p.inputs + tuple(n for s in p.body if isinstance(s, New) for n in s.names)
+            if p.returns is None or len(names) <= 5:
+                continue
+            kept = [name in p.returns for name in names]
+            if kept != sorted(kept, reverse=True):
+                assert check_equivalence(p) <= 1e-10, seed
+                checked += 1
+                if checked == 20:
+                    break
 
 
 class TestEnsembleConflation:

@@ -17,8 +17,8 @@ from qppl import (
     output_distribution, parse, run, to_density, truth_table, validate,
 )
 from qppl import cli, engine
-from qppl.engine import CLASSICAL_ONLY, QUANTUM_ONLY, apply_comp
-from qppl.syntax import MAX_NESTING
+from qppl.engine import apply_comp
+from qppl.syntax import CLASSICAL_ONLY, MAX_NESTING, QUANTUM_ONLY
 from qppl.randprog import random_comp_program, random_program
 from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
 
@@ -1283,6 +1283,10 @@ RETURN_NOTHING = f"def main():\n  new {XS16}\n{COINS16}  measure(x0)\n  return\n
 # One branch of 16 bits, every world nonzero: printed through a dict of
 # every world, its distribution peaked at 7.6 MiB.
 UNIFORM16 = f"def main():\n  new {XS16}\n{COINS16}"
+# Measuring every bit of that branch gives 65,536 distinct outcomes, so it
+# is refused: a split that built each outcome's numbers before its check
+# peaked at 4.0 MiB here.
+MEASURE_EVERY16 = f"{UNIFORM16}  measure({XS16})\n"
 
 
 class TestMemoryBudget:
@@ -1290,11 +1294,12 @@ class TestMemoryBudget:
     @example(WIDE_RETURN)
     @example(RETURN_NOTHING)
     @example(UNIFORM16)
+    @example(MEASURE_EVERY16)
     @settings(max_examples=60, deadline=None)
     def test_a_run_is_refused_or_stays_within_four_budgets(self, source):
-        # With a 1 MiB budget a run either raises CapacityError or holds at
-        # most a few blocks and chunks, also while it prints its
-        # distribution and draws 5 shots from the weights: an allocation
+        # With a 1 MiB budget a run holds at most a few blocks and chunks,
+        # also while it prints its distribution and draws 5 shots from the
+        # weights, or up to where it raises CapacityError: an allocation
         # that skips the check shows as a peak over the bound.
         p = parse(source)
         assert not qppl.has_errors(validate(p))
@@ -1308,10 +1313,10 @@ class TestMemoryBudget:
                 cli._print_distribution(final.weights(), n_bits, sink)
                 for outcome in cli.sample(final.weights(), 1, 5):
                     sink.write(qppl.basis_label(outcome, n_bits) + "\n")
-            peak = tracemalloc.get_traced_memory()[1]
         except CapacityError:
-            peak = 0
+            pass  # refused: the peak up to the refusal is bounded all the same
         finally:
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             qppl.engine.MAX_BLOCK_BYTES = real
         assert peak < 4 * budget

@@ -1,8 +1,12 @@
+import typing
+
 import pytest
 
 from qppl import (
-    And, CLASSICAL, If, Measure, New, Or, Program, Var, XorAssign, parse, validate,
+    And, CLASSICAL, QUANTUM, Diagnostic, If, Measure, New, Or, Program, Statement, Var,
+    XorAssign, parse, validate,
 )
+from qppl.syntax import CLASSICAL_ONLY, QUANTUM_ONLY
 
 
 def codes(diags, severity="error"):
@@ -135,6 +139,49 @@ class TestClassicalMode:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             validate(parse("def main():"), "hybrid")
+
+
+# Each statement that only one dialect has, the mode that rejects it, and
+# the diagnostic's code and message; the first four may be inside an 'if'.
+# Its names are undeclared (y) or already declared (x), so a check of them
+# would add a second diagnostic.
+OTHER_DIALECT = [pytest.param(*row, id=row[0]) for row in [
+    ("qrand_bit(y)", CLASSICAL, "QUANTUM_STATEMENT", "qrand_bit is not allowed in classical mode"),
+    ("qnegate()", CLASSICAL, "QUANTUM_STATEMENT", "qnegate is not allowed in classical mode"),
+    ("y := x", QUANTUM, "CLASSICAL_STATEMENT", "':=' assignment is not allowed in quantum mode"),
+    ("y := rand_bit()", QUANTUM, "CLASSICAL_STATEMENT", "rand_bit is not allowed in quantum mode"),
+    ("measure(y)", CLASSICAL, "QUANTUM_STATEMENT", "measure is not allowed in classical mode"),
+    ("new x", CLASSICAL, "QUANTUM_STATEMENT", "new is not allowed in classical mode"),
+]]
+
+
+class TestOtherDialect:
+    @pytest.mark.parametrize("source, mode, code, message", OTHER_DIALECT)
+    def test_one_diagnostic_at_the_statement(self, source, mode, code, message):
+        p = parse(f"def main(x : bit):\n  {source}\n")
+        assert validate(p, mode) == [Diagnostic("error", code, message, 2, 3)]
+
+    @pytest.mark.parametrize("source, mode, code, message", OTHER_DIALECT[:4])
+    def test_one_diagnostic_inside_an_if(self, source, mode, code, message):
+        p = parse(f"def main(x : bit):\n  if x:\n    {source}\n")
+        assert validate(p, mode) == [Diagnostic("error", code, message, 3, 5)]
+
+    @pytest.mark.parametrize("stmt", [Measure(("y",), (3, 5)), New(("x",), (3, 5))],
+                             ids=["measure", "new"])
+    def test_measure_or_new_inside_an_if_is_reported_as_that(self, stmt):
+        # The parser refuses them there; a hand-built tree is reported as a
+        # statement that may not be inside an 'if', not also as quantum.
+        p = Program(("x",), (If(Var("x"), (stmt,), (2, 3)),))
+        assert validate(p, CLASSICAL) == [Diagnostic(
+            "error", "NON_COMP_IN_CONDITIONAL",
+            "only computational statements may appear inside 'if'", 3, 5)]
+
+    def test_every_statement_is_in_one_dialect_or_both(self):
+        both = {XorAssign, If}
+        classes = set(typing.get_args(Statement))
+        tables = [set(QUANTUM_ONLY), set(CLASSICAL_ONLY), both]
+        assert set().union(*tables) == classes
+        assert sum(map(len, tables)) == len(classes)
 
 
 class TestValidatorContract:
