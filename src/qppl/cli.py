@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: arguments, loading, exit codes and dispatch.
 
 Subcommands:
     run FILE        execute a program and print its output distribution,
@@ -10,7 +10,8 @@ FILE may be a path or the name of a bundled example. Exit codes: 0 on
 success; 1 on syntax or validation errors (diagnostics go to stderr), on
 files that cannot be read or written, and when stdout is closed before
 all output is written; 2 on capacity errors and usage errors. Output for
-a fixed (file, flags, seed) is byte-identical across runs.
+a fixed (file, flags, seed) is byte-identical across runs; ``state``
+writes the text of every state in it.
 """
 
 from __future__ import annotations
@@ -18,60 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
-import numpy as np
-
 from . import density, engine, state as state_mod, syntax, validator
-
-
-def _nonzero(vec: np.ndarray) -> Iterator[list[int]]:
-    """The ascending indices of a vector's nonzero entries, a list per text chunk."""
-    for start in range(0, len(vec), state_mod._TEXT_CHUNK):
-        yield (np.flatnonzero(vec[start:start + state_mod._TEXT_CHUNK]) + start).tolist()
-
-
-def _write_kets(prefix: str, vec: np.ndarray, n_bits: int, out):
-    """Write the prefix and the nonzero entries of a world vector as kets, one line."""
-    ket = "{1:.6g}|" + state_mod._label_field(n_bits) + "⟩"
-    kets = (" + ".join(map(ket.format, ks, vec[ks].tolist())) for ks in _nonzero(vec) if ks)
-    out.write(prefix + next(kets, ""))
-    for text in kets:
-        out.write(" + " + text)
-    out.write("\n")
-
-
-def _print_trace(label: str, st: state_mod.TwoLayerState | state_mod.ClassicalState, out):
-    """The statement's text, then a line of kets per branch, or of weights if classical."""
-    if label:
-        print(label, file=out)
-    if isinstance(st, state_mod.ClassicalState):
-        _write_kets("  ", st.probs, st.env.n_bits, out)
-    else:
-        for p, amps in zip(st.probs.tolist(), st.amps):
-            _write_kets(f"  p={p:.6g}: ", amps, st.env.n_bits, out)
-
-
-def _print_distribution(weights: np.ndarray, n_bits: int, out):
-    """Write a line per nonzero world, its label and weight, a text chunk at a time."""
-    line = state_mod._label_field(n_bits) + ": {1:.6f}\n"
-    for ks in _nonzero(weights):
-        out.write("".join(map(line.format, ks, weights[ks].tolist())))
-
-
-def sample(weights: np.ndarray, seed: int, shots: int) -> Iterator[int]:
-    """Yield shots i.i.d. worlds drawn from a weight vector: Generator.choice's
-    draws, its cumulative sum built once, one uniform number a draw."""
-    keys = np.flatnonzero(weights)
-    cdf = weights[keys]
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    for start in range(0, shots, state_mod._CHUNK):
-        size = min(state_mod._CHUNK, shots - start)
-        yield from keys[cdf.searchsorted(rng.random(size), side="right")].tolist()
 
 
 def _resolve_source(file_arg: str) -> tuple[str, str]:
@@ -110,8 +60,7 @@ def _load_program(file_arg: str, mode: str):
 
 
 def _dump(path: str, final):
-    """Write the --dump-state file, a chunk at a time, or exit with code 1
-    if it cannot be written."""
+    """Write the --dump-state file, or exit with code 1 if it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as out:
             state_mod.state_to_json(final, out)
@@ -126,22 +75,21 @@ def _cmd_run(args) -> int:
     observer = None
     if args.trace:
         print(syntax.unparse(program).splitlines()[0])
-        observer = lambda label, st: _print_trace(label, st, sys.stdout)
+        observer = lambda label, st: state_mod.write_trace(label, st, sys.stdout)
     try:
         final = run(program, observer=observer)
         if args.dump_state:
             _dump(args.dump_state, final)
         if args.oracle:
-            print(f"oracle deviation: {density.check_equivalence(program):.3e}")
+            print(f"oracle deviation: {density.check_equivalence(program, final):.3e}")
     except state_mod.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     weights, n_bits = final.weights(), final.env.n_bits
-    if args.shots is not None:  # one write a line, not print's several
-        label = state_mod._label_field(n_bits) + "\n"
-        sys.stdout.writelines(map(label.format, sample(weights, args.seed, args.shots)))
+    if args.shots is not None:
+        state_mod.write_shots(weights, n_bits, args.seed, args.shots, sys.stdout)
     elif args.dist or not (args.trace or args.dump_state or args.oracle):
-        _print_distribution(weights, n_bits, sys.stdout)
+        state_mod.write_distribution(weights, n_bits, sys.stdout)
     return 0
 
 
@@ -180,12 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     run_p.set_defaults(func=_cmd_run)
 
-    check_p = sub.add_parser("check", parents=[program],
-                             help="validate a program without running it")
-    check_p.set_defaults(func=_cmd_check)
-
-    ex_p = sub.add_parser("examples", help="list bundled example programs")
-    ex_p.set_defaults(func=_cmd_examples)
+    sub.add_parser("check", parents=[program],
+                   help="validate a program without running it").set_defaults(func=_cmd_check)
+    sub.add_parser("examples",
+                   help="list bundled example programs").set_defaults(func=_cmd_examples)
     return parser
 
 

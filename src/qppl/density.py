@@ -18,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from . import engine
-from .state import CapacityError, Environment, to_density
+from .state import CapacityError, Environment, TwoLayerState, to_density
 from .syntax import Measure, New, Program
 
 
@@ -81,11 +81,11 @@ def run_density(p: Program) -> np.ndarray:
     return rho
 
 
-def check_equivalence(p: Program) -> float:
-    """Largest entrywise gap between the two semantics of a program.
-
+def check_equivalence(p: Program, final: TwoLayerState | None = None) -> float:
+    """Largest entrywise gap between the oracle's matrix of a program and
+    ``final``, the engine's final state of it (by default, a run of its own).
     The oracle runs first, so a program over its bit cap raises
     CapacityError before the engine's state is turned into a matrix."""
     direct = run_density(p)
-    via_branches = to_density(engine.run(p))
+    via_branches = to_density(engine.run(p) if final is None else final)
     return float(np.max(np.abs(via_branches - direct)))

@@ -9,7 +9,7 @@ else ever couples branches, so they evolve independently.
 
 A ``TwoLayerState`` holds its branches as one block: a (B, 2**n) float64
 array whose row j is branch j's amplitudes, and a vector of the B
-probabilities. The engine, the observables and the JSON form all work on
+probabilities. The engine, the observables and the text forms all work on
 that block; ``branches`` lists it as ``Branch`` records whose amplitudes
 are views of the rows.
 
@@ -20,7 +20,8 @@ chance of each world, which a ``TwoLayerState`` sums from its block.
 Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
 most significant bit of the world index. Newly allocated variables are
-appended at the low-order end.
+appended at the low-order end. Every text form of a state, its JSON, a
+trace's kets, the distribution's lines and sampled shots, is written here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -190,6 +191,60 @@ def _label_field(n_bits: int) -> str:
 # Entries of a vector written as text at a time: floats of the JSON form,
 # kets of a trace line and lines of the distribution, about 100 KiB of text.
 _TEXT_CHUNK = 1 << 12
+
+
+def _nonzero(vec: np.ndarray) -> Iterator[list[int]]:
+    """The ascending indices of a vector's nonzero entries, a list per text chunk."""
+    for start in range(0, len(vec), _TEXT_CHUNK):
+        yield (np.flatnonzero(vec[start:start + _TEXT_CHUNK]) + start).tolist()
+
+
+def write_kets(prefix: str, vec: np.ndarray, n_bits: int, out: TextIO):
+    """Write the prefix and the nonzero entries of a world vector as kets, one line."""
+    ket = "{1:.6g}|" + _label_field(n_bits) + "⟩"
+    kets = (" + ".join(map(ket.format, ks, vec[ks].tolist())) for ks in _nonzero(vec) if ks)
+    out.write(prefix + next(kets, ""))
+    for text in kets:
+        out.write(" + " + text)
+    out.write("\n")
+
+
+def write_trace(label: str, state: TwoLayerState | ClassicalState, out: TextIO):
+    """The statement's text, then a line of kets per branch, or of weights if classical."""
+    if label:
+        print(label, file=out)
+    if isinstance(state, ClassicalState):
+        write_kets("  ", state.probs, state.env.n_bits, out)
+    else:
+        for p, amps in zip(state.probs.tolist(), state.amps):
+            write_kets(f"  p={p:.6g}: ", amps, state.env.n_bits, out)
+
+
+def write_distribution(weights: np.ndarray, n_bits: int, out: TextIO):
+    """Write a line per nonzero world, its label and weight, a text chunk at a time."""
+    line = _label_field(n_bits) + ": {1:.6f}\n"
+    for ks in _nonzero(weights):
+        out.write("".join(map(line.format, ks, weights[ks].tolist())))
+
+
+def sample(weights: np.ndarray, seed: int, shots: int) -> Iterator[int]:
+    """Yield shots i.i.d. worlds drawn from a weight vector: Generator.choice's
+    draws, its cumulative sum built once, one uniform number a draw."""
+    keys = np.flatnonzero(weights)
+    cdf = weights[keys]
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    for start in range(0, shots, _CHUNK):
+        size = min(_CHUNK, shots - start)
+        yield from keys[cdf.searchsorted(rng.random(size), side="right")].tolist()
+
+
+def write_shots(weights: np.ndarray, n_bits: int, seed: int, shots: int, out: TextIO):
+    """Write the label of each of ``sample``'s draws on a line, one write a line."""
+    line = _label_field(n_bits) + "\n"
+    out.writelines(map(line.format, sample(weights, seed, shots)))
 
 
 def _write_json_floats(out: TextIO, values: np.ndarray, depth: int):

@@ -1,3 +1,4 @@
+import ast
 import io
 import itertools
 import json
@@ -82,9 +83,9 @@ class TestOutputMemory:
             tracemalloc.start()
             try:
                 if output == "dist":
-                    cli._print_distribution(st_.weights(), 18, sink)
+                    qppl.state.write_distribution(st_.weights(), 18, sink)
                 else:
-                    for outcome in cli.sample(st_.weights(), 1, 5):
+                    for outcome in qppl.state.sample(st_.weights(), 1, 5):
                         sink.write(qppl.basis_label(outcome, 18) + "\n")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -98,7 +99,7 @@ class TestOutputMemory:
         for chunk in (1, 3, 8):
             monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
             out = io.StringIO()
-            cli._print_distribution(weights, 3, out)
+            qppl.state.write_distribution(weights, 3, out)
             assert out.getvalue() == whole
 
 
@@ -115,14 +116,15 @@ class TestShots:
 
     def test_golden_sequence(self):
         # Frozen once from seed 123; guards the sampling stream.
-        assert list(cli.sample(np.array([0.5, 0.5]), 123, 10)) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
+        draws = qppl.state.sample(np.array([0.5, 0.5]), 123, 10)
+        assert list(draws) == [1, 0, 0, 0, 0, 1, 1, 0, 1, 1]
 
     def test_draws_do_not_depend_on_the_chunking(self, monkeypatch):
         weights = np.array([0.1, 0.0, 0.3, 0.0, 0.0, 0.6])
         rng = np.random.default_rng(8)
         expected = [(0, 2, 5)[i] for i in rng.choice(3, size=50, p=[0.1, 0.3, 0.6])]
         monkeypatch.setattr(qppl.state, "_CHUNK", 7)
-        assert list(cli.sample(weights, 8, 50)) == expected
+        assert list(qppl.state.sample(weights, 8, 50)) == expected
 
     @pytest.mark.parametrize("shots", [0, 1, 1000, 65536, 65537])
     @pytest.mark.parametrize("seed", [0, 123])
@@ -143,7 +145,7 @@ class TestShots:
             for start in range(0, shots, qppl.state._CHUNK):
                 size = min(qppl.state._CHUNK, shots - start)
                 expected += keys[draws.choice(len(keys), size=size, p=probs)].tolist()
-            assert list(cli.sample(weights, seed, shots)) == expected
+            assert list(qppl.state.sample(weights, seed, shots)) == expected
 
     @pytest.mark.parametrize("n_bits", [0, 3])
     def test_each_shot_is_its_draw_as_basis_label_writes_it(self, invoke, tmp_path, n_bits):
@@ -158,11 +160,21 @@ class TestShots:
         final = qppl.run(qppl.parse(path.read_text(encoding="utf-8")))
         assert code == 0
         assert out == "".join(qppl.basis_label(k, n_bits) + "\n"
-                              for k in cli.sample(final.weights(), 3, 5000))
+                              for k in qppl.state.sample(final.weights(), 3, 5000))
+
+    def test_classical_shots_are_the_draws_of_the_classical_run(self, invoke):
+        code, out, _ = invoke("run", "classical_coins", "--mode", "classical",
+                              "--shots", "200", "--seed", "4")
+        final = qppl.run_classical(qppl.parse(qppl.bundled_programs()["classical_coins"]))
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 200 and set(lines) <= {"00", "11"}
+        assert lines == [qppl.basis_label(k, final.env.n_bits)
+                         for k in qppl.state.sample(final.weights(), 4, 200)]
 
     def test_shots_are_drawn_lazily(self):
         # All 10**15 draws at once would need petabytes.
-        shots = cli.sample(np.array([0.5, 0.5]), 0, 10**15)
+        shots = qppl.state.sample(np.array([0.5, 0.5]), 0, 10**15)
         assert len(list(itertools.islice(shots, 10))) == 10
 
     @pytest.mark.parametrize("flags", [["--shots", "-1"], ["--shots", "3", "--seed", "-3"]])
@@ -192,7 +204,7 @@ class TestShots:
 
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
-            assert list(cli.sample(np.array([1.0]), seed, 5)) == [0, 0, 0, 0, 0]
+            assert list(qppl.state.sample(np.array([1.0]), seed, 5)) == [0, 0, 0, 0, 0]
 
     def test_zero_bit_outcomes_render_as_parens(self, invoke, tmp_path):
         path = tmp_path / "empty.qppl"
@@ -232,7 +244,7 @@ class TestTrace:
         with open(os.devnull, "w", encoding="utf-8") as sink:
             tracemalloc.start()
             try:
-                cli._print_trace("qrand_bit(v0)", st_, sink)
+                qppl.state.write_trace("qrand_bit(v0)", st_, sink)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -247,7 +259,7 @@ class TestTrace:
         for chunk in (1, 3, 8):
             monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
             out = io.StringIO()
-            cli._write_kets("  p=1: ", vec, 3, out)
+            qppl.state.write_kets("  p=1: ", vec, 3, out)
             assert out.getvalue() == whole
 
 
@@ -260,6 +272,18 @@ class TestOracle:
             assert code == 0
             line = next(l for l in out.splitlines() if l.startswith("oracle deviation:"))
             assert float(line.split(":")[1]) <= 1e-10
+
+    @pytest.mark.parametrize("flags", [[], ["--trace"]])
+    def test_the_deviation_is_of_the_printed_run(self, invoke, monkeypatch, flags):
+        # The oracle compares against the run whose trace and distribution
+        # are printed; a second engine run could differ from it unseen.
+        real, calls = qppl.engine.run, []
+        monkeypatch.setattr(qppl.engine, "run",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        code, out, _ = invoke("run", "interference", "--oracle", *flags)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("oracle deviation: ")
+        assert len(calls) == 1
 
     def test_rejected_in_classical_mode(self, invoke):
         code, _, err = invoke("run", "classical_coins", "--mode", "classical", "--oracle")
@@ -422,6 +446,27 @@ class TestExamples:
         assert code == 0
         listed = [line.split()[0] for line in out.splitlines()]
         assert listed == sorted(corpus)
+
+
+class TestCliModule:
+    def test_cli_imports_no_numpy_and_reads_no_private_name_of_qppl(self):
+        # The text of a state is written by qppl.state; the front end only
+        # parses arguments, loads, dispatches and picks exit codes.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "numpy" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy"
+                assert all(not a.name.startswith("_") for a in node.names)
+                if node.level and node.module is None:
+                    modules |= {a.asname or a.name for a in node.names}
+        assert {"engine", "state_mod", "syntax"} <= modules
+        private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules and node.attr.startswith("_")]
+        assert private == []
 
 
 class TestImport:

@@ -16,7 +16,7 @@ from qppl import (
     assert_valid_state, check_equivalence, comp_matrix, extend, free_vars,
     output_distribution, parse, run, to_density, truth_table, validate,
 )
-from qppl import cli, engine
+from qppl import engine
 from qppl.engine import apply_comp
 from qppl.syntax import CLASSICAL_ONLY, MAX_NESTING, QUANTUM_ONLY
 from qppl.randprog import random_comp_program, random_program
@@ -1295,7 +1295,7 @@ class TestMemoryBudget:
     @example(RETURN_NOTHING)
     @example(UNIFORM16)
     @example(MEASURE_EVERY16)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_a_run_is_refused_or_stays_within_four_budgets(self, source):
         # With a 1 MiB budget a run holds at most a few blocks and chunks,
         # also while it prints its distribution and draws 5 shots from the
@@ -1310,8 +1310,8 @@ class TestMemoryBudget:
             final = run(p)
             n_bits = final.env.n_bits
             with open(os.devnull, "w", encoding="utf-8") as sink:
-                cli._print_distribution(final.weights(), n_bits, sink)
-                for outcome in cli.sample(final.weights(), 1, 5):
+                qppl.state.write_distribution(final.weights(), n_bits, sink)
+                for outcome in qppl.state.sample(final.weights(), 1, 5):
                     sink.write(qppl.basis_label(outcome, n_bits) + "\n")
         except CapacityError:
             pass  # refused: the peak up to the refusal is bounded all the same
@@ -1334,7 +1334,7 @@ class TestMemoryBudget:
         p, last = parse(source), []
 
         def observer(label, st_):
-            cli._print_trace(label, st_, sink)
+            qppl.state.write_trace(label, st_, sink)
             last[:] = [st_]
         tracemalloc.start()
         try:
