@@ -8,10 +8,10 @@ Subcommands:
 
 FILE may be a path or the name of a bundled example. Exit codes: 0 on
 success; 1 on syntax or validation errors (diagnostics go to stderr), on
-files that cannot be read or written, and when stdout is closed before
-all output is written; 2 on capacity errors and usage errors. Output for
-a fixed (file, flags, seed) is byte-identical across runs; ``state``
-writes the text of every state in it.
+files that cannot be read or written, and when stdout fails or is closed
+before all output is written; 2 on capacity errors and usage errors.
+Output for a fixed (file, flags, seed) is byte-identical across runs;
+``state`` writes the text of every state in it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
     path = Path(file_arg)
     if path.exists():
         try:
-            return path.name, path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
+            return file_arg, path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
         except (OSError, UnicodeDecodeError) as exc:
             raise OSError(f"cannot read {file_arg}: {exc}") from None
     bundled = syntax.bundled_programs()
@@ -39,7 +39,7 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
 
 
 def _load_program(file_arg: str, mode: str):
-    """Parse and validate; returns (filename, program) or exits with code 1."""
+    """Parse and validate; returns the program or exits with code 1."""
     try:
         filename, source = _resolve_source(file_arg)
     except OSError as exc:
@@ -47,16 +47,14 @@ def _load_program(file_arg: str, mode: str):
         raise SystemExit(1)
     try:
         program = syntax.parse(source)
+        diags = validator.validate(program, mode)
     except syntax.ParseError as exc:
-        print(f"{file_arg}:{exc.line}:{exc.col}: error[SYNTAX]: {exc.message}",
-              file=sys.stderr)
-        raise SystemExit(1)
-    diags = validator.validate(program, mode)
+        diags = [validator.Diagnostic("error", "SYNTAX", exc.message, exc.line, exc.col)]
     for d in diags:
         print(d.render(filename), file=sys.stderr)
     if validator.has_errors(diags):
         raise SystemExit(1)
-    return filename, program
+    return program
 
 
 def _dump(path: str, final):
@@ -70,7 +68,7 @@ def _dump(path: str, final):
 
 
 def _cmd_run(args) -> int:
-    _, program = _load_program(args.file, args.mode)
+    program = _load_program(args.file, args.mode)
     run = engine.run if args.mode == validator.QUANTUM else engine.run_classical
     observer = None
     if args.trace:
@@ -146,9 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early, as `head` does. Point stdout at
-        # devnull so the flush at exit meets no closed pipe either.
+    except OSError as exc:
+        # Source and dump files report their own errors, so a write to
+        # stdout (or stderr) failed here: the reader closed the pipe early,
+        # as `head` does, or the device is full. Point stdout at devnull so
+        # the flush at exit meets no failing stream either.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

@@ -51,8 +51,8 @@ probability vector (``ClassicalState``), and each statement goes through
 rand_bit splits them half and half, and conditionals act on the worlds
 where the condition holds, so every classical statement is a
 column-stochastic linear map. The classical return sums the distribution
-over the discarded variables' axes. Runs are deterministic; sampling
-happens only when rendering output.
+over the discarded variables' axes of the split's ``_by_value`` view.
+Runs are deterministic; sampling happens only when rendering output.
 """
 
 from __future__ import annotations
@@ -91,18 +91,12 @@ _INNER_AXES = 8
 
 
 def truth_table(e: Expression, env: Environment) -> np.ndarray:
-    """Boolean value of the expression in every world, as a 0/1 array."""
-    table = np.empty((2,) * env.n_bits, dtype=np.int64)
-    table[...] = _table(e, env)
-    return table.reshape(env.dim)
-
-
-def _table(e: Expression, env: Environment) -> np.ndarray:
     """Boolean value of the expression on the (2,)*n view of the worlds.
 
     Axis i has length 2 if the expression reads env.names[i] and length 1
     otherwise, so the table holds 2**|FV| entries and is broadcast against
-    the world vector, never expanded to 2**n.
+    the world vector, never expanded to 2**n: world k's value is entry k of
+    ``np.broadcast_to(table, (2,) * n).ravel()``.
     """
     n = env.n_bits
     return fold(e, lambda leaf: (_bit_table(n, env.position(leaf.name)) if isinstance(leaf, Var)
@@ -222,7 +216,7 @@ def _negated(stmt: If, env: Environment) -> np.ndarray | None:
             odd = odd ^ table
         else:
             return None
-    return _table(stmt.cond, env) & odd
+    return truth_table(stmt.cond, env) & odd
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -256,7 +250,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
             # variables in classical mode, so it must not be run on the whole
             # vector. Multiplying by a boolean mask selects, and is faster
             # than np.where.
-            mask = _mask(_table(stmt.cond, env))
+            mask = _mask(truth_table(stmt.cond, env))
             inside = (worlds * mask).reshape(vec.shape)
             for inner in stmt.body:
                 apply_comp(inside, inner, env, foreign)
@@ -271,7 +265,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     # the target axis: for x ^= E where E holds, for x := E where E differs
     # from x.
     pos = env.position(stmt.target)
-    value = _table(stmt.rhs, env)
+    value = truth_table(stmt.rhs, env)
     move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
     cube = None
     if vec.size >= _SUB_BLOCK_MIN:
@@ -330,10 +324,10 @@ def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
         return
     rows = worlds.reshape((-1,) + worlds.shape[fixed[0]:])
     zero, one = (_ALL,) + zero[fixed[0]:], (_ALL,) + one[fixed[0]:]
-    step = max(1, _state._CHUNK * len(rows) // worlds.size)
-    copied = np.empty(rows[:step].shape)
-    for r in range(0, len(rows), step):
-        chunk = rows[r:r + step]
+    chunks = _chunks(len(rows), rows[0].size)
+    copied = np.empty(rows[chunks[0]].shape)
+    for c in chunks:
+        chunk = rows[c]
         source = copied[:len(chunk)]
         source[...] = chunk
         chunk[zero], chunk[one] = source[one], source[zero]
@@ -376,7 +370,7 @@ def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
 @lru_cache(maxsize=256)
 def _by_value(live: tuple[str, ...], names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """A view of the rows of a block over the live variables as (row,
-    named bits..., other bits).
+    named bits..., other bits): a split's, or a classical return's one row.
 
     Axis i of the (2,)*n view of a row is the bit of live[i]; the named
     axes come first, each group in environment order, so the worlds where
@@ -616,16 +610,17 @@ def _classical_step(state: ClassicalState, stmt: Statement, in_place: bool) -> C
 def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
     env = state.env
     kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
-    discarded = tuple(i for i, n in enumerate(env.names) if n not in kept)
-    marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
+    discarded = tuple(n for n in env.names if n not in kept)
+    view = _by_value(env.names, discarded)(state.probs[None])  # (1, discarded..., kept)
+    marginal = view.sum(axis=tuple(range(1, 1 + len(discarded)))).reshape(-1)
     return ClassicalState(Environment(kept), marginal)
 
 
 def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalState:
     """Execute a validated classical program; returns the final distribution."""
-    env = Environment(()).extended(tuple(p.inputs))  # CapacityError past MAX_LIVE_BITS
-    start = ClassicalState(env, np.eye(1, env.dim)[0])
-    return _run(p, start, _classical_step, _marginalize, observer)
+    start = initial_state(p.inputs)  # CapacityError past MAX_LIVE_BITS
+    return _run(p, ClassicalState(start.env, start.amps[0]), _classical_step, _marginalize,
+                observer)
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

@@ -289,11 +289,20 @@ def state_to_json(state: TwoLayerState | ClassicalState, out: TextIO | None = No
     return None
 
 
-def state_from_json(text: str) -> TwoLayerState:
+def state_from_json(text: str) -> TwoLayerState | ClassicalState:
+    """Read either form state_to_json writes; raise ValueError if the state is not valid."""
     payload = json.loads(text)
+    env = Environment(tuple(payload["vars"]))
+    if "probs" in payload:
+        probs = np.array(payload["probs"], dtype=float)
+        if probs.shape != (env.dim,):
+            raise ValueError(f"probabilities have shape {probs.shape}, expected ({env.dim},)")
+        # Negated comparisons, so that a NaN fails them too.
+        if not np.all(probs >= 0) or not abs(float(np.sum(probs)) - 1.0) <= STATE_TOL:
+            raise ValueError("probabilities must be non-negative and sum to 1")
+        return ClassicalState(env, probs)
     branches = payload["branches"]
-    state = TwoLayerState(Environment(tuple(payload["vars"])),
-                          np.array([item["amps"] for item in branches], dtype=float),
+    state = TwoLayerState(env, np.array([item["amps"] for item in branches], dtype=float),
                           np.array([item["p"] for item in branches], dtype=float))
     assert_valid_state(state)
     return state

@@ -682,16 +682,17 @@ def expr_source(e: Expression, min_prec: int = _PREC_CMP) -> str:
 
 
 def _stmt_lines(s: Statement, depth: int) -> list[str]:
-    pad = "  " * depth
+    lines = ["  " * depth + _stmt_canonical(s)]
     if isinstance(s, If):
-        lines = [f"{pad}if {expr_source(s.cond)}:"]
         for inner in s.body:
             lines.extend(_stmt_lines(inner, depth + 1))
-        return lines
-    return [pad + _stmt_canonical(s)]
+    return lines
 
 
 def _stmt_canonical(s: Statement) -> str:
+    """Canonical text of a statement's first line: an ``if`` gives its header."""
+    if isinstance(s, If):
+        return f"if {expr_source(s.cond)}:"
     if isinstance(s, QRand):
         return f"qrand_bit({s.target})"
     if isinstance(s, QNeg):
@@ -714,13 +715,10 @@ def statement_source(s: Statement) -> str:
 
     If-bodies join with '; '. Hand-built statements render canonically.
     """
+    text = s.source or _stmt_canonical(s)
     if isinstance(s, If):
-        header = s.source or f"if {expr_source(s.cond)}:"
-        body = "; ".join(statement_source(b) for b in s.body)
-        return f"{header} {body}"
-    if s.source is not None:
-        return s.source
-    return _stmt_canonical(s)
+        return text + " " + "; ".join(statement_source(b) for b in s.body)
+    return text
 
 
 def return_source(names: tuple[str, ...]) -> str:

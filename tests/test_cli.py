@@ -202,6 +202,19 @@ class TestShots:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert proc.returncode == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("args", [
+        ("run", "interference"), ("run", "interference", "--trace"), ("examples",),
+    ])
+    def test_unwritable_stdout_ends_the_run_with_one_error_line(self, args):
+        src = str(Path(qppl.__file__).resolve().parent.parent)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qppl.cli", *args],
+                                  env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        (line,) = proc.stderr.splitlines()  # no traceback, no "Exception ignored"
+        assert proc.returncode == 1 and line.startswith("error: cannot write output: ")
+
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
             assert list(qppl.state.sample(np.array([1.0]), seed, 5)) == [0, 0, 0, 0, 0]
@@ -302,6 +315,16 @@ class TestDumpState:
         restored = qppl.state_from_json(out_path.read_text(encoding="utf-8"))
         assert restored.env.names == ("x",)
 
+    def test_classical_dump_round_trips(self, invoke, tmp_path):
+        out_path = tmp_path / "state.json"
+        code, _, _ = invoke("run", "classical_coins", "--mode", "classical",
+                            "--dump-state", str(out_path))
+        assert code == 0
+        restored = qppl.state_from_json(out_path.read_text(encoding="utf-8"))
+        final = qppl.run_classical(qppl.parse(qppl.bundled_programs()["classical_coins"]))
+        assert isinstance(restored, qppl.ClassicalState)
+        assert restored.env == final.env and np.array_equal(restored.probs, final.probs)
+
 
 class TestCheckAndErrors:
     def test_valid_program_exits_zero(self, invoke):
@@ -313,7 +336,7 @@ class TestCheckAndErrors:
         path.write_text("def main(x : bit):\n  x ^= x\n", encoding="utf-8")
         code, out, err = invoke("check", str(path))
         assert code == 1
-        assert "error[XOR_SELF_REFERENCE]" in err
+        assert err.startswith(f"{path}:2:3: error[XOR_SELF_REFERENCE]")  # the path as typed
         assert out == ""
 
     def test_syntax_error_exits_one(self, invoke, tmp_path):
@@ -321,7 +344,7 @@ class TestCheckAndErrors:
         path.write_text("def main(x : bit):\n\tqneg()\n", encoding="utf-8")
         code, _, err = invoke("check", str(path))
         assert code == 1
-        assert "error[SYNTAX]" in err and "2:" in err
+        assert err.startswith(f"{path}:2:1: error[SYNTAX]")  # the path as typed
 
     def test_byte_order_mark_is_not_part_of_the_source(self, invoke, tmp_path):
         path = tmp_path / "bom.qppl"
@@ -391,7 +414,7 @@ class TestCheckAndErrors:
         code, out, err = invoke("run", "alloc_return", "--dist")
         assert code == 0
         assert out == "1: 1.000000\n"
-        assert "warning[UNUSED_VARIABLE]" in err
+        assert err.startswith("alloc_return.qppl:5:3: warning[UNUSED_VARIABLE]")
 
 
     def test_classical_capacity_error_exits_two(self, invoke, tmp_path):

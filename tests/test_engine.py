@@ -47,30 +47,64 @@ def world_value(e, k, env):
     return world_value(e.left, k, env) | world_value(e.right, k, env)
 
 
+def flat_table(e, env):
+    """truth_table broadcast to every world: entry k is the value in world k."""
+    return np.broadcast_to(truth_table(e, env), (2,) * env.n_bits).ravel()
+
+
+def expressions_of(p):
+    """Each right-hand side and condition of a program, at any depth, with
+    the environment live at its statement."""
+    env = Environment(()).extended(p.inputs)
+    todo = list(p.body)[::-1]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, qppl.New):
+            env = env.extended(s.names)
+        elif isinstance(s, If):
+            yield s.cond, env
+            todo.extend(s.body[::-1])
+        elif isinstance(s, (XorAssign, Assign)):
+            yield s.rhs, env
+
+
 class TestEvalExpr:
     """truth_table against the per-world evaluation above."""
 
     def test_and(self):
         env = Environment(("x", "y"))
         expr = And(Var("x"), Var("y"))
-        assert truth_table(expr, env)[0b11] == world_value(expr, 0b11, env) == 1
+        assert flat_table(expr, env)[0b11] == world_value(expr, 0b11, env) == 1
 
     def test_not(self):
         env = Environment(("x",))
         expr = Not(Var("x"))
-        assert truth_table(expr, env)[0b0] == world_value(expr, 0b0, env) == 1
+        assert flat_table(expr, env)[0b0] == world_value(expr, 0b0, env) == 1
 
     def test_or_with_constant(self):
         env = Environment(("x", "y"))
         expr = Or(Const(0), Var("y"))
-        assert truth_table(expr, env)[0b10] == world_value(expr, 0b10, env) == 0
+        assert flat_table(expr, env)[0b10] == world_value(expr, 0b10, env) == 0
 
     def test_truth_table_matches_pointwise_eval(self):
         env = Environment(("a", "b", "c"))
         expr = Or(And(Var("a"), Not(Var("c"))), Var("b"))
-        table = truth_table(expr, env)
+        table = flat_table(expr, env)
         for k in range(env.dim):
             assert table[k] == world_value(expr, k, env)
+
+    def test_every_table_of_the_corpus_and_of_random_programs(self, corpus):
+        # Broadcast to every world, the table is the flat 0/1 table of the
+        # per-world evaluation; it holds only its 2**|FV| entries.
+        programs = [parse(source) for source in corpus.values()]
+        programs += [random_program(seed) for seed in range(200)]
+        cases = [case for p in programs for case in expressions_of(p)]
+        assert len(cases) > 1000
+        for expr, env in cases:
+            table = truth_table(expr, env)
+            assert table.dtype == bool and table.size == 1 << len(free_vars(expr))
+            expected = [world_value(expr, k, env) for k in range(env.dim)]
+            assert flat_table(expr, env).astype(np.int64).tolist() == expected
 
     def test_truth_table_leaves_no_reference_cycle(self):
         # A cycle would keep the 2**n index array alive until the collector runs.
@@ -481,8 +515,9 @@ class TestWorldKernels:
         env = Environment(tuple(f"x{i}" for i in range(11)))
         expr = Or(And(Var("x10"), Not(Var("x2"))), Var("x7"))
         table = truth_table(expr, env)
-        assert table.dtype == np.int64 and table.shape == (env.dim,)
-        assert list(table) == [world_value(expr, k, env) for k in range(env.dim)]
+        assert table.dtype == bool and table.size == 1 << 3  # x2, x7 and x10
+        assert table.shape == tuple(2 if i in (2, 7, 10) else 1 for i in range(11))
+        assert list(flat_table(expr, env)) == [world_value(expr, k, env) for k in range(env.dim)]
 
     @given(cube_cases(quantum=True), st.sampled_from(STACKS))
     @example((Environment(("a", "b", "c")),  # a strided sub-block of one world per row
@@ -516,7 +551,7 @@ class TestWorldKernels:
     def test_conjunctions_of_literals_are_cubes(self, source, cube):
         env = Environment(("x0", "x1", "x2"))
         expr = parse(f"def main(x0, x1, x2, y : bit):\n  y ^= {source}\n").body[0].rhs
-        assert engine._cube(engine._table(expr, env)) == (cube and (...,) + cube)
+        assert engine._cube(engine.truth_table(expr, env)) == (cube and (...,) + cube)
 
     @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
     def test_a_sub_block_of_no_bits(self, monkeypatch, vec):
@@ -784,7 +819,7 @@ class TestComparisonChains:
         stmt = self.program().body[0]
         env = Environment(("x", "y", "z", "w"))
         calls = counted(monkeypatch, qppl.syntax, "fold")
-        table = truth_table(stmt.rhs, env)
+        table = flat_table(stmt.rhs, env)
         assert self.K < len(calls) <= 10 * (self.K + 1)
         assert list(table) == [self.chain_value(k, env) for k in range(env.dim)]
         vec = np.random.default_rng(2).standard_normal(env.dim)

@@ -172,6 +172,14 @@ class TestJson:
         assert back.env.names == st.env.names
         assert_state_close(back, [(b.p, b.amps) for b in st.branches], tol=1e-12)
 
+    @pytest.mark.parametrize("probs", [
+        [0.5, -0.25, 0.5, 0.25], [0.5, 0.5], [0.25, 0.25, 0.25, 0.2], [0.5, 0.5, 0.0, float("nan")],
+    ], ids=["negative", "short", "unnormalised", "nan"])
+    def test_a_classical_payload_out_of_order_is_refused(self, probs):
+        text = json.dumps({"vars": ["x", "y"], "probs": probs})
+        with pytest.raises(ValueError):
+            state_from_json(text)
+
     def test_zero_prints_without_sign(self):
         # Negating a block by a table of signs turns 0.0 into -0.0; the dump
         # must read the same as for a zero that was never negated.
