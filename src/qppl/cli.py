@@ -3,15 +3,17 @@
 Subcommands:
     run FILE        execute a program and print its output distribution,
                     samples, trace, state dump, or cross-check deviation
-    check FILE      validate only; exit 0 if clean, 1 otherwise
+    check FILE      validate only; exit 0 if clean, 1 on errors, 2 if the
+                    program makes more bits live than a run holds
     examples        list the bundled example programs
 
 FILE may be a path or the name of a bundled example. Exit codes: 0 on
 success; 1 on syntax or validation errors (diagnostics go to stderr), on
 files that cannot be read or written, and when stdout fails or is closed
 before all output is written; 2 on capacity errors and usage errors.
-Output for a fixed (file, flags, seed) is byte-identical across runs;
-``state`` writes the text of every state in it.
+A diagnostic that stderr cannot take is dropped, and the exit code stays
+what it would be. Output for a fixed (file, flags, seed) is byte-identical
+across runs; ``state`` writes the text of every state in it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ import sys
 from pathlib import Path
 
 from . import density, engine, state as state_mod, syntax, validator
+
+
+def _report(line: str):
+    """Print a line to stderr, or drop it if stderr cannot take it."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _resolve_source(file_arg: str) -> tuple[str, str]:
@@ -39,21 +49,27 @@ def _resolve_source(file_arg: str) -> tuple[str, str]:
 
 
 def _load_program(file_arg: str, mode: str):
-    """Parse and validate; returns the program or exits with code 1."""
+    """Parse and validate; returns the program, or exits with code 1 on
+    errors and with code 2, as a run refuses it, on a capacity error alone."""
     try:
         filename, source = _resolve_source(file_arg)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         raise SystemExit(1)
     try:
         program = syntax.parse(source)
         diags = validator.validate(program, mode)
     except syntax.ParseError as exc:
         diags = [validator.Diagnostic("error", "SYNTAX", exc.message, exc.line, exc.col)]
+    capacity = [d for d in diags if d.code == "CAPACITY"]
+    diags = [d for d in diags if d.code != "CAPACITY"]
     for d in diags:
-        print(d.render(filename), file=sys.stderr)
+        _report(d.render(filename))
     if validator.has_errors(diags):
         raise SystemExit(1)
+    if capacity:
+        _report(f"error: {capacity[0].message}")
+        raise SystemExit(2)
     return program
 
 
@@ -63,7 +79,7 @@ def _dump(path: str, final):
         with open(path, "w", encoding="utf-8") as out:
             state_mod.state_to_json(final, out)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        _report(f"error: cannot write {path}: {exc.strerror or exc}")
         raise SystemExit(1)
 
 
@@ -81,7 +97,7 @@ def _cmd_run(args) -> int:
         if args.oracle:
             print(f"oracle deviation: {density.check_equivalence(program, final):.3e}")
     except state_mod.CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     weights, n_bits = final.weights(), final.env.n_bits
     if args.shots is not None:
@@ -134,6 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A standard stream closed at start is None: its text goes nowhere, as print's does.
+    sys.stdout = sys.stdout or open(os.devnull, "w")
+    sys.stderr = sys.stderr or open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "oracle", False) and args.mode != validator.QUANTUM:
@@ -142,15 +161,17 @@ def main(argv: list[str] | None = None) -> int:
         if (getattr(args, flag, None) or 0) < 0:
             parser.error(f"--{flag} must be non-negative")
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        try:
+            code = args.func(args)
+        finally:  # a command that exits early leaves its text to flush too
+            sys.stdout.flush()
     except OSError as exc:
-        # Source and dump files report their own errors, so a write to
-        # stdout (or stderr) failed here: the reader closed the pipe early,
-        # as `head` does, or the device is full. Point stdout at devnull so
-        # the flush at exit meets no failing stream either.
+        # Source and dump files and stderr report their own errors, so a
+        # write to stdout failed here: the reader closed the pipe early, as
+        # `head` does, or the device is full. Point stdout at devnull so the
+        # flush at exit meets no failing stream either.
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            _report(f"error: cannot write output: {exc.strerror or exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

@@ -26,14 +26,14 @@ trace's kets, the distribution's lines and sampled shots, is written here.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-MAX_LIVE_BITS = 24      # dense vectors; refuse anything bigger up front
+from .validator import capacity_error
+
 STATE_TOL = 1e-10       # norm and total-probability invariants
 
 
@@ -74,9 +74,8 @@ class Environment:
         if clash:
             raise ValueError(f"already live: {sorted(clash)}")
         names = self.names + tuple(new_names)
-        if len(names) > MAX_LIVE_BITS:
-            raise CapacityError(
-                f"{len(names)} live bits exceed the {MAX_LIVE_BITS}-bit capacity limit")
+        if (message := capacity_error(len(names))) is not None:
+            raise CapacityError(message)
         return Environment(names)
 
     def bit(self, index: int, name: str) -> int:
@@ -157,24 +156,24 @@ def output_distribution(state: TwoLayerState | ClassicalState) -> dict[int, floa
     return {int(k): float(weights[k]) for k in np.flatnonzero(weights)}
 
 
-def assert_valid_state(state: TwoLayerState, tol: float = STATE_TOL):
+def assert_valid_state(state: TwoLayerState):
     """Raise ValueError unless probabilities and branch norms are in order."""
     amps, probs = state.amps, state.probs
-    if not len(probs):
+    if not probs.size:
         raise ValueError("state has no branches")
-    if amps.shape != (len(probs), state.env.dim):
-        raise ValueError(f"amplitudes have shape {amps.shape}, "
-                         f"expected ({len(probs)}, {state.env.dim})")
+    if probs.ndim != 1 or amps.shape != (len(probs), state.env.dim):
+        raise ValueError(f"amplitudes have shape {amps.shape} and probabilities "
+                         f"{probs.shape}, expected (B, {state.env.dim}) and (B,)")
     # argmin and argmax stop at the first NaN, which fails the checks too.
     j = int(np.argmin(probs))
     if not probs[j] > 0:
         raise ValueError(f"branch {j} has non-positive probability {probs[j]}")
     gaps = np.abs(np.einsum("jk,jk->j", amps, amps) - 1.0)
     j = int(np.argmax(gaps))
-    if not gaps[j] <= tol:
+    if not gaps[j] <= STATE_TOL:
         raise ValueError(f"branch {j} squared norm deviates from 1 by {gaps[j]}")
     total = float(np.sum(probs))
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= STATE_TOL:
         raise ValueError(f"branch probabilities sum to {total}")
 
 
@@ -266,43 +265,47 @@ def _json_head(env: Environment, key: str) -> str:
     return f'{{\n  "vars": {names},\n  "{key}": '
 
 
-def state_to_json(state: TwoLayerState | ClassicalState, out: TextIO | None = None) -> str | None:
-    """The state as JSON, laid out as json.dumps(..., indent=2) lays out
-    {"vars": [...], "branches": [{"p": ..., "amps": [...]}, ...]}, or a
-    classical state's {"vars": [...], "probs": [...]}, written to ``out`` a
-    chunk of a row at a time or, with no ``out``, returned as one string."""
-    if out is None:
-        out = io.StringIO()
-        state_to_json(state, out)
-        return out.getvalue()
+def state_to_json(state: TwoLayerState | ClassicalState, out: TextIO):
+    """Write the state to ``out`` as JSON, a chunk of a row at a time, laid
+    out as json.dumps(..., indent=2) lays out {"vars": [...], "branches":
+    [{"p": ..., "amps": [...]}, ...]}, or a classical state's {"vars": [...],
+    "probs": [...]}."""
     if isinstance(state, ClassicalState):
         out.write(_json_head(state.env, "probs"))
         _write_json_floats(out, state.probs, 1)
         out.write("\n}")
-        return None
+        return
     out.write(_json_head(state.env, "branches") + "[")
     for j, (p, row) in enumerate(zip(state.probs.tolist(), state.amps)):
         out.write(("," if j else "") + f'\n    {{\n      "p": {json.dumps(p)},\n      "amps": ')
         _write_json_floats(out, row, 3)
         out.write("\n    }")
     out.write("\n  ]\n}")
-    return None
 
 
 def state_from_json(text: str) -> TwoLayerState | ClassicalState:
-    """Read either form state_to_json writes; raise ValueError if the state is not valid."""
+    """Read either form state_to_json writes; raise ValueError if the text
+    holds neither form or the state it holds is not valid."""
     payload = json.loads(text)
-    env = Environment(tuple(payload["vars"]))
-    if "probs" in payload:
-        probs = np.array(payload["probs"], dtype=float)
+    try:  # a key missing, or a value of another form
+        names, classical = payload["vars"], "probs" in payload
+        if classical:
+            probs = np.array(payload["probs"], dtype=float)
+        else:
+            amps = np.array([item["amps"] for item in payload["branches"]], dtype=float)
+            probs = np.array([item["p"] for item in payload["branches"]], dtype=float)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"not a state: {exc!r}") from None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError('"vars" must be a list of names')
+    env = Environment(tuple(names))
+    if classical:
         if probs.shape != (env.dim,):
             raise ValueError(f"probabilities have shape {probs.shape}, expected ({env.dim},)")
         # Negated comparisons, so that a NaN fails them too.
         if not np.all(probs >= 0) or not abs(float(np.sum(probs)) - 1.0) <= STATE_TOL:
             raise ValueError("probabilities must be non-negative and sum to 1")
         return ClassicalState(env, probs)
-    branches = payload["branches"]
-    state = TwoLayerState(env, np.array([item["amps"] for item in branches], dtype=float),
-                          np.array([item["p"] for item in branches], dtype=float))
+    state = TwoLayerState(env, amps, probs)
     assert_valid_state(state)
     return state

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Iterable, TypeVar, Union
 
 Loc = tuple[int, int]  # 1-based (line, column)
@@ -739,9 +739,5 @@ def unparse(p: Program) -> str:
 
 def bundled_programs() -> dict[str, str]:
     """Name -> source text of the example corpus shipped with the package."""
-    out: dict[str, str] = {}
-    root = resources.files("qppl.programs")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".qppl"):
-            out[entry.name.removesuffix(".qppl")] = entry.read_text(encoding="utf-8")
-    return out
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(Path(__file__).with_name("programs").glob("*.qppl"))}

@@ -5,7 +5,8 @@ may not read its own target, and an ``if`` body may not write variables
 the condition reads. Classical mode drops those two conditions (ordinary
 destructive assignment is fine there). A statement of the other dialect
 (``syntax.QUANTUM_ONLY`` or ``CLASSICAL_ONLY``) gets one diagnostic and no
-other check. Both modes check declarations and the shapes of measure/new/return.
+other check. Both modes check declarations and the shapes of measure/new/return,
+and that no input list or ``new`` makes more bits live than a run holds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .syntax import (
 )
 
 QUANTUM, CLASSICAL = "quantum", "classical"
+MAX_LIVE_BITS = 24  # dense vectors; refuse anything bigger up front
 # Each mode's table of the other dialect's statements, and their code.
 _FOREIGN = {QUANTUM: (CLASSICAL_ONLY, "CLASSICAL_STATEMENT"),
             CLASSICAL: (QUANTUM_ONLY, "QUANTUM_STATEMENT")}
@@ -31,12 +33,19 @@ class Diagnostic:
     line: int
     col: int
 
-    def render(self, filename: str = "<input>") -> str:
+    def render(self, filename: str) -> str:
         return f"{filename}:{self.line}:{self.col}: {self.severity}[{self.code}]: {self.message}"
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
+
+
+def capacity_error(n_bits: int) -> str | None:
+    """Why n_bits live bits are refused, or None if they fit in MAX_LIVE_BITS."""
+    if n_bits > MAX_LIVE_BITS:
+        return f"{n_bits} live bits exceed the {MAX_LIVE_BITS}-bit capacity limit"
+    return None
 
 
 class _Checker:
@@ -62,6 +71,12 @@ class _Checker:
             self.read.add(name)
             self.check_target(name, locs[name] or loc)
         return set(locs)
+
+    def check_capacity(self, before: int, loc: Loc | None):
+        """Report the input list or ``new`` that first makes more bits live than a
+        run holds; ``before`` is the count of live bits before it."""
+        if before <= MAX_LIVE_BITS < len(self.declared):
+            self.report("CAPACITY", capacity_error(len(self.declared)), loc)
 
     def check_target(self, name: str, loc: Loc | None):
         if name not in self.declared:
@@ -105,6 +120,7 @@ class _Checker:
                                 f"variable '{name}' measured twice in one statement", s.loc)
                 seen.add(name)
         elif isinstance(s, New):
+            before = len(self.declared)
             for name in s.names:
                 if name in self.declared:
                     self.report("REDECLARED_VARIABLE",
@@ -112,6 +128,7 @@ class _Checker:
                 else:
                     self.declared.add(name)
                     self.allocated[name] = s.loc
+            self.check_capacity(before, s.loc)
         elif not isinstance(s, QNeg):
             raise TypeError(f"not a statement: {s!r}")
 
@@ -142,6 +159,7 @@ def validate(p: Program, mode: str = QUANTUM) -> list[Diagnostic]:
         if name in c.declared:
             c.report("DUPLICATE_INPUT", f"input '{name}' declared twice", p.loc)
         c.declared.add(name)
+    c.check_capacity(0, p.loc)
     for s in p.body:
         c.check_statement(s)
     if p.returns is not None:  # without a return every live variable is returned

@@ -20,6 +20,10 @@ from qppl import cli
 from qppl.randprog import random_classical_program, random_program
 
 
+# The environment of a `python -m qppl.cli` child: this checkout's package.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(qppl.__file__).resolve().parent.parent))
+
+
 @pytest.fixture
 def invoke(capsys):
     def _invoke(*args):
@@ -187,10 +191,9 @@ class TestShots:
     def test_closed_stdout_ends_the_run_without_a_traceback(self):
         # A million shots overfill the pipe, so the run is still writing
         # when the reader goes away after two lines, as `| head -2` does.
-        src = str(Path(qppl.__file__).resolve().parent.parent)
         proc = subprocess.Popen(
             [sys.executable, "-m", "qppl.cli", "run", "measure_branching", "--shots", "1000000"],
-            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            env=CHILD_ENV, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         try:
             lines = [proc.stdout.readline() for _ in range(2)]
@@ -207,13 +210,26 @@ class TestShots:
         ("run", "interference"), ("run", "interference", "--trace"), ("examples",),
     ])
     def test_unwritable_stdout_ends_the_run_with_one_error_line(self, args):
-        src = str(Path(qppl.__file__).resolve().parent.parent)
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "qppl.cli", *args],
-                                  env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                                  env=CHILD_ENV, stdout=full,
                                   stderr=subprocess.PIPE, text=True, timeout=60)
         (line,) = proc.stderr.splitlines()  # no traceback, no "Exception ignored"
         assert proc.returncode == 1 and line.startswith("error: cannot write output: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_unwritable_stdout_is_reported_when_the_run_exits_early(self, tmp_path):
+        # The trace waits in a large buffer, as it does on a regular file on
+        # a full disk, when the dump fails and ends the run with exit 1.
+        dump = str(tmp_path / "missing" / "state.json")
+        err = io.StringIO()
+        with open("/dev/full", "w", buffering=1 << 20) as full:
+            with redirect_stdout(full), redirect_stderr(err):
+                code = cli.main(["run", "interference", "--trace", "--dump-state", dump])
+        assert code == 1
+        assert err.getvalue().splitlines() == [
+            f"error: cannot write {dump}: No such file or directory",
+            "error: cannot write output: No space left on device"]
 
     def test_point_distribution_sampling(self):
         for seed in (0, 1, 99):
@@ -416,6 +432,38 @@ class TestCheckAndErrors:
         assert out == "1: 1.000000\n"
         assert err.startswith("alloc_return.qppl:5:3: warning[UNUSED_VARIABLE]")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_diagnostic_that_stderr_cannot_take_is_dropped(self, tmp_path):
+        # The warning is lost and the run goes on; an error still fails the run.
+        bad = tmp_path / "bad.qppl"
+        bad.write_text("def main(x : bit):\n  x ^= x\n", encoding="utf-8")
+        for args, code, out in [(["run", "alloc_return"], 0, "1: 1.000000\n"),
+                                (["check", "alloc_return"], 0, ""), (["run", str(bad)], 1, "")]:
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "qppl.cli", *args], env=CHILD_ENV,
+                                      stdout=subprocess.PIPE, stderr=full, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout) == (code, out), args
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    @pytest.mark.parametrize("reach", ["inputs", "new"])
+    def test_check_and_run_agree_on_capacity(self, invoke, tmp_path, monkeypatch, mode, reach):
+        # Both commands read the one limit, so a small one stands for it.
+        monkeypatch.setattr(qppl.validator, "MAX_LIVE_BITS", 3)
+        coin = "  x0 := rand_bit()\n" if mode == "classical" else "  qrand_bit(x0)\n"
+        for n in (3, 4):
+            names = ", ".join(f"x{i}" for i in range(n))
+            head = f"def main({names} : bit):\n" if reach == "inputs" else \
+                f"def main():\n  new {names}\n"
+            path = tmp_path / f"bits{n}.qppl"
+            path.write_text(head + coin, encoding="utf-8")
+            code, _, err = invoke("check", str(path), "--mode", mode)
+            assert (code, err) == invoke("run", str(path), "--mode", mode)[::2]
+            if reach == "new" and mode == "classical":
+                assert code == 1 and "error[QUANTUM_STATEMENT]: new" in err
+            elif n == 3:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, err) == (2, "error: 4 live bits exceed the 3-bit capacity limit\n")
 
     def test_classical_capacity_error_exits_two(self, invoke, tmp_path):
         names = ", ".join(f"v{i}" for i in range(25))
@@ -494,10 +542,8 @@ class TestCliModule:
 
 class TestImport:
     def test_import_qppl_leaves_cli_unloaded(self):
-        src = str(Path(qppl.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, qppl; qppl.bundled_programs(); assert 'qppl.cli' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, check=True, timeout=60)
 
 
 CLI_TOKENS = [
@@ -526,6 +572,9 @@ cli_flags = st.lists(st.one_of(
 ), max_size=4)
 
 
+STREAMS = ["closed", "full", "pipe"]
+
+
 class TestCliProperty:
     @given(source=cli_sources, command=st.sampled_from(["run", "check"]), flags=cli_flags,
            target=st.sampled_from(["file", "directory", "missing"]))
@@ -546,3 +595,35 @@ class TestCliProperty:
                     code = exc.code
         assert code in (0, 1, 2), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @given(source=cli_sources, command=st.sampled_from(["run", "check"]), flags=cli_flags,
+           stdout=st.sampled_from(STREAMS), stderr=st.sampled_from(STREAMS))
+    @settings(max_examples=30, deadline=None)
+    def test_any_output_streams_exit_0_1_or_2_without_a_traceback(self, source, command, flags,
+                                                                  stdout, stderr):
+        # A child whose stdout and stderr are each closed, full or a pipe,
+        # against the same run in process with both streams working.
+        with tempfile.TemporaryDirectory() as tmp, open("/dev/full", "w") as full:
+            path = Path(tmp) / "prog.qppl"
+            path.write_bytes(source)
+            argv = [command, str(path)] + [f.format(tmp=tmp) for flag in flags for f in flag]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            closed = [fd for fd, kind in ((1, stdout), (2, stderr)) if kind == "closed"]
+            target = {"closed": subprocess.DEVNULL, "full": full, "pipe": subprocess.PIPE}
+            proc = subprocess.run([sys.executable, "-m", "qppl.cli", *argv], env=CHILD_ENV,
+                                  stdout=target[stdout], stderr=target[stderr], text=True,
+                                  preexec_fn=lambda: [os.close(fd) for fd in closed], timeout=60)
+        assert proc.returncode in (0, 1, 2), (argv, stdout, stderr, proc.stderr)
+        if stderr == "pipe":
+            assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        if stdout == "pipe":
+            assert (proc.returncode, proc.stdout) == (code, out.getvalue()), (argv, stderr)
+        else:  # output that stdout cannot take fails the run; a closed stdout takes it all
+            failed = stdout == "full" and out.getvalue()
+            assert proc.returncode == (1 if failed else code), (argv, stdout, stderr)

@@ -1,8 +1,11 @@
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import qppl
 from qppl import (
@@ -12,6 +15,13 @@ from qppl import (
 from conftest import RT2, assert_state_close, make_state
 
 S = 1 / RT2
+
+
+def to_json(state) -> str:
+    """The text state_to_json writes for a state."""
+    out = io.StringIO()
+    state_to_json(state, out)
+    return out.getvalue()
 
 
 def random_two_layer(rng, n_bits, n_branches):
@@ -155,11 +165,37 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="shape"):
             qppl.assert_valid_state(st)
 
+    @pytest.mark.parametrize("probs", [np.float64(1.0), np.ones((1, 1))], ids=["scalar", "matrix"])
+    def test_probabilities_that_are_not_a_vector_rejected(self, probs):
+        st = make_state(["x"], [(1.0, [1, 0])])
+        st.probs = probs
+        with pytest.raises(ValueError, match="shape"):
+            qppl.assert_valid_state(st)
+
+
+# JSON-like payloads: nested lists and objects of numbers and strings, and
+# objects with or without each key of the two forms, whose values are
+# sometimes of the right shape and sometimes any such payload.
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=3),
+    lambda inner: hst.lists(inner, max_size=4) | hst.dictionaries(hst.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=10)
+NUMBERS = hst.lists(hst.sampled_from([0.0, 0.5, S, -S, 1.0]) | hst.integers() | hst.floats(),
+                    max_size=4)
+STATE_PAYLOADS = hst.fixed_dictionaries({}, optional={
+    "vars": hst.lists(hst.sampled_from(["x", "y"]), max_size=2) | JSON_VALUES,
+    "probs": NUMBERS | JSON_VALUES,
+    "branches": hst.lists(hst.fixed_dictionaries({}, optional={
+        "p": NUMBERS.map(sum) | JSON_VALUES, "amps": NUMBERS | JSON_VALUES}), max_size=3)
+    | JSON_VALUES,
+})
+
 
 class TestJson:
     def test_schema(self):
         st = make_state(["x", "y"], [(1.0, [S, 0, S, 0])])
-        payload = json.loads(state_to_json(st))
+        payload = json.loads(to_json(st))
         assert payload["vars"] == ["x", "y"]
         assert len(payload["branches"]) == 1
         assert payload["branches"][0]["p"] == 1.0
@@ -168,7 +204,7 @@ class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         st = random_two_layer(rng, 3, 2)
-        back = state_from_json(state_to_json(st))
+        back = state_from_json(to_json(st))
         assert back.env.names == st.env.names
         assert_state_close(back, [(b.p, b.amps) for b in st.branches], tol=1e-12)
 
@@ -180,13 +216,35 @@ class TestJson:
         with pytest.raises(ValueError):
             state_from_json(text)
 
+    @pytest.mark.parametrize("payload", [
+        [], {}, {"vars": []}, {"vars": [], "branches": [{"p": 1.0}]}, {"vars": 3, "probs": [1]},
+        {"vars": "x", "probs": [0.5, 0.5]}, {"vars": [], "branches": [{"p": [1.0], "amps": [1]}]},
+        {"vars": [], "probs": [10 ** 400]},
+    ])
+    def test_a_payload_that_is_no_state_is_refused(self, payload):
+        with pytest.raises(ValueError):
+            state_from_json(json.dumps(payload))
+
+    @given(payload=hst.one_of(JSON_VALUES, STATE_PAYLOADS))
+    @settings(max_examples=300, deadline=None)
+    def test_any_payload_gives_a_valid_state_or_a_value_error(self, payload):
+        try:
+            st = state_from_json(json.dumps(payload))
+        except ValueError:
+            return
+        if isinstance(st, qppl.ClassicalState):
+            assert st.probs.shape == (st.env.dim,)
+        else:
+            assert isinstance(st, qppl.TwoLayerState)
+            qppl.assert_valid_state(st)
+
     def test_zero_prints_without_sign(self):
         # Negating a block by a table of signs turns 0.0 into -0.0; the dump
         # must read the same as for a zero that was never negated.
         negated = make_state(["x", "y"], [(1.0, np.array([S, -0.0, -S, 0.0]))])
         plain = make_state(["x", "y"], [(1.0, [S, 0, -S, 0])])
-        assert state_to_json(negated) == state_to_json(plain)
-        assert "-0.0" not in state_to_json(negated)
+        assert to_json(negated) == to_json(plain)
+        assert "-0.0" not in to_json(negated)
 
     @pytest.mark.parametrize("n_bits, n_branches", [(0, 1), (1, 3), (13, 2)])
     def test_text_is_json_dumps_of_the_whole_payload(self, n_bits, n_branches):
@@ -194,10 +252,10 @@ class TestJson:
         st = random_two_layer(np.random.default_rng(n_bits), n_bits, n_branches)
         payload = {"vars": list(st.env.names), "branches": [
             {"p": p, "amps": row} for p, row in zip(st.probs.tolist(), st.amps.tolist())]}
-        assert state_to_json(st) == json.dumps(payload, indent=2)
+        assert to_json(st) == json.dumps(payload, indent=2)
         env = st.env
         dist = qppl.ClassicalState(env, st.amps[0] ** 2)
-        assert state_to_json(dist) == json.dumps(
+        assert to_json(dist) == json.dumps(
             {"vars": list(env.names), "probs": dist.probs.tolist()}, indent=2)
 
     @pytest.mark.parametrize("mode", ["quantum", "classical"])
