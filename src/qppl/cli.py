@@ -99,11 +99,10 @@ def _cmd_run(args) -> int:
     except state_mod.CapacityError as exc:
         _report(f"error: {exc}")
         return 2
-    weights, n_bits = final.weights(), final.env.n_bits
     if args.shots is not None:
-        state_mod.write_shots(weights, n_bits, args.seed, args.shots, sys.stdout)
+        state_mod.write_shots(final.weights(), args.seed, args.shots, sys.stdout)
     elif args.dist or not (args.trace or args.dump_state or args.oracle):
-        state_mod.write_distribution(weights, n_bits, sys.stdout)
+        state_mod.write_distribution(final.weights(), sys.stdout)
     return 0
 
 

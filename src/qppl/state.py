@@ -21,12 +21,15 @@ Basis indexing is fixed once and for all by the environment: variables in
 declaration order, inputs first, with the first-declared variable as the
 most significant bit of the world index. Newly allocated variables are
 appended at the low-order end. Every text form of a state, its JSON, a
-trace's kets, the distribution's lines and sampled shots, is written here.
+trace's kets, the distribution's lines and sampled shots, is written here;
+a writer of a world vector reads the labels' width off its length, 2**n.
+An ``Environment``'s names are distinct, checked once, when it is built.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
@@ -49,7 +52,8 @@ class Environment:
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
-            raise ValueError("environment names must be distinct")
+            repeated = sorted(n for n, count in Counter(self.names).items() if count > 1)
+            raise ValueError(f"environment names must be distinct, repeated: {repeated}")
 
     @property
     def n_bits(self) -> int:
@@ -70,13 +74,10 @@ class Environment:
         return self.n_bits - 1 - self.position(name)
 
     def extended(self, new_names: Sequence[str]) -> "Environment":
-        clash = set(self.names) & set(new_names)
-        if clash:
-            raise ValueError(f"already live: {sorted(clash)}")
-        names = self.names + tuple(new_names)
-        if (message := capacity_error(len(names))) is not None:
+        env = Environment(self.names + tuple(new_names))  # ValueError on a name already live
+        if (message := capacity_error(env.n_bits)) is not None:
             raise CapacityError(message)
-        return Environment(names)
+        return env
 
     def bit(self, index: int, name: str) -> int:
         return (index >> self.shift(name)) & 1
@@ -179,12 +180,12 @@ def assert_valid_state(state: TwoLayerState):
 
 def basis_label(index: int, n_bits: int) -> str:
     """World index as a bit string; the 0-bit world renders as '()'."""
-    return _label_field(n_bits).format(index)
+    return _label_field(1 << n_bits).format(index)
 
 
-def _label_field(n_bits: int) -> str:
-    """The str.format field that writes argument 0, a world index, as basis_label does."""
-    return f"{{0:0{n_bits}b}}" if n_bits else "()"
+def _label_field(n_worlds: int) -> str:
+    """The format field that writes argument 0, an index of 2**n worlds, as basis_label(·, n)."""
+    return f"{{0:0{n_worlds.bit_length() - 1}b}}" if n_worlds > 1 else "()"
 
 
 # Entries of a vector written as text at a time: floats of the JSON form,
@@ -198,9 +199,9 @@ def _nonzero(vec: np.ndarray) -> Iterator[list[int]]:
         yield (np.flatnonzero(vec[start:start + _TEXT_CHUNK]) + start).tolist()
 
 
-def write_kets(prefix: str, vec: np.ndarray, n_bits: int, out: TextIO):
+def write_kets(prefix: str, vec: np.ndarray, out: TextIO):
     """Write the prefix and the nonzero entries of a world vector as kets, one line."""
-    ket = "{1:.6g}|" + _label_field(n_bits) + "⟩"
+    ket = "{1:.6g}|" + _label_field(len(vec)) + "⟩"
     kets = (" + ".join(map(ket.format, ks, vec[ks].tolist())) for ks in _nonzero(vec) if ks)
     out.write(prefix + next(kets, ""))
     for text in kets:
@@ -213,15 +214,15 @@ def write_trace(label: str, state: TwoLayerState | ClassicalState, out: TextIO):
     if label:
         print(label, file=out)
     if isinstance(state, ClassicalState):
-        write_kets("  ", state.probs, state.env.n_bits, out)
+        write_kets("  ", state.probs, out)
     else:
         for p, amps in zip(state.probs.tolist(), state.amps):
-            write_kets(f"  p={p:.6g}: ", amps, state.env.n_bits, out)
+            write_kets(f"  p={p:.6g}: ", amps, out)
 
 
-def write_distribution(weights: np.ndarray, n_bits: int, out: TextIO):
+def write_distribution(weights: np.ndarray, out: TextIO):
     """Write a line per nonzero world, its label and weight, a text chunk at a time."""
-    line = _label_field(n_bits) + ": {1:.6f}\n"
+    line = _label_field(len(weights)) + ": {1:.6f}\n"
     for ks in _nonzero(weights):
         out.write("".join(map(line.format, ks, weights[ks].tolist())))
 
@@ -240,9 +241,9 @@ def sample(weights: np.ndarray, seed: int, shots: int) -> Iterator[int]:
         yield from keys[cdf.searchsorted(rng.random(size), side="right")].tolist()
 
 
-def write_shots(weights: np.ndarray, n_bits: int, seed: int, shots: int, out: TextIO):
+def write_shots(weights: np.ndarray, seed: int, shots: int, out: TextIO):
     """Write the label of each of ``sample``'s draws on a line, one write a line."""
-    line = _label_field(n_bits) + "\n"
+    line = _label_field(len(weights)) + "\n"
     out.writelines(map(line.format, sample(weights, seed, shots)))
 
 

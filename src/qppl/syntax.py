@@ -21,8 +21,9 @@ symbols ``¬``, ``∧``, ``∨`` are accepted too) and the comparisons.
 ``a ^ b`` and ``a != b`` parse to ``Xor(a, b)`` and ``a == b`` to
 ``Not(Xor(a, b))``, so every parsed expression is a tree: no node is held
 twice. Precedence, tightest first: not, and, or, then the comparison
-operators (left associative). ``#`` starts a comment running to the end
-of the line.
+operators (left associative). One table, ``_BINARY``, gives each binary
+node its precedence and spelling; the parser and ``expr_source`` both
+read it. ``#`` starts a comment running to the end of the line.
 Lines end where ``str.splitlines`` ends them, so \\v, \\f, \\x1c-\\x1e,
 \\x85, U+2028, U+2029 and a lone \\r end a line as \\n and \\r\\n do.
 Indentation must use spaces; tabs in indentation are rejected.
@@ -335,8 +336,8 @@ def _scan(source: str) -> tuple[list[_TokenTuple], list[_LineTuple]]:
 # limit stay far inside Python's default recursion limit of 1000 frames.
 MAX_NESTING = 64
 
-# Binary operators by precedence, loosest first; all are left associative.
-_PRECEDENCE = {"==": 0, "!=": 0, "^": 0, "or": 1, "and": 2}
+# Each binary node's precedence, loosest first, and spelling; all are left associative.
+_BINARY = {Xor: (0, "^"), Or: (1, "or"), And: (2, "and")}
 
 
 def _check_nesting(depth: int, what: str, tok: _TokenTuple) -> None:
@@ -369,6 +370,9 @@ def _builder(cls: type[T]) -> Callable[..., T]:
 
 _BUILD = {cls: _builder(cls) for cls in (Var, Const, Not, And, Or, Xor, QRand, QNeg, XorAssign,
                                          If, Assign, RandBit, New, Measure, Program)}
+# The parser's view of _BINARY: each operator token's precedence and node builder.
+_OPERATORS = {op: (prec, _BUILD[cls]) for cls, (prec, op) in _BINARY.items()}
+_OPERATORS["=="] = _OPERATORS["!="] = _OPERATORS["^"]
 
 
 class _Parser:
@@ -450,11 +454,11 @@ class _Parser:
     def binary(self, min_prec: int) -> tuple[Expression, int]:
         """An expression whose operators bind at least as tightly as min_prec."""
         expr, depth = self.unary()
-        while (prec := _PRECEDENCE.get((tok := self.tokens[self.pos])[1], -1)) >= min_prec:
+        while (op := _OPERATORS.get((tok := self.tokens[self.pos])[1])) and op[0] >= min_prec:
             self.pos += 1
-            rhs, rhs_depth = self.binary(prec + 1)
+            rhs, rhs_depth = self.binary(op[0] + 1)
             loc = tok[2:]
-            expr = _BUILD[Xor if prec == 0 else Or if prec == 1 else And](expr, rhs, loc)
+            expr = op[1](expr, rhs, loc)
             depth = max(depth, rhs_depth) + 1
             if tok[0] == "==":
                 expr, depth = _BUILD[Not](expr, loc), depth + 1
@@ -649,33 +653,27 @@ def parse(source: str) -> Program:
 # Unparser
 # ---------------------------------------------------------------------------
 
-_PREC_CMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 0, 1, 2, 3, 4
+_NOT, _ATOM = len(_BINARY), len(_BINARY) + 1  # bind tighter than every binary node
 
 
-def expr_source(e: Expression, min_prec: int = _PREC_CMP) -> str:
+def expr_source(e: Expression, min_prec: int = 0) -> str:
     """Source text of an expression; parse of it gives back the same tree.
 
     ``Xor(a, b)`` prints as ``a ^ b`` and ``Not(Xor(a, b))`` as ``a == b``;
     every other node prints as the operator it is.
     """
-    xor = e.operand if isinstance(e, Not) and isinstance(e.operand, Xor) else e
-    if isinstance(xor, Xor):
-        # Comparisons chain to the left: the right operand is one level up.
-        op = "^" if xor is e else "=="
-        text = f"{expr_source(xor.left, _PREC_CMP)} {op} {expr_source(xor.right, _PREC_OR)}"
-        prec = _PREC_CMP
+    node = e.operand if isinstance(e, Not) and isinstance(e.operand, Xor) else e
+    if type(node) in _BINARY:
+        # Left associative: the right operand binds one level tighter.
+        prec, op = _BINARY[type(node)]
+        op = op if node is e else "=="
+        text = f"{expr_source(node.left, prec)} {op} {expr_source(node.right, prec + 1)}"
     elif isinstance(e, Var):
-        text, prec = e.name, _PREC_ATOM
+        text, prec = e.name, _ATOM
     elif isinstance(e, Const):
-        text, prec = str(e.value), _PREC_ATOM
+        text, prec = str(e.value), _ATOM
     elif isinstance(e, Not):
-        text, prec = f"not {expr_source(e.operand, _PREC_NOT)}", _PREC_NOT
-    elif isinstance(e, And):
-        text = f"{expr_source(e.left, _PREC_AND)} and {expr_source(e.right, _PREC_NOT)}"
-        prec = _PREC_AND
-    elif isinstance(e, Or):
-        text = f"{expr_source(e.left, _PREC_OR)} or {expr_source(e.right, _PREC_AND)}"
-        prec = _PREC_OR
+        text, prec = f"not {expr_source(e.operand, _NOT)}", _NOT
     else:
         raise TypeError(f"not an expression: {e!r}")
     return f"({text})" if prec < min_prec else text

@@ -1,0 +1,103 @@
+"""The mutant gate: every mutant of a fixed catalogue must fail tier-1.
+
+A mutant is a one-site edit to ``src/qppl`` that changes what the program
+does, given as a (file, old text, new text) triple (DeMillo, Lipton &
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978). For
+each mutant this script copies ``src``, ``tests`` and ``pyproject.toml`` to
+a temporary directory, applies the edit there, and runs the tier-1 suite
+with ``-x``: the run must fail. It prints the test that killed each mutant,
+and exits 1 if one survived or its old text no longer occurs exactly once.
+The checkout itself is never written. pytest does not collect this file.
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (file under src/qppl, old text, new text). Each mutant changes
+# behaviour; an edit that gives the same program (widening _mask by one
+# axis builds the same table) is no mutant and stays out.
+MUTANTS = {
+    "coin-sign-row": (  # the coin's matrix [[1, 1], [-1, 1]]
+        "engine.py", "[[1.0, 1.0], [1.0, -1.0 if signed else 1.0]]",
+        "[[1.0, 1.0], [-1.0 if signed else 1.0, 1.0]]"),
+    "swap-chunk": (  # the chunked swap writes each half back in place
+        "engine.py", "chunk[zero], chunk[one] = source[one], source[zero]",
+        "chunk[zero], chunk[one] = source[zero], source[one]"),
+    "cube-literal": (  # a cube's sub-block fixes the other value of each read bit
+        "engine.py", "cube.append(_AT[k & 1] if size == 2 else _ALL)",
+        "cube.append(_AT[1 - (k & 1)] if size == 2 else _ALL)"),
+    "sign-table": (  # the sign table negates nothing
+        "engine.py", "worlds *= _mask(np.where(negated, -1.0, 1.0))",
+        "worlds *= _mask(np.where(negated, 1.0, 1.0))"),
+    "by-value-axes": (  # the other bits of the split's view in reverse order
+        "engine.py", "[1 + i for i in range(env.n_bits) if i not in named]",
+        "[1 + i for i in reversed(range(env.n_bits)) if i not in named]"),
+    "heads-collision": (  # an outcome whose hash matches a head joins it unchecked
+        "engine.py", "            head[i] = -1\n", "            head[i] = head[i]\n"),
+    "oracle-einsum": (  # the partial trace keeps the column bits reversed
+        "density.py", "[*kept, *(n + q for q in kept)]",
+        "[*kept, *(n + q for q in reversed(kept))]"),
+    "validator-dialect": (  # the dialect table is looked up by node, never found
+        "validator.py", "self.foreign.get(type(s))", "self.foreign.get(s)"),
+    "extend-embedding": (  # new bits are placed at the high-order end
+        "engine.py", "amps[:, ::1 << len(new_names)] = state.amps",
+        "amps[:, :state.amps.shape[1]] = state.amps"),
+    "label-width": (  # labels one bit wider than the vector's worlds
+        "state.py", "n_worlds.bit_length() - 1", "n_worlds.bit_length()"),
+    "binary-precedence": (  # `or` binds tighter than `and`
+        "syntax.py", 'Or: (1, "or"), And: (2, "and")', 'Or: (2, "or"), And: (1, "and")'),
+    "environment-distinct": (  # repeated names pass
+        "state.py", "if len(set(self.names)) != len(self.names):",
+        "if len(set(self.names)) > len(self.names):"),
+}
+
+
+def run_mutant(file: str, old: str, new: str) -> tuple[bool, str]:
+    """Apply one mutant to a copy and run tier-1 with -x there: (killed,
+    the test that failed first, or why the mutant counts as not killed)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp, part), ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = Path(tmp, "src", "qppl", file)
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return False, f"old text occurs {text.count(old)} times in {file}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    if proc.returncode == 1 and failed:
+        return True, failed[0]
+    return False, f"pytest exited {proc.returncode}: " + (proc.stdout.strip().splitlines()
+                                                         or ["no output"])[-1]
+
+
+def main() -> int:
+    survivors = []
+    for name, mutant in MUTANTS.items():
+        start = time.perf_counter()
+        killed, what = run_mutant(*mutant)
+        print(f"{name:22} {'killed by' if killed else 'NOT KILLED:'} {what} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+        if not killed:
+            survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

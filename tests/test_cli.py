@@ -87,7 +87,7 @@ class TestOutputMemory:
             tracemalloc.start()
             try:
                 if output == "dist":
-                    qppl.state.write_distribution(st_.weights(), 18, sink)
+                    qppl.state.write_distribution(st_.weights(), sink)
                 else:
                     for outcome in qppl.state.sample(st_.weights(), 1, 5):
                         sink.write(qppl.basis_label(outcome, 18) + "\n")
@@ -96,14 +96,57 @@ class TestOutputMemory:
                 tracemalloc.stop()
         assert peak < rows * st_.env.dim * 8
 
-    def test_distribution_does_not_depend_on_the_chunking(self, monkeypatch):
-        weights = np.array([0.0, 0.25, 0.0, 0.125, 0.125, 0.0, 0.0, 0.5])
-        whole = "".join(f"{qppl.basis_label(int(k), 3)}: {weights[k]:.6f}\n"
+    def test_a_dump_holds_one_block(self, tmp_path):
+        # 20 coins make one uniform branch, an 8 MiB block. --dump-state
+        # writes it a chunk of a row at a time and builds no weight vector,
+        # which took the peak to 2.03 blocks.
+        path = tmp_path / "coins.qppl"
+        xs = [f"x{i}" for i in range(20)]
+        path.write_text("def main(" + ", ".join(xs) + " : bit):\n"
+                        + "".join(f"  qrand_bit({x})\n" for x in xs), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", str(path), "--dump-state", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * (8 << 20)
+
+    @pytest.mark.parametrize("args", [
+        ("interference", "--trace"), ("classical_coins", "--mode", "classical", "--trace"),
+        ("measure_branching", "--dump-state"),
+        ("classical_coins", "--mode", "classical", "--dump-state"), ("interference", "--oracle"),
+    ])
+    def test_a_run_that_prints_no_distribution_builds_no_weights(self, invoke, monkeypatch,
+                                                                  tmp_path, args):
+        dump = tmp_path / "state.json"
+        argv = ["run", *args] + ([str(dump)] if args[-1] == "--dump-state" else [])
+        code, expected, _ = invoke(*argv)
+        dumped = dump.read_bytes() if dump.exists() else None
+
+        def refuse(_state):
+            raise AssertionError("weights() called")
+
+        monkeypatch.setattr(qppl.TwoLayerState, "weights", refuse)
+        monkeypatch.setattr(qppl.ClassicalState, "weights", refuse)
+        assert code == 0
+        code, out, _ = invoke(*argv)
+        assert code == 0 and out == expected
+        assert (dump.read_bytes() if dump.exists() else None) == dumped
+
+    @pytest.mark.parametrize("n_bits,weights", [
+        (0, [1.0]), (1, [0.25, 0.75]), (3, [0.0, 0.25, 0.0, 0.125, 0.125, 0.0, 0.0, 0.5]),
+        (12, np.eye(1, 4096, 2893)[0] * 0.5 + np.eye(1, 4096, 6)[0] * 0.5)])
+    def test_distribution_does_not_depend_on_the_chunking(self, monkeypatch, n_bits, weights):
+        # The label width comes from the vector's length, 2**n_bits.
+        weights = np.array(weights)
+        whole = "".join(f"{qppl.basis_label(int(k), n_bits)}: {weights[k]:.6f}\n"
                         for k in np.flatnonzero(weights))
         for chunk in (1, 3, 8):
             monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
             out = io.StringIO()
-            qppl.state.write_distribution(weights, 3, out)
+            qppl.state.write_distribution(weights, out)
             assert out.getvalue() == whole
 
 
@@ -151,12 +194,12 @@ class TestShots:
                 expected += keys[draws.choice(len(keys), size=size, p=probs)].tolist()
             assert list(qppl.state.sample(weights, seed, shots)) == expected
 
-    @pytest.mark.parametrize("n_bits", [0, 3])
+    @pytest.mark.parametrize("n_bits", [0, 1, 3, 12])
     def test_each_shot_is_its_draw_as_basis_label_writes_it(self, invoke, tmp_path, n_bits):
         # The lines are written from one format field per run, not by
         # basis_label; they must read as it does, a line a draw, in order.
         path = tmp_path / "coins.qppl"
-        xs = [f"x{i}" for i in range(3)]
+        xs = [f"x{i}" for i in range(max(n_bits, 3))]
         path.write_text("def main():\n  new " + ", ".join(xs) + "\n"
                         + "".join(f"  qrand_bit({x})\n" for x in xs)
                         + "  return " + ", ".join(xs[:n_bits]) + "\n", encoding="utf-8")
@@ -235,12 +278,17 @@ class TestShots:
         for seed in (0, 1, 99):
             assert list(qppl.state.sample(np.array([1.0]), seed, 5)) == [0, 0, 0, 0, 0]
 
-    def test_zero_bit_outcomes_render_as_parens(self, invoke, tmp_path):
+    @pytest.mark.parametrize("n_inputs", [0, 1, 3, 12])
+    def test_zero_bit_outcomes_render_as_parens(self, invoke, tmp_path, n_inputs):
+        # Every input is discarded, so each outcome is the one 0-bit world.
         path = tmp_path / "empty.qppl"
-        path.write_text("def main(x : bit):\n  qrand_bit(x)\n  return\n", encoding="utf-8")
+        xs = [f"x{i}" for i in range(n_inputs)]
+        path.write_text(f"def main({', '.join(xs)}{' : bit' if xs else ''}):\n"
+                        + "".join(f"  qrand_bit({x})\n" for x in xs) + "  return\n",
+                        encoding="utf-8")
         code, out, _ = invoke("run", str(path), "--shots", "3", "--seed", "1")
         assert code == 0
-        assert out == "()\n()\n()\n"
+        assert out == "()\n()\n()\n" == (qppl.basis_label(0, 0) + "\n") * 3
 
 
 class TestTrace:
@@ -280,15 +328,18 @@ class TestTrace:
         assert peak < 2 << 20
 
     @pytest.mark.parametrize("vec", [[0.0] * 8, [0.0, 0.5, 0.0, 0.0, 0.25, -0.25, 0.0, 1.0],
-                                     [0.0] * 7 + [1.0]])
+                                     [0.0] * 7 + [1.0], [-1.0], [0.0, 1.0],
+                                     np.eye(1, 4096, 2893)[0] - np.eye(1, 4096, 5)[0]])
     def test_kets_do_not_depend_on_the_chunking(self, monkeypatch, vec):
+        # The label width comes from the vector's length: 1, 2, 8 or 4,096 worlds.
         vec = np.array(vec)
-        whole = "  p=1: " + " + ".join(f"{vec[k]:.6g}|{qppl.basis_label(int(k), 3)}⟩"
+        n_bits = int(np.log2(len(vec)))
+        whole = "  p=1: " + " + ".join(f"{vec[k]:.6g}|{qppl.basis_label(int(k), n_bits)}⟩"
                                        for k in np.flatnonzero(vec)) + "\n"
         for chunk in (1, 3, 8):
             monkeypatch.setattr(qppl.state, "_TEXT_CHUNK", chunk)
             out = io.StringIO()
-            qppl.state.write_kets("  p=1: ", vec, 3, out)
+            qppl.state.write_kets("  p=1: ", vec, out)
             assert out.getvalue() == whole
 
 

@@ -1345,7 +1345,7 @@ class TestMemoryBudget:
             final = run(p)
             n_bits = final.env.n_bits
             with open(os.devnull, "w", encoding="utf-8") as sink:
-                qppl.state.write_distribution(final.weights(), n_bits, sink)
+                qppl.state.write_distribution(final.weights(), sink)
                 for outcome in qppl.state.sample(final.weights(), 1, 5):
                     sink.write(qppl.basis_label(outcome, n_bits) + "\n")
         except CapacityError:

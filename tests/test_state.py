@@ -67,6 +67,18 @@ class TestEnvironment:
         with pytest.raises(KeyError):
             Environment(("x",)).shift("w")
 
+    def test_repeated_names_are_named(self):
+        with pytest.raises(ValueError, match=r"repeated: \['x'\]"):
+            Environment(("x", "x"))
+        with pytest.raises(ValueError, match=r"repeated: \['a', 'x'\]"):
+            Environment(("x", "a", "y", "a", "x"))
+        with pytest.raises(ValueError, match=r"repeated: \['x'\]"):
+            extend(make_state(["x", "y"], [(1.0, [1, 0, 0, 0])]), ["z", "x"])
+        # The clash is found before the capacity check, at the limit too.
+        full = Environment(tuple(f"v{i}" for i in range(qppl.validator.MAX_LIVE_BITS)))
+        with pytest.raises(ValueError, match=r"repeated: \['v0'\]"):
+            full.extended(["v0"])
+
 
 class TestExtend:
     def test_basis_state_gets_low_order_zero(self):
