@@ -51,7 +51,7 @@ probability vector (``ClassicalState``), and each statement goes through
 rand_bit splits them half and half, and conditionals act on the worlds
 where the condition holds, so every classical statement is a
 column-stochastic linear map. The classical return sums the distribution
-over the discarded variables' axes of the split's ``_by_value`` view.
+over the discarded variables' axes of ``apply_comp``'s (2,)*n view.
 Runs are deterministic; sampling happens only when rendering output.
 """
 
@@ -369,8 +369,8 @@ def extend(state: TwoLayerState, new_names: Sequence[str]) -> TwoLayerState:
 
 @lru_cache(maxsize=256)
 def _by_value(live: tuple[str, ...], names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """A view of the rows of a block over the live variables as (row,
-    named bits..., other bits): a split's, or a classical return's one row.
+    """The split's view of the rows of a block over the live variables:
+    (row, named bits..., other bits).
 
     Axis i of the (2,)*n view of a row is the bit of live[i]; the named
     axes come first, each group in environment order, so the worlds where
@@ -546,7 +546,7 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
     before the new block is built. The surviving environment lists the
     returned variables in declaration order.
     """
-    kept = tuple(sorted(set(returns), key=state.env.position))  # KeyError if not live
+    kept = tuple(sorted(returns, key=state.env.position))  # KeyError if not live
     discarded = [n for n in state.env.names if n not in kept]
     return TwoLayerState(Environment(kept), *_split(state, discarded, drop_named=True))
 
@@ -609,10 +609,9 @@ def _classical_step(state: ClassicalState, stmt: Statement, in_place: bool) -> C
 
 def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:
     env = state.env
-    kept = tuple(sorted(set(returns), key=env.position))  # KeyError if not live
-    discarded = tuple(n for n in env.names if n not in kept)
-    view = _by_value(env.names, discarded)(state.probs[None])  # (1, discarded..., kept)
-    marginal = view.sum(axis=tuple(range(1, 1 + len(discarded)))).reshape(-1)
+    kept = tuple(sorted(returns, key=env.position))  # KeyError if not live
+    discarded = tuple(i for i, n in enumerate(env.names) if n not in kept)
+    marginal = state.probs.reshape((2,) * env.n_bits).sum(axis=discarded).reshape(-1)
     return ClassicalState(Environment(kept), marginal)
 
 

@@ -38,7 +38,7 @@ text; the parser is recursive descent over those tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar, Union
 
@@ -349,29 +349,8 @@ def _names(tokens: list[_TokenTuple]) -> tuple[str, ...]:
     return tuple(tok[1] for tok in tokens)
 
 
-def _builder(cls: type[T]) -> Callable[..., T]:
-    """A function that builds a ``cls`` node from all its fields, in order,
-    by plain ``__dict__`` stores on an ``object.__new__`` instance.
-
-    A frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``, which costs about twice as much, and the parser
-    builds a node or more per token. The node is the same: its class,
-    ``==``, ``hash`` and frozenness are the dataclass's (no node class has
-    a ``__post_init__`` to skip). The function is generated once per class,
-    as dataclasses generate ``__init__``, so each store is one dict write.
-    """
-    names = [f.name for f in fields(cls)]
-    stores = "".join(f"\n    d[{name!r}] = {name}" for name in names)
-    scope = {"new": object.__new__, "cls": cls}
-    exec(f"def build({', '.join(names)}):\n    node = new(cls)\n    d = node.__dict__{stores}"
-         "\n    return node", scope)
-    return scope["build"]
-
-
-_BUILD = {cls: _builder(cls) for cls in (Var, Const, Not, And, Or, Xor, QRand, QNeg, XorAssign,
-                                         If, Assign, RandBit, New, Measure, Program)}
-# The parser's view of _BINARY: each operator token's precedence and node builder.
-_OPERATORS = {op: (prec, _BUILD[cls]) for cls, (prec, op) in _BINARY.items()}
+# The parser's view of _BINARY: each operator token's precedence and node class.
+_OPERATORS = {op: (prec, cls) for cls, (prec, op) in _BINARY.items()}
 _OPERATORS["=="] = _OPERATORS["!="] = _OPERATORS["^"]
 
 
@@ -461,7 +440,7 @@ class _Parser:
             expr = op[1](expr, rhs, loc)
             depth = max(depth, rhs_depth) + 1
             if tok[0] == "==":
-                expr, depth = _BUILD[Not](expr, loc), depth + 1
+                expr, depth = Not(expr, loc), depth + 1
             _check_nesting(depth, "expression", tok)
         return expr, depth
 
@@ -477,11 +456,11 @@ class _Parser:
             if text not in ("0", "1"):
                 raise ParseError(f"only the bits 0 and 1 are valid constants, found {text!r}",
                                  line, col)
-            expr, depth = _BUILD[Const](int(text), (line, col)), 0
+            expr, depth = Const(int(text), (line, col)), 0
         elif kind == "NAME":
             if text in KEYWORDS:
                 raise ParseError(f"{text!r} is a reserved word", line, col)
-            expr, depth = _BUILD[Var](text, (line, col)), 0
+            expr, depth = Var(text, (line, col)), 0
         elif kind == "(":
             self.parens += 1
             _check_nesting(self.parens, "parentheses", tok)
@@ -493,7 +472,7 @@ class _Parser:
         else:
             raise ParseError(f"expected an expression, found {text!r}", line, col)
         for tok in reversed(nots):
-            expr, depth = _BUILD[Not](expr, tok[2:]), depth + 1
+            expr, depth = Not(expr, tok[2:]), depth + 1
             _check_nesting(depth, "expression", tok)
         return expr, depth
 
@@ -508,15 +487,15 @@ class _Parser:
         inputs, loc = self._parse_header()
         self.i = 1
         if self.i >= len(self.lines):
-            return _BUILD[Program](inputs, (), None, loc, None)
+            return Program(inputs, (), None, loc, None)
         body_indent, _, line_no, _ = self.lines[self.i]
         if body_indent == 0:
             raise ParseError("program body must be indented", line_no, 1)
-        body, returns, return_loc = self._parse_block(body_indent, top_level=True)
+        body, returns, return_loc = self._parse_block(body_indent)
         if self.i < len(self.lines):
             indent, _, line_no, _ = self.lines[self.i]
             raise ParseError("inconsistent indentation", line_no, indent + 1)
-        return _BUILD[Program](inputs, tuple(body), returns, loc, return_loc)
+        return Program(inputs, tuple(body), returns, loc, return_loc)
 
     def _parse_header(self) -> tuple[tuple[str, ...], Loc]:
         tok = self.next()
@@ -539,7 +518,7 @@ class _Parser:
         return _names(names), tok[2:]
 
     def _parse_block(
-        self, indent: int, top_level: bool
+        self, indent: int
     ) -> tuple[list[Statement], tuple[str, ...] | None, Loc | None]:
         stmts: list[Statement] = []
         returns: tuple[str, ...] | None = None
@@ -554,9 +533,9 @@ class _Parser:
                 raise ParseError("'return' must be the final statement", line[2], line[0] + 1)
             self.pos = line[1]
             head = self.tokens[self.pos]
+            if self.if_depth and head[1] in ("return", "measure", "new"):
+                raise ParseError(f"{head[1]!r} is not allowed inside 'if'", head[2], head[3])
             if head[1] == "return":
-                if not top_level:
-                    raise ParseError("'return' is not allowed inside 'if'", head[2], head[3])
                 self.pos += 1
                 names: list[_TokenTuple] = []
                 if self.peek()[0] != "EOL":
@@ -566,10 +545,10 @@ class _Parser:
                 return_loc = head[2:]
                 self.i += 1
                 continue
-            self._parse_statement(line, top_level, stmts)
+            self._parse_statement(line, stmts)
         return stmts, returns, return_loc
 
-    def _parse_statement(self, line: _LineTuple, top_level: bool, out: list[Statement]):
+    def _parse_statement(self, line: _LineTuple, out: list[Statement]):
         """Parse the statement of the line into ``out`` and move to the next
         line."""
         head = self.next()
@@ -586,29 +565,25 @@ class _Parser:
             _check_nesting(self.if_depth, "'if' blocks", head)
             if self.i >= len(self.lines) or self.lines[self.i][0] <= line[0]:
                 raise ParseError("expected an indented block after 'if'", line[2], line[0] + 1)
-            body, _, _ = self._parse_block(self.lines[self.i][0], top_level=False)
+            body, _, _ = self._parse_block(self.lines[self.i][0])
             self.if_depth -= 1
-            out.append(_BUILD[If](cond, tuple(body), loc, src))
+            out.append(If(cond, tuple(body), loc, src))
             return
 
         if word in ("qrand_bit", "qrand"):
             names = self.call_names(allow_empty=False)
             if len(names) != 1:
                 raise ParseError(f"{word} takes exactly one variable", names[1][2], names[1][3])
-            out.append(_BUILD[QRand](names[0][1], loc, src))
+            out.append(QRand(names[0][1], loc, src))
         elif word in ("qnegate", "qneg"):
             self.expect("(")
             self.expect(")")
-            out.append(_BUILD[QNeg](loc, src))
+            out.append(QNeg(loc, src))
         elif word == "measure":
-            if not top_level:
-                raise ParseError("'measure' is not allowed inside 'if'", *loc)
-            out.append(_BUILD[Measure](_names(self.call_names(allow_empty=True)), loc, src))
+            out.append(Measure(_names(self.call_names(allow_empty=True)), loc, src))
         elif word == "new":
-            if not top_level:
-                raise ParseError("'new' is not allowed inside 'if'", *loc)
             if self.peek()[0] == "(":
-                out.append(_BUILD[New](_names(self.call_names(allow_empty=False)), loc, src))
+                out.append(New(_names(self.call_names(allow_empty=False)), loc, src))
             else:
                 names = self.name_list()
                 if self.match(":="):
@@ -616,25 +591,25 @@ class _Parser:
                         raise ParseError("an initializer requires a single variable",
                                          names[1][2], names[1][3])
                     # The initializing XOR is synthesized; it renders canonically.
-                    out += [_BUILD[New]((names[0][1],), loc, src),
-                            _BUILD[XorAssign](names[0][1], self.expression(), loc, None)]
+                    out += [New((names[0][1],), loc, src),
+                            XorAssign(names[0][1], self.expression(), loc, None)]
                 else:
-                    out.append(_BUILD[New](_names(names), loc, src))
+                    out.append(New(_names(names), loc, src))
         elif word in KEYWORDS:
             raise ParseError(f"unexpected keyword {word!r}", *loc)
         else:
             op = self.next()
             if op[0] == "^=":
-                out.append(_BUILD[XorAssign](word, self.expression(), loc, src))
+                out.append(XorAssign(word, self.expression(), loc, src))
             elif op[0] != ":=":
                 raise ParseError(f"expected '^=' or ':=', found {op[1]!r}", op[2], op[3])
             elif self.peek()[1] == "rand_bit":
                 self.pos += 1
                 self.expect("(")
                 self.expect(")")
-                out.append(_BUILD[RandBit](word, loc, src))
+                out.append(RandBit(word, loc, src))
             else:
-                out.append(_BUILD[Assign](word, self.expression(), loc, src))
+                out.append(Assign(word, self.expression(), loc, src))
         self.expect_end()
         self.i += 1
 

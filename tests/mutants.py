@@ -60,6 +60,10 @@ MUTANTS = {
     "environment-distinct": (  # repeated names pass
         "state.py", "if len(set(self.names)) != len(self.names):",
         "if len(set(self.names)) > len(self.names):"),
+    "if-body-rule": (  # `new` parses inside an `if` body
+        "syntax.py", 'head[1] in ("return", "measure", "new")', 'head[1] in ("return", "measure")'),
+    "classical-return-axes": (  # the classical return sums over the kept bits
+        "engine.py", "enumerate(env.names) if n not in kept)", "enumerate(env.names) if n in kept)"),
 }
 
 
@@ -79,7 +83,9 @@ def run_mutant(file: str, old: str, new: str) -> tuple[bool, str]:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"],
             cwd=tmp, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    # "FAILED <test id> - <reason>"; a parametrized id may hold spaces.
+    failed = [line[len("FAILED "):].split(" - ")[0] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
     if proc.returncode == 1 and failed:
         return True, failed[0]
     return False, f"pytest exited {proc.returncode}: " + (proc.stdout.strip().splitlines()

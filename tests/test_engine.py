@@ -19,8 +19,10 @@ from qppl import (
 from qppl import engine
 from qppl.engine import apply_comp
 from qppl.syntax import CLASSICAL_ONLY, MAX_NESTING, QUANTUM_ONLY
-from qppl.randprog import random_comp_program, random_program
-from conftest import H, RT2, assert_state_close, brute_force_measure, make_state
+from qppl.randprog import random_classical_program, random_comp_program, random_program
+from conftest import (
+    H, RT2, assert_state_close, bit_value, brute_force_measure, exact_weights, make_state,
+)
 
 S = 1 / RT2
 
@@ -32,19 +34,8 @@ def step(state, stmt):
 
 
 def world_value(e, k, env):
-    """An expression's value in world k, evaluated bit by bit with env.bit."""
-    if isinstance(e, Var):
-        return env.bit(k, e.name)
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Not):
-        return 1 - world_value(e.operand, k, env)
-    if isinstance(e, And):
-        return world_value(e.left, k, env) & world_value(e.right, k, env)
-    if isinstance(e, Xor):
-        return world_value(e.left, k, env) ^ world_value(e.right, k, env)
-    assert isinstance(e, Or), e
-    return world_value(e.left, k, env) | world_value(e.right, k, env)
+    """An expression's value in world k, its bits read with env.bit."""
+    return bit_value(e, {name: env.bit(k, name) for name in env.names})
 
 
 def flat_table(e, env):
@@ -922,10 +913,42 @@ class TestMeasure:
         with pytest.raises(ValueError):
             apply_measure(st, ["x", "x"])
 
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    def test_duplicate_return_names_rejected(self, mode):
+        # Parsed, not validated: the validator would report DUPLICATE_RETURN first.
+        p = parse("def main(x, y : bit):\n  return x, x")
+        with pytest.raises(ValueError, match=r"repeated: \['x'\]"):
+            (run if mode == "quantum" else qppl.run_classical)(p)
+
     def test_unknown_names_rejected(self):
         st = make_state(["x"], [(1.0, [1, 0])])
         with pytest.raises(KeyError):
             apply_measure(st, ["w"])
+
+
+class TestExactReferee:
+    """The final weights of both modes against ``exact_weights``, the
+    world-at-a-time exact semantics: within 1e-12 on every world, so a world
+    whose exact weight is 0 reads at most 1e-12."""
+
+    def check(self, program, classical, what):
+        final = (qppl.run_classical if classical else run)(program)
+        names, exact = exact_weights(program, classical)
+        assert final.env.names == names, what
+        gap = np.abs(final.weights() - np.array([float(w) for w in exact]))
+        assert gap.max() <= 1e-12, (what, gap.max())
+
+    def test_corpus(self, corpus):
+        for name, src in corpus.items():
+            self.check(parse(src), name == "classical_coins", name)
+
+    def test_random_quantum(self):
+        for s in range(2000):
+            self.check(random_program(s), False, s)
+
+    def test_random_classical(self):
+        for s in range(500):
+            self.check(random_classical_program(s), True, s)
 
 
 def merge_reference(pairs, grid=2.0 ** -40):

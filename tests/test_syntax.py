@@ -146,14 +146,17 @@ class TestParseErrors:
     def test_return_not_last(self):
         self.check("def main(x : bit):\n  return x\n  qneg()", "final statement")
 
-    def test_return_inside_if(self):
-        self.check("def main(x : bit):\n  if x:\n    return x", "not allowed inside")
-
-    def test_measure_inside_if(self):
-        self.check("def main(x : bit):\n  if x:\n    measure(x)", "not allowed inside")
-
-    def test_new_inside_if(self):
-        self.check("def main(x : bit):\n  if x:\n    new y", "not allowed inside")
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("word, line", [
+        ("return", "return x"), ("measure", "measure(x)"), ("new", "new y")],
+        ids=["return", "measure", "new"])
+    def test_word_inside_if(self, word, line, depth):
+        ifs = "".join(f"{'  ' * (d + 1)}if x:\n" for d in range(depth))
+        indent = 2 * (depth + 1)
+        with pytest.raises(ParseError) as exc:
+            parse("def main(x : bit):\n" + ifs + " " * indent + line)
+        assert exc.value.message == f"{word!r} is not allowed inside 'if'"
+        assert (exc.value.line, exc.value.col) == (2 + depth, indent + 1)
 
     def test_missing_colon_after_if(self):
         self.check("def main(x : bit):\n  if x\n    qneg()", "':'")
