@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
         observer = lambda label, st: state_mod.write_trace(label, st, sys.stdout)
     try:
         final = run(program, observer=observer)
-        if args.dump_state:
+        if args.dump_state is not None:
             _dump(args.dump_state, final)
         if args.oracle:
             print(f"oracle deviation: {density.check_equivalence(program, final):.3e}")
@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
         return 2
     if args.shots is not None:
         state_mod.write_shots(final.weights(), args.seed, args.shots, sys.stdout)
-    elif args.dist or not (args.trace or args.dump_state or args.oracle):
+    elif args.dist or not (args.trace or args.dump_state is not None or args.oracle):
         state_mod.write_distribution(final.weights(), sys.stdout)
     return 0
 

@@ -21,16 +21,19 @@ broadcast against the worlds of every row.
 with [[1, 1], [1, -1]] or [[1, 1], [1, 1]], then a scale, √½ or ½.
 ``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
 moves the worlds where E differs from x to their partner across that
-axis; an ``if`` of negations only negates the worlds of one table.
+axis; an ``if`` whose body is an odd number of ``qnegate()`` and nothing
+else only negates the worlds where its condition holds.
 
 A table that holds on exactly one assignment of the variables it reads
 (a cube: a conjunction of literals such as ``x1``, ``x1 == 0`` or ``a and
-not b``) marks one basic-slice sub-block of the view, and the statement
-moves or negates only inside that sub-block, as state-vector simulators
-update the controlled block of a gate. Under _SUB_BLOCK_MIN entries, and
-for any other table, the statement takes the mask path: ``np.where`` for a
-swap, a multiply by a table of signs for negations, and for any other
-``if`` a mask: its body runs on a masked copy of the worlds, which is added
+not b``) marks one basic-slice sub-block of the view. A swap or a
+negation on a cube touches only that sub-block, as state-vector
+simulators update the controlled block of a gate. Under _SUB_BLOCK_MIN
+entries, and for any other table, the statement takes the mask path:
+``np.where`` for a swap, a multiply by a table of signs for negations.
+A move that merges worlds, as ``x := 0`` does, always takes it: the
+masked worlds are flipped across x's axis and added to the rest. Any
+other ``if`` runs its body on a masked copy of the worlds, which is added
 back to the worlds where the condition fails. That is the block form of
 the statement's matrix without materializing it.
 
@@ -67,12 +70,11 @@ from .syntax import (
     QNeg, QRand, RandBit, Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
 )
 from . import state as _state
-from .state import CapacityError, ClassicalState, Environment, TwoLayerState, _chunks
+from .state import PRUNE_EPS, CapacityError, ClassicalState, Environment, TwoLayerState, _chunks
 
 # Most bits of a dense 2**n x 2**n matrix: comp_matrix and the density oracle.
 COMP_MATRIX_MAX_BITS = 10
 MAX_BLOCK_BYTES = 1 << 30  # amplitudes one state's block may hold
-PRUNE_EPS = 1e-12  # a split drops outcomes of this probability or less
 # Branches whose amplitudes agree up to sign on this grid (about 9.1e-13;
 # a power of two, so scaling onto it is exact) are merged. A merge moves no
 # density entry by more than about 1e-12.
@@ -201,24 +203,6 @@ def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
     return vec
 
 
-def _negated(stmt: If, env: Environment) -> np.ndarray | None:
-    """Table of the worlds an ``if`` negates, if its body holds only
-    ``qnegate()`` and ``if`` statements of the same kind; else None.
-
-    Such an ``if`` is diagonal: a world is negated when the condition holds
-    and an odd number of the body's negations reach it.
-    """
-    odd = np.zeros((1,) * env.n_bits, dtype=bool)
-    for inner in stmt.body:
-        if isinstance(inner, QNeg):
-            odd = ~odd
-        elif isinstance(inner, If) and (table := _negated(inner, env)) is not None:
-            odd = odd ^ table
-        else:
-            return None
-    return truth_table(stmt.cond, env) & odd
-
-
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
                foreign: dict[type, str]) -> np.ndarray:
     """Apply one computational statement to a world vector, in place.
@@ -244,22 +228,23 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         raise TypeError(f"not a computational statement: {stmt!r}")
     worlds = vec.reshape(vec.shape[:-1] + (2,) * env.n_bits)
     if isinstance(stmt, If):
-        negated = None if QNeg in foreign else _negated(stmt, env)
-        if negated is None:
-            # Linear in the vector: the body may write the condition's
-            # variables in classical mode, so it must not be run on the whole
-            # vector. Multiplying by a boolean mask selects, and is faster
-            # than np.where.
-            mask = _mask(truth_table(stmt.cond, env))
-            inside = (worlds * mask).reshape(vec.shape)
-            for inner in stmt.body:
-                apply_comp(inside, inner, env, foreign)
-            worlds *= ~mask
-            worlds += inside.reshape(worlds.shape)
-        elif vec.size >= _SUB_BLOCK_MIN and (cube := _cube(negated)) is not None:
-            np.multiply(worlds[cube], -1.0, out=worlds[cube])
-        else:
-            worlds *= _mask(np.where(negated, -1.0, 1.0))
+        table, body = truth_table(stmt.cond, env), stmt.body
+        if QNeg not in foreign and len(body) % 2 and all(isinstance(s, QNeg) for s in body):
+            # An odd number of negations: negate where the condition holds.
+            if vec.size >= _SUB_BLOCK_MIN and (cube := _cube(table)) is not None:
+                np.multiply(worlds[cube], -1.0, out=worlds[cube])
+            else:
+                worlds *= _mask(np.where(table, -1.0, 1.0))
+            return vec
+        # Linear in the vector: the body may write the condition's variables
+        # in classical mode, so it must not be run on the whole vector.
+        # Multiplying by a boolean mask selects, and is faster than np.where.
+        mask = _mask(table)
+        inside = (worlds * mask).reshape(vec.shape)
+        for inner in body:
+            apply_comp(inside, inner, env, foreign)
+        worlds *= ~mask
+        worlds += inside.reshape(worlds.shape)
         return vec
     # Each world whose target bit must change moves to its partner across
     # the target axis: for x ^= E where E holds, for x := E where E differs
@@ -267,7 +252,6 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     pos = env.position(stmt.target)
     value = truth_table(stmt.rhs, env)
     move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
-    cube = None
     if vec.size >= _SUB_BLOCK_MIN:
         if value.shape[pos] == 2:
             # E reads x (classical mode). A move alike on both halves of x's
@@ -275,18 +259,11 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
             halves = move[(_ALL,) * pos + (_AT[0],)], move[(_ALL,) * pos + (_AT[1],)]
             if halves[0].tobytes() == halves[1].tobytes():
                 move = halves[0]
-        cube = _cube(move)
-    if cube is not None:
-        # The worlds that move are one sub-block: move its halves of the
-        # target axis, which is cube[pos + 1] after the Ellipsis.
-        zero, one = (cube[:pos + 1] + (at,) + cube[pos + 2:] for at in _AT)
-        if move.shape[pos] == 1:  # both halves move: a swap
-            _swap(worlds, zero, one)
-        else:  # one half moves onto the other, as for x := 0
-            to, source = (zero, one) if cube[pos + 1] is _AT[1] else (one, zero)
-            worlds[to] += worlds[source]
-            worlds[source] = 0.0
-        return vec
+        if move.shape[pos] == 1 and (cube := _cube(move)) is not None:
+            # The worlds that swap are one sub-block: swap its halves of the
+            # target axis, which is cube[pos + 1] after the Ellipsis.
+            _swap(worlds, *(cube[:pos + 1] + (at,) + cube[pos + 2:] for at in _AT))
+            return vec
     flip = (..., slice(None, None, -1)) + (_ALL,) * env.shift(stmt.target)
     move = _mask(move)
     if move.shape[pos] == 1:

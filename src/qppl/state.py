@@ -38,6 +38,7 @@ import numpy as np
 from .validator import capacity_error
 
 STATE_TOL = 1e-10       # norm and total-probability invariants
+PRUNE_EPS = 1e-12       # a chance this small is roundoff: a split drops it, weights() reads 0
 
 
 class CapacityError(RuntimeError):
@@ -105,8 +106,11 @@ class TwoLayerState:
 
     def weights(self) -> np.ndarray:
         """Chance of observing each world, one vector: the sum of p *
-        amplitude**2 over the branches, the diagonal of to_density(state)."""
-        return np.einsum("j,jk,jk->k", self.probs, self.amps, self.amps)
+        amplitude**2 over the branches, the diagonal of to_density(state),
+        with each chance of PRUNE_EPS or less, which only roundoff leaves, set to 0."""
+        weights = np.einsum("j,jk,jk->k", self.probs, self.amps, self.amps)
+        weights[weights <= PRUNE_EPS] = 0.0
+        return weights
 
 
 @dataclass

@@ -38,8 +38,13 @@ MUTANTS = {
         "engine.py", "cube.append(_AT[k & 1] if size == 2 else _ALL)",
         "cube.append(_AT[1 - (k & 1)] if size == 2 else _ALL)"),
     "sign-table": (  # the sign table negates nothing
-        "engine.py", "worlds *= _mask(np.where(negated, -1.0, 1.0))",
-        "worlds *= _mask(np.where(negated, 1.0, 1.0))"),
+        "engine.py", "worlds *= _mask(np.where(table, -1.0, 1.0))",
+        "worlds *= _mask(np.where(table, 1.0, 1.0))"),
+    "negation-count": (  # an even number of negations negates too
+        "engine.py", "len(body) % 2 and", "len(body) and"),
+    "cube-swap-only": (  # a move that merges worlds on a cube swaps them
+        "engine.py", "if move.shape[pos] == 1 and (cube := _cube(move))",
+        "if (cube := _cube(move))"),
     "by-value-axes": (  # the other bits of the split's view in reverse order
         "engine.py", "[1 + i for i in range(env.n_bits) if i not in named]",
         "[1 + i for i in reversed(range(env.n_bits)) if i not in named]"),

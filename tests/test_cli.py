@@ -52,6 +52,13 @@ class TestRunDistribution:
         _, out_dist, _ = invoke("run", "interference", "--dist")
         assert out_default == out_dist
 
+    def test_no_roundoff_world_is_printed(self, invoke, tmp_path):
+        # World 1 of this program has exact weight 0, which roundoff left at
+        # about 1e-33; it printed as `1: 0.000000`.
+        path = tmp_path / "roundoff.qppl"
+        path.write_text(qppl.unparse(random_program(92)), encoding="utf-8")
+        assert invoke("run", str(path), "--dist") == (0, "0: 1.000000\n", "")
+
     def test_classical_mode(self, invoke):
         code, out, _ = invoke("run", "classical_coins", "--mode", "classical")
         assert code == 0
@@ -391,6 +398,11 @@ class TestDumpState:
         final = qppl.run_classical(qppl.parse(qppl.bundled_programs()["classical_coins"]))
         assert isinstance(restored, qppl.ClassicalState)
         assert restored.env == final.env and np.array_equal(restored.probs, final.probs)
+
+    def test_empty_path_is_an_error(self, invoke):
+        code, out, err = invoke("run", "interference", "--dump-state", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write : ")
 
 
 class TestCheckAndErrors:

@@ -462,9 +462,10 @@ class TestWorldKernels:
 
     @given(kernel_cases((QNeg,)), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_negation_only_ifs_are_one_sign_table(self, case, stacked):
-        # An `if` holding only qnegate() and such ifs is applied as one
-        # multiply by a +-1 table; it must equal the per-world reference.
+    def test_negation_only_ifs_are_exact(self, case, stacked):
+        # An `if` of an odd number of qnegate() alone is one multiply by a
+        # +-1 table, and one that holds such ifs runs its body on a mask; both
+        # must equal the per-world reference bit for bit.
         env, stmt, vec = case
         vec = np.eye(env.dim) if stacked else vec - 0.5
         got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
@@ -551,22 +552,23 @@ class TestWorldKernels:
         got = apply_comp(vec.copy(), stmt, Environment(()), CLASSICAL_ONLY)
         np.testing.assert_array_equal(got, -vec)
 
-    @pytest.mark.parametrize("source, cube", [
-        ("a := a ^ b", (ALL, ONE, ALL)), ("a := not b ^ not a", (ALL, ONE, ALL)),
-        ("a := 0", (ONE, ALL, ALL)), ("a := 1", (ZERO, ALL, ALL)),
-        ("a := a and not c", (ONE, ALL, ONE)), ("b ^= b and a", (ONE, ONE, ALL)),
-        ("a := a or b", (ZERO, ONE, ALL)), ("a := b", None), ("a := a ^ b ^ c", None),
+    @pytest.mark.parametrize("source, found", [
+        ("a := a ^ b", [(ALL, ONE, ALL)]), ("a := not b ^ not a", [(ALL, ONE, ALL)]),
+        ("a := a ^ b ^ c", [None]), ("a := 0", []), ("a := 1", []), ("a := a and not c", []),
+        ("b ^= b and a", []), ("a := a or b", []), ("a := b", []),
     ])
-    def test_classical_writes_that_move_one_sub_block(self, monkeypatch, source, cube):
+    def test_classical_writes_that_move_one_sub_block(self, monkeypatch, source, found):
         # x := x ^ y moves alike on both halves of x's axis: its move table
-        # is taken on one half, where it is a cube, and the statement is a swap.
+        # is taken on one half, where it is a cube, and the statement is a
+        # swap. A write that merges worlds, as x := 0 does, looks up no cube:
+        # it takes the mask path.
         env = Environment(("a", "b", "c"))
         stmt = parse(f"def main(a, b, c : bit):\n  {source}\n").body[0]
         probs = np.random.default_rng(3).random(env.dim)
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         cubes_found = spy_cubes(monkeypatch)
         got = apply_comp(probs.copy(), stmt, env, QUANTUM_ONLY)
-        assert cubes_found == [cube and (...,) + cube]
+        assert cubes_found == [cube and (...,) + cube for cube in found]
         np.testing.assert_array_equal(got, kernel_reference(probs, stmt, env))
 
     @pytest.mark.parametrize("n_bits, takes_sub_block", [(8, False), (9, True)])
@@ -640,13 +642,14 @@ QUANTUM_FORMS = (
     "if not {h}:\n    qnegate()",
     "if {x} == {a}:\n    qnegate()",  # a table of signs
     "if {a} and not {x}:\n    qrand_bit({b})\n    {b} ^= {x}\n    qnegate()",  # a mask
+    "if {a}:\n    if {x} == {b}:\n      qnegate()\n    qnegate()",  # a mask around signs
     "qnegate()",
 )
 CLASSICAL_FORMS = (
     "{x} := rand_bit()",
     "{x} ^= {a} and {b}",
     "{x} := {x} ^ {a}",  # a swap on a cube of one half of x's axis
-    "{x} := 0",  # a merge on a cube
+    "{x} := 0",  # a merge whose move is a cube: the mask path
     "{x} := {a} or {b}",  # a merge on a mask
     "if {a} and {b}:\n    {x} := not {x}",  # a mask
 )
@@ -928,15 +931,18 @@ class TestMeasure:
 
 class TestExactReferee:
     """The final weights of both modes against ``exact_weights``, the
-    world-at-a-time exact semantics: within 1e-12 on every world, so a world
-    whose exact weight is 0 reads at most 1e-12."""
+    world-at-a-time exact semantics: within 1e-12 on every world, and
+    nonzero on exactly the worlds whose exact weight is, so no roundoff
+    world is printed and no real one is dropped."""
 
     def check(self, program, classical, what):
         final = (qppl.run_classical if classical else run)(program)
         names, exact = exact_weights(program, classical)
         assert final.env.names == names, what
-        gap = np.abs(final.weights() - np.array([float(w) for w in exact]))
+        weights, exact = final.weights(), np.array([float(w) for w in exact])
+        gap = np.abs(weights - exact)
         assert gap.max() <= 1e-12, (what, gap.max())
+        assert np.array_equal(weights != 0, exact != 0), what
 
     def test_corpus(self, corpus):
         for name, src in corpus.items():
