@@ -18,7 +18,14 @@ copy is written. An expression's truth table has a length-2 axis only for
 each variable the expression reads, so it holds 2**|FV| entries and is
 broadcast against the worlds of every row.
 ``qrand`` and ``rand_bit`` are one coin: a product of each pair of worlds
-with [[1, 1], [1, -1]] or [[1, 1], [1, 1]], then a scale, √½ or ½.
+with [[1, 1], [1, -1]] or [[1, 1], [1, 1]], then a scale, √½ or ½, which
+is exact. An unobserved run takes each run of consecutive top-level coins
+of its mode on distinct targets as one step: coins on distinct bits
+commute, so each aligned group of four target bits is one product with
+the kron of its coins' matrices, then one exact scale. A group sums in
+another order than its coins one at a time, so an unobserved quantum run
+may differ from an observed one in the last bits (about 1e-15 in a
+weight); a classical run sums dyadic probabilities, exactly, and does not.
 ``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
 moves the worlds where E differs from x to their partner across that
 axis; an ``if`` whose body is an odd number of ``qnegate()`` and nothing
@@ -60,8 +67,10 @@ Runs are deterministic; sampling happens only when rendering output.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from itertools import groupby
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,42 +174,97 @@ def _mask(table: np.ndarray) -> np.ndarray:
 # gets the rounded sum or difference of its pair, then the rounded scale.
 _COIN = {signed: (np.array([[1.0, 1.0], [1.0, -1.0 if signed else 1.0]]),
                   1.0 / np.sqrt(2.0) if signed else 0.5) for signed in (True, False)}
-_ROW_COIN = {(signed, s): np.kron(np.eye(max(4 >> s, 1)), np.kron(m, np.eye(1 << s))).T
-             for signed, (m, _) in _COIN.items() for s in range(4)}
-for _matrix in (*(m for m, _ in _COIN.values()), *_ROW_COIN.values()):
-    _matrix.flags.writeable = False  # shared
+# Multiply-adds of one product of the coin kernel: none is big enough for
+# OpenBLAS to split it across threads. A fused group in the low group's row
+# form goes in items of at most _ROWS rows, as many as 16-world rows fill it.
+_PRODUCT = 1 << 16
+_ROWS = _PRODUCT >> 8
 
 
-def _coin(vec: np.ndarray, shift: int, signed: bool) -> np.ndarray:
-    """Mix each pair of worlds that differ only in the target bit, in place:
-    through the coin's matrix into one scratch piece, scaled back into place.
-    A target at shift 4 or more multiplies the (rows and higher bits, target
-    bit, lower bits) view; a lower one, rows of max(8, 2 << shift) worlds by
-    kron(I, M, I)ᵀ. A piece holds at most state._CHUNK entries, or in rows,
-    multiply-adds, so no product is big enough for BLAS to split across
-    threads: a chunk of rows, or half a chunk of a wider pair's lower bits."""
-    matrix, scale = _COIN[signed]
-    if rows := shift < 4:
-        matrix = _ROW_COIN[signed, shift]
-        width = min(len(matrix), vec.shape[-1])
-        view, matrix = vec.reshape(-1, width), matrix[:width, :width]
+@lru_cache(maxsize=1024)
+def _coin_matrix(signed: bool, shifts: tuple[int, ...], lo: int, bits: int,
+                 rows: bool) -> tuple[np.ndarray, float]:
+    """The matrix of coins on the bits at ``shifts`` among the ``bits``
+    bits from shift ``lo`` up: the kron, high bit to low, of the coin's
+    matrix on each target and I on each other bit, transposed for ``rows``;
+    C-contiguous, which BLAS multiplies faster than a transposed view, and
+    read-only, as it is shared. And the coins' scale, exact, as (√½)² rounds
+    below ½: 2**-(c//2) for c signed coins, times √½ if c is odd, and 2**-c
+    for c unsigned ones."""
+    coin, scale = _COIN[signed]
+    matrix = np.ones((1, 1))
+    for bit in reversed(range(lo, lo + bits)):
+        matrix = np.kron(matrix, (coin.T if rows else coin) if bit in shifts else np.eye(2))
+    matrix = np.ascontiguousarray(matrix)
+    matrix.flags.writeable = False
+    c = len(shifts)
+    return matrix, math.ldexp(scale if c % 2 else 1.0, -(c // 2) * (1 if signed else 2))
+
+
+def _coins(vec: np.ndarray, shifts: tuple[int, ...], signed: bool) -> np.ndarray:
+    """Coins on the target bits at ``shifts``, ascending and within one
+    aligned group of four (shifts 4b to 4b + 3), in place: each set of
+    worlds that differ only in those bits goes through the coins' matrix
+    into one scratch piece, scaled back into place. A group at shift 4 or
+    more multiplies the (rows and higher bits, the group's bits, lower bits)
+    view, in items of as many lower bits as _PRODUCT allows; the low group,
+    rows of max(8, 2 << top shift) worlds by the matrixᵀ. One coin's
+    product is exact whatever its shape, so its rows go up to a chunk of
+    multiply-adds at a time, across the rows of a batch. A fused group's
+    sums round by the product's shape, so its rows go in items of one
+    row's worlds, or _ROWS rows of them: no item reaches across rows or
+    depends on the chunks and batches the block is cut into. A piece holds
+    at most state._CHUNK entries, or one item."""
+    lo, hi = shifts[0], shifts[-1]
+    if rows := lo < 4:
+        width = min(max(8, 2 << hi), vec.shape[-1])
+        matrix, scale = _coin_matrix(signed, shifts, 0, width.bit_length() - 1, True)
+        if len(shifts) == 1:
+            view = vec.reshape(-1, width)
+            pieces = [view] if vec.size * width <= _state._CHUNK else [
+                view[c] for c in _chunks(len(view), width * width)]
+        else:
+            view = vec.reshape(-1, min(_ROWS, vec.shape[-1] // width), width)
+            pieces = [view[c] for c in _chunks(len(view), view[0].size)]
     else:
-        view = vec.reshape(-1, 2, 1 << shift)
-    per_row = view[0].size * (width if rows else 1)  # entries, or multiply-adds
-    pieces = [view]
-    if len(view) * per_row > _state._CHUNK:
-        width = view.shape[-1] if rows else min(1 << shift, _state._CHUNK // 2 or 1)
-        pieces = [view[c, ..., w:w + width] for c in _chunks(len(view), per_row)
-                  for w in range(0, view.shape[-1], width)]
+        matrix, scale = _coin_matrix(signed, shifts, lo, hi - lo + 1, False)
+        per = min(1 << lo, _PRODUCT // len(matrix) ** 2)  # lower bits of an item
+        # (rows and higher bits, items, the group's bits, per lower bits)
+        view = vec.reshape(-1, len(matrix), (1 << lo) // per, per).swapaxes(1, 2)
+        pieces = [view] if vec.size <= _state._CHUNK else [
+            view[c, i] for c in _chunks(len(view), view[0].size)
+            for i in _chunks(view.shape[1], len(matrix) * per)]
     scratch = np.empty(pieces[0].shape)
     for piece in pieces:
-        mixed = scratch[:len(piece), ..., :piece.shape[-1]]  # the last piece may be smaller
-        if rows:
-            np.dot(piece, matrix, out=mixed)
-        else:
+        mixed = scratch[:len(piece), :piece.shape[1]]  # the last piece may hold fewer
+        if not rows:
             np.matmul(matrix, piece, out=mixed)
+        else:  # np.dot is the cheaper call on one coin's 2-D piece
+            (np.dot if piece.ndim == 2 else np.matmul)(piece, matrix, out=mixed)
         np.multiply(mixed, scale, out=piece)
     return vec
+
+
+class _CoinRun(NamedTuple):
+    """A run of consecutive top-level coins of one kind on distinct targets,
+    which an unobserved run applies as one step: coins on distinct bits
+    commute, so each aligned group of four bits is one product."""
+    targets: tuple[str, ...]
+    signed: bool
+
+
+def _coin_runs(body: Sequence[Statement], coin: type) -> list:
+    """The body with each maximal run of two or more consecutive ``coin``
+    statements on distinct targets as one _CoinRun."""
+    steps: list = []
+    for stmt in body:
+        if type(stmt) is coin and steps and type(last := steps[-1]) in (coin, _CoinRun):
+            targets = last.targets if type(last) is _CoinRun else (last.target,)
+            if stmt.target not in targets:
+                steps[-1] = _CoinRun(targets + (stmt.target,), coin is QRand)
+                continue
+        steps.append(stmt)
+    return steps
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -218,7 +282,11 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     if type(stmt) in foreign:
         raise ValueError(f"statement of the other mode: {statement_source(stmt)}")
     if isinstance(stmt, (QRand, RandBit)):
-        return _coin(vec, env.shift(stmt.target), isinstance(stmt, QRand))
+        return _coins(vec, (env.shift(stmt.target),), isinstance(stmt, QRand))
+    if isinstance(stmt, _CoinRun):
+        for _, group in groupby(sorted(map(env.shift, stmt.targets)), lambda s: s >> 2):
+            _coins(vec, tuple(group), stmt.signed)
+        return vec
     # Not np.negative: numpy 2.4.6 writes wrong values with it into a view
     # whose world axes are all length 1 and whose rows are strided, as a
     # sub-block of a batch is.
@@ -551,19 +619,23 @@ def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerStat
 
 
 def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
+    """One coin on a copy of the state, unfused: the state is left alone."""
     return _step(state, QRand(target), in_place=False)
 
 
-def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer | None):
+def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer | None,
+         coin: type):
     """The run loop of both modes: ``step(state, stmt, in_place)`` runs each
     top-level statement and ``finish(state, returns)`` the return, if any.
     The observer, if given, gets ("", initial state), then (statement text,
     state) after each statement and the return. Only an unobserved run lets
-    a step overwrite its state, so no state the observer saw changes later.
+    a step overwrite its state, so no state the observer saw changes later;
+    and only an unobserved run takes each run of the mode's own ``coin``
+    statements as one step (_CoinRun).
     """
     if observer:
         observer("", state)
-    for stmt in p.body:
+    for stmt in p.body if observer else _coin_runs(p.body, coin):
         state = step(state, stmt, observer is None)
         if observer:
             observer(statement_source(stmt), state)
@@ -576,7 +648,7 @@ def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer
 
 def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     """Execute a validated program; returns its final two-layer state."""
-    return _run(p, initial_state(p.inputs), _step, apply_return, observer)
+    return _run(p, initial_state(p.inputs), _step, apply_return, observer, QRand)
 
 
 def _classical_step(state: ClassicalState, stmt: Statement, in_place: bool) -> ClassicalState:
@@ -596,7 +668,7 @@ def run_classical(p: Program, *, observer: Observer | None = None) -> ClassicalS
     """Execute a validated classical program; returns the final distribution."""
     start = initial_state(p.inputs)  # CapacityError past MAX_LIVE_BITS
     return _run(p, ClassicalState(start.env, start.amps[0]), _classical_step, _marginalize,
-                observer)
+                observer, RandBit)
 
 
 def comp_matrix(body: Sequence[Statement], env: Environment) -> np.ndarray:

@@ -31,6 +31,10 @@ MUTANTS = {
     "coin-sign-row": (  # the coin's matrix [[1, 1], [-1, 1]]
         "engine.py", "[[1.0, 1.0], [1.0, -1.0 if signed else 1.0]]",
         "[[1.0, 1.0], [-1.0 if signed else 1.0, 1.0]]"),
+    "coin-kron-order": (  # a fused group's kron factors low bit to high
+        "engine.py", "for bit in reversed(range(lo, lo + bits)):", "for bit in range(lo, lo + bits):"),
+    "coin-group-scale": (  # an even group of coins scales by one ½ too few
+        "engine.py", "-(c // 2) * (1 if signed else 2)", "-((c - 1) // 2) * (1 if signed else 2)"),
     "swap-chunk": (  # the chunked swap writes each half back in place
         "engine.py", "chunk[zero], chunk[one] = source[one], source[zero]",
         "chunk[zero], chunk[one] = source[zero], source[one]"),

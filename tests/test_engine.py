@@ -1,7 +1,10 @@
 import functools
 import gc
+import hashlib
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -211,6 +214,127 @@ class TestCoinKernel:
                 for kind, foreign in ((QRand, CLASSICAL_ONLY), (RandBit, QUANTUM_ONLY)):
                     got = apply_comp(vec.copy(), kind(name), env, foreign)
                     assert np.array_equal(got, pair_formula(vec, env.shift(name), kind is QRand))
+
+
+def coin_groups(n_bits):
+    """Every set of target shifts within one aligned group of four bits,
+    then every shift at once, which is one group per four bits."""
+    for low in range(0, n_bits, 4):
+        bits = range(low, min(low + 4, n_bits))
+        for k in range(1, len(bits) + 1):
+            yield from itertools.combinations(bits, k)
+    yield tuple(range(n_bits))
+
+
+def bernstein_vazirani(secret):
+    """Bernstein-Vazirani on len(secret) bits, as CI builds it: the coins on
+    y and every x are one run, the oracle is `y ^= xi`, and the output is
+    the secret with probability 1."""
+    xs = [f"x{i}" for i in range(len(secret))]
+    coins = "".join(f"  qrand_bit({x})\n" for x in xs)
+    oracle = "".join(f"  y ^= {x}\n" for x, bit in zip(xs, secret) if bit == "1")
+    return parse(f"def main():\n  new {', '.join(xs)}, y\n  y ^= 1\n  qrand_bit(y)\n{coins}"
+                 f"{oracle}{coins}  measure(y)\n  return {', '.join(xs)}")
+
+
+class TestCoinFusion:
+    """An unobserved run applies each run of consecutive coins of its mode's
+    kind on distinct targets as one step (engine._CoinRun): one product per
+    aligned group of four bits. Observed runs, apply_qrand and comp_matrix
+    go one coin at a time. A group sums in another order than its coins
+    one at a time, so signed amplitudes may differ in the last bits;
+    classical probabilities are dyadic, their sums exact."""
+
+    @pytest.mark.parametrize("n_bits", range(1, 13))
+    def test_a_group_is_its_coins_one_at_a_time(self, n_bits):
+        # Both coin kinds, on a row and on a batch of three; probabilities
+        # are multiples of 2**-24, as a classical run's are.
+        env = Environment(tuple(f"x{i}" for i in range(n_bits)))
+        rng = np.random.default_rng(n_bits)
+        amplitudes = rng.standard_normal((3, env.dim))
+        probabilities = rng.integers(0, 1 << 20, (3, env.dim)) * 2.0 ** -24
+        for shifts in coin_groups(n_bits):
+            targets = tuple(env.names[n_bits - 1 - s] for s in shifts)
+            for kind, rows, foreign in ((QRand, amplitudes, CLASSICAL_ONLY),
+                                        (RandBit, probabilities, QUANTUM_ONLY)):
+                for vec in (rows[0], rows):
+                    fused = apply_comp(vec.copy(), engine._CoinRun(targets, kind is QRand), env,
+                                       foreign)
+                    alone = vec.copy()
+                    for target in targets:
+                        apply_comp(alone, kind(target), env, foreign)
+                    if kind is QRand:
+                        np.testing.assert_allclose(fused, alone, rtol=0, atol=1e-13)
+                    else:
+                        assert np.array_equal(fused, alone), shifts
+
+    @pytest.mark.parametrize("n_bits", [3, 4, 5, 9, 14])
+    def test_a_group_is_independent_of_chunks_and_batches(self, monkeypatch, n_bits):
+        # A batch of three rows gives what each row gives alone, bit for
+        # bit, and so do blocks cut into chunks of one row, of pieces of a
+        # row, and of a row and a half.
+        env = Environment(tuple(f"x{i}" for i in range(n_bits)))
+        rows = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        for shifts in coin_groups(n_bits):
+            stmt = engine._CoinRun(tuple(env.names[n_bits - 1 - s] for s in shifts), True)
+            alone = np.array([apply_comp(row.copy(), stmt, env, CLASSICAL_ONLY) for row in rows])
+            assert np.array_equal(apply_comp(rows.copy(), stmt, env, CLASSICAL_ONLY), alone)
+            for chunk in (4, 100, env.dim * 3 // 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(qppl.state, "_CHUNK", chunk)
+                    got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt,
+                                       True)
+                assert np.array_equal(got.amps, alone), (shifts, chunk)
+
+    def test_runs_of_coins_are_grouped_in_order(self):
+        p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  qrand_bit(b)\n  qrand_bit(a)\n"
+                  "  qrand_bit(c)\n  qnegate()\n  qrand_bit(b)\n  b := rand_bit()\n")
+        steps = engine._coin_runs(p.body, QRand)
+        assert steps[:2] == [engine._CoinRun(("a", "b"), True), engine._CoinRun(("a", "c"), True)]
+        assert steps[2:] == list(p.body[4:])
+        assert engine._coin_runs(p.body, RandBit) == list(p.body)
+
+    def test_unobserved_runs_are_observed_runs(self, corpus):
+        # Observed runs go one coin at a time: within 1e-13 by weights().
+        programs = [parse(src) for name, src in corpus.items() if name != "classical_coins"]
+        programs += [random_program(s) for s in range(500)]
+        programs += [bernstein_vazirani("1011001110001101")]
+        for p in programs:
+            np.testing.assert_allclose(run(p).weights(), run(p, observer=lambda *_: None).weights(),
+                                       rtol=0, atol=1e-13)
+        final = run(programs[-1])
+        assert len(final.branches) == 1 and final.weights()[0b1011001110001101] == 1.0
+
+    def test_unobserved_classical_runs_are_exact(self, corpus):
+        programs = [parse(corpus["classical_coins"])]
+        programs += [random_classical_program(s) for s in range(500)]
+        for p in programs:
+            fused, coinwise = qppl.run_classical(p), qppl.run_classical(p, observer=lambda *_: None)
+            assert np.array_equal(fused.probs, coinwise.probs)
+
+    def test_a_run_is_independent_of_the_blas_thread_count(self):
+        # No product is big enough for OpenBLAS to split it across threads,
+        # so a child process on one BLAS thread writes the same bytes.
+        xs = [f"x{i}" for i in range(18)]
+        coins = "".join(f"  qrand_bit({x})\n" for x in xs)
+        chain = "".join(f"  {xs[i + 2]} ^= {xs[i]} and {xs[i + 1]}\n" for i in range(16))
+        source = f"def main({', '.join(xs)} : bit):\n{coins}{chain}{coins}"
+        code = ("import hashlib, sys, qppl\n"
+                "print(hashlib.sha256(qppl.run(qppl.parse(sys.stdin.read())).amps).hexdigest())")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(qppl.__file__)))
+        child = subprocess.run([sys.executable, "-c", code], input=source, env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        assert child.stdout.strip() == hashlib.sha256(run(parse(source)).amps).hexdigest()
+
+    @pytest.mark.parametrize("mode, source", [
+        ("quantum", "  x := rand_bit()\n  y := rand_bit()\n"),
+        ("classical", "  qrand_bit(x)\n  qrand_bit(y)\n"),
+    ])
+    def test_a_run_of_the_other_modes_coins_is_refused(self, mode, source):
+        p = parse("def main(x, y : bit):\n" + source)
+        with pytest.raises(ValueError, match="statement of the other mode"):
+            (run if mode == "quantum" else qppl.run_classical)(p)
 
 
 class TestQNeg:
@@ -1204,9 +1328,11 @@ class TestBlockStore:
         # With a chunk of a few entries, statements and splits go a few rows
         # at a time, merges reach back across chunks, and observed blocks
         # are copied rather than written in place: all of it must change
-        # nothing.
+        # nothing. An unobserved run applies a run of coins as one product
+        # per group of four bits and an observed run one coin at a time, so
+        # those two are held to each other's weights() alone.
         p = random_program(seed, max_bits=5, max_statements=25)
-        whole, seen = run(p), []
+        whole, whole_observed, seen = run(p), run(p, observer=lambda *_: None), []
         real = qppl.state._CHUNK
         qppl.state._CHUNK = 4
         try:
@@ -1214,11 +1340,12 @@ class TestBlockStore:
             observed = run(p, observer=lambda _, s: seen.append((s, snapshot(s))))
         finally:
             qppl.state._CHUNK = real
-        for got in (chunked, observed):
-            assert got.env == whole.env
-            assert [b.p for b in got.branches] == [b.p for b in whole.branches]
-            for a, b in zip(got.branches, whole.branches):
+        for got, expected in ((chunked, whole), (observed, whole_observed)):
+            assert got.env == expected.env
+            assert [b.p for b in got.branches] == [b.p for b in expected.branches]
+            for a, b in zip(got.branches, expected.branches):
                 np.testing.assert_array_equal(a.amps, b.amps)
+        np.testing.assert_allclose(observed.weights(), chunked.weights(), rtol=0, atol=1e-13)
         for state, before in seen:  # later statements left every observed state alone
             assert [(b.p, list(b.amps)) for b in state.branches] == [
                 (p_, list(a)) for p_, a in before]
