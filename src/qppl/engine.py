@@ -31,6 +31,25 @@ moves the worlds where E differs from x to their partner across that
 axis; an ``if`` whose body is an odd number of ``qnegate()`` and nothing
 else only negates the worlds where its condition holds.
 
+An expression built from variables, constants, ``not`` and ``^`` (which
+``==`` and ``!=`` parse to) is affine over GF(2). ``x ^= E`` with E affine
+and not reading x, an ``if`` of negations on an affine condition and a
+top-level ``qnegate()`` are affine statements: a run of them sends each
+world k to one world with the sign (-1)**(a·k ⊕ c). An unobserved quantum
+run takes each run of two or more consecutive top-level ``x ^= E``,
+``qnegate()`` and ``if`` statements, found by type alone, as one step
+(``_AffineRun``). Once per run and environment it follows each variable's
+value and the phase as affine forms over the bits of the world the run
+starts from, so the phase is taken in input coordinates (Amy, Maslov and
+Mosca's phase polynomials, IEEE TCAD 2014); a statement that is not
+affine ends one stretch and starts the next. Each
+stretch multiplies the (rows, high half, low half) view of the worlds by
+two tables of 2**(n/2) signs, then replays its XORs through ``apply_comp``,
+unless each variable ends at its own bit: then the XORs cancel and are
+skipped, as in a Bernstein-Vazirani middle. Signs of ±1 and swaps are
+exact, so the step gives its statements' states bit for bit. Under
+_SUB_BLOCK_MIN entries the step replays its statements one at a time.
+
 A table that holds on exactly one assignment of the variables it reads
 (a cube: a conjunction of literals such as ``x1``, ``x1 == 0`` or ``a and
 not b``) marks one basic-slice sub-block of the view. A swap or a
@@ -253,18 +272,145 @@ class _CoinRun(NamedTuple):
     signed: bool
 
 
-def _coin_runs(body: Sequence[Statement], coin: type) -> list:
-    """The body with each maximal run of two or more consecutive ``coin``
-    statements on distinct targets as one _CoinRun."""
+class _AffineRun(NamedTuple):
+    """A run of consecutive top-level ``x ^= E``, ``qnegate()`` and ``if``
+    statements, which an unobserved quantum run applies as one step: each
+    stretch of them that is affine is one sign pass, then its XORs unless
+    they cancel (_affine_steps)."""
+    stmts: tuple[Statement, ...]
+
+
+def _negations(stmt: Statement) -> bool:
+    """Whether the statement is an ``if`` whose body is an odd number of
+    ``qnegate()`` and nothing else: it only negates where its condition holds."""
+    return type(stmt) is If and len(stmt.body) % 2 == 1 and all(type(s) is QNeg for s in stmt.body)
+
+
+def _plan(body: Sequence[Statement], coin: type) -> list:
+    """The steps of an unobserved run, in one pass over its body: each
+    maximal run of two or more consecutive ``coin`` statements on distinct
+    targets as one _CoinRun and, in quantum mode, each maximal run of two
+    or more consecutive ``x ^= E``, ``qnegate()`` and ``if`` statements as
+    one _AffineRun; every other statement as itself. The test is by type
+    alone: which statements are affine is found when a run meets a wide
+    vector (_affine_steps)."""
     steps: list = []
+    quantum, affine = coin is QRand, False  # affine: steps[-1] may start or extend a run
     for stmt in body:
-        if type(stmt) is coin and steps and type(last := steps[-1]) in (coin, _CoinRun):
+        kind = type(stmt)
+        if kind is coin and steps and type(last := steps[-1]) in (coin, _CoinRun):
             targets = last.targets if type(last) is _CoinRun else (last.target,)
             if stmt.target not in targets:
-                steps[-1] = _CoinRun(targets + (stmt.target,), coin is QRand)
+                steps[-1] = _CoinRun(targets + (stmt.target,), quantum)
                 continue
+        if quantum and (kind is XorAssign or kind is QNeg or kind is If):
+            if affine:
+                last = steps[-1]
+                steps[-1] = _AffineRun(last.stmts + (stmt,) if type(last) is _AffineRun
+                                       else (last, stmt))
+                continue
+            affine = True
+        else:
+            affine = False
         steps.append(stmt)
     return steps
+
+
+class _SignPass(NamedTuple):
+    """A stretch of affine statements: world k of a row, viewed as (high
+    half, low half) of its index, is multiplied by high[k_high] * low[k_low]
+    (a table is None where it holds only 1), then the XORs are replayed."""
+    high: np.ndarray | None
+    low: np.ndarray | None
+    xors: tuple[XorAssign, ...]
+
+
+# An affine form over GF(2) is an int: bit 0 is its constant and bit 1 + s
+# its coefficient of the input bit at shift s. A form is None where the
+# expression uses `and` or `or`, or reads the target it is XORed into.
+_FORM_OPS = {Not: lambda a: None if a is None else a ^ 1,
+             Xor: lambda a, b: None if a is None or b is None else a ^ b,
+             And: lambda a, b: None, Or: lambda a, b: None}
+
+
+def _form(e: Expression, values: dict[str, int], target: str | None = None) -> int | None:
+    """The affine form of an expression whose variables hold ``values``."""
+    return fold(e, lambda leaf: (1 if leaf.value else 0) if type(leaf) is not Var
+                else None if leaf.name == target else values[leaf.name], _FORM_OPS)
+
+
+def _signs(mask: int, bits: int, negate: int) -> np.ndarray | None:
+    """(-1)**(parity(mask & i) ^ negate) for i < 2**bits; None if all 1."""
+    if not mask and not negate:
+        return None
+    table = np.array([-1.0 if negate else 1.0])
+    for s in range(bits):  # bit s is the high bit of the next table
+        table = np.concatenate((table, -table if mask >> s & 1 else table))
+    table.flags.writeable = False
+    return table
+
+
+# One run is kept, for the chunks of its step: looking a run up by its
+# statements costs most of what analysing it does (43 against 66 us for a
+# `dense` run on a shared 2-vCPU host), and keeping a `dense` round's runs
+# held 0.7 MB of syntax trees.
+@lru_cache(maxsize=1)
+def _affine_steps(run: _AffineRun, env: Environment) -> tuple:
+    """The steps that apply a run on the environment's worlds: each maximal
+    stretch of its affine statements as one _SignPass, and each other
+    statement as itself. ``x ^= E`` adds E's form to x's, an ``if`` of
+    negations its condition's form to the phase, and ``qnegate()`` 1. The
+    forms are over the bits of the world the stretch starts from, so its
+    signs go first and its XORs, if they do not cancel, after them."""
+    n, half = env.n_bits, env.n_bits // 2
+    start = {name: 2 << env.shift(name) for name in env.names}
+    steps: list = []
+    values, phase, xors = dict(start), 0, []
+    for stmt in run.stmts + (None,):
+        if type(stmt) is QNeg:
+            phase ^= 1
+            continue
+        if _negations(stmt) and (form := _form(stmt.cond, values)) is not None:
+            phase ^= form
+            continue
+        if type(stmt) is XorAssign and (form := _form(stmt.rhs, values, stmt.target)) is not None:
+            values[stmt.target] ^= form
+            xors.append(stmt)
+            continue
+        # The stretch ends: at a statement that is not affine, or the end.
+        moves = () if values == start else tuple(xors)
+        if phase or moves:
+            mask = phase >> 1
+            steps.append(_SignPass(_signs(mask >> half, n - half, phase & 1),
+                                   _signs(mask & ((1 << half) - 1), half, 0), moves))
+        if stmt is not None:
+            steps.append(stmt)
+        values, phase, xors = dict(start), 0, []
+    return tuple(steps)
+
+
+def _affine(vec: np.ndarray, run: _AffineRun, env: Environment, foreign: dict[type, str]):
+    """Apply a run in place. Under _SUB_BLOCK_MIN entries its statements go
+    one at a time; otherwise each sign pass multiplies the (rows, high half,
+    low half) view by its tables in place, which holds no index and no
+    second block."""
+    if vec.size < _SUB_BLOCK_MIN:
+        for stmt in run.stmts:
+            apply_comp(vec, stmt, env, foreign)
+        return vec
+    half = env.n_bits // 2
+    view = vec.reshape(-1, 1 << env.n_bits - half, 1 << half)
+    for step in _affine_steps(run, env):
+        if type(step) is not _SignPass:
+            apply_comp(vec, step, env, foreign)
+            continue
+        if step.high is not None:
+            np.multiply(view, step.high[:, None], out=view)
+        if step.low is not None:
+            np.multiply(view, step.low, out=view)
+        for stmt in step.xors:
+            apply_comp(vec, stmt, env, foreign)
+    return vec
 
 
 def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
@@ -287,6 +433,8 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         for _, group in groupby(sorted(map(env.shift, stmt.targets)), lambda s: s >> 2):
             _coins(vec, tuple(group), stmt.signed)
         return vec
+    if isinstance(stmt, _AffineRun):
+        return _affine(vec, stmt, env, foreign)
     # Not np.negative: numpy 2.4.6 writes wrong values with it into a view
     # whose world axes are all length 1 and whose rows are strided, as a
     # sub-block of a batch is.
@@ -297,8 +445,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     worlds = vec.reshape(vec.shape[:-1] + (2,) * env.n_bits)
     if isinstance(stmt, If):
         table, body = truth_table(stmt.cond, env), stmt.body
-        if QNeg not in foreign and len(body) % 2 and all(isinstance(s, QNeg) for s in body):
-            # An odd number of negations: negate where the condition holds.
+        if QNeg not in foreign and _negations(stmt):  # negate where the condition holds
             if vec.size >= _SUB_BLOCK_MIN and (cube := _cube(table)) is not None:
                 np.multiply(worlds[cube], -1.0, out=worlds[cube])
             else:
@@ -630,12 +777,13 @@ def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer
     The observer, if given, gets ("", initial state), then (statement text,
     state) after each statement and the return. Only an unobserved run lets
     a step overwrite its state, so no state the observer saw changes later;
-    and only an unobserved run takes each run of the mode's own ``coin``
-    statements as one step (_CoinRun).
+    and only an unobserved run goes by _plan's steps, which take a run of
+    the mode's own ``coin`` statements, or in quantum mode of affine ones,
+    as one step.
     """
     if observer:
         observer("", state)
-    for stmt in p.body if observer else _coin_runs(p.body, coin):
+    for stmt in p.body if observer else _plan(p.body, coin):
         state = step(state, stmt, observer is None)
         if observer:
             observer(statement_source(stmt), state)

@@ -45,7 +45,7 @@ MUTANTS = {
         "engine.py", "worlds *= _mask(np.where(table, -1.0, 1.0))",
         "worlds *= _mask(np.where(table, 1.0, 1.0))"),
     "negation-count": (  # an even number of negations negates too
-        "engine.py", "len(body) % 2 and", "len(body) and"),
+        "engine.py", "len(stmt.body) % 2 == 1 and", "len(stmt.body) and"),
     "cube-swap-only": (  # a move that merges worlds on a cube swaps them
         "engine.py", "if move.shape[pos] == 1 and (cube := _cube(move))",
         "if (cube := _cube(move))"),
@@ -73,6 +73,14 @@ MUTANTS = {
         "syntax.py", 'head[1] in ("return", "measure", "new")', 'head[1] in ("return", "measure")'),
     "classical-return-axes": (  # the classical return sums over the kept bits
         "engine.py", "enumerate(env.names) if n not in kept)", "enumerate(env.names) if n in kept)"),
+    "coin-product-cap": (  # products big enough for OpenBLAS to split across threads
+        "engine.py", "_PRODUCT = 1 << 16", "_PRODUCT = 1 << 26"),
+    "affine-phase-constant": (  # a stretch's phase loses its constant
+        "engine.py", "n - half, phase & 1)", "n - half, 0)"),
+    "affine-low-table": (  # the low half table is built from the high half's mask
+        "engine.py", "_signs(mask & ((1 << half) - 1), half, 0)", "_signs(mask >> half, half, 0)"),
+    "affine-identity": (  # the XORs are left out whether or not they cancel
+        "engine.py", "moves = () if values == start else", "moves = () if True else"),
 }
 
 

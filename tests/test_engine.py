@@ -21,7 +21,7 @@ from qppl import (
 )
 from qppl import engine
 from qppl.engine import apply_comp
-from qppl.syntax import CLASSICAL_ONLY, MAX_NESTING, QUANTUM_ONLY
+from qppl.syntax import CLASSICAL_ONLY, MAX_NESTING, QUANTUM_ONLY, statement_source
 from qppl.randprog import random_classical_program, random_comp_program, random_program
 from conftest import (
     H, RT2, assert_state_close, bit_value, brute_force_measure, exact_weights, make_state,
@@ -289,10 +289,48 @@ class TestCoinFusion:
     def test_runs_of_coins_are_grouped_in_order(self):
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  qrand_bit(b)\n  qrand_bit(a)\n"
                   "  qrand_bit(c)\n  qnegate()\n  qrand_bit(b)\n  b := rand_bit()\n")
-        steps = engine._coin_runs(p.body, QRand)
+        steps = engine._plan(p.body, QRand)
         assert steps[:2] == [engine._CoinRun(("a", "b"), True), engine._CoinRun(("a", "c"), True)]
         assert steps[2:] == list(p.body[4:])
-        assert engine._coin_runs(p.body, RandBit) == list(p.body)
+        assert engine._plan(p.body, RandBit) == list(p.body)
+
+    def test_an_observed_run_keeps_every_statement(self, monkeypatch):
+        # Coins and affine statements alike reach the step one at a time.
+        p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  qrand_bit(b)\n  c ^= a\n"
+                  "  if c:\n    qnegate()\n  qnegate()\n  c ^= a\n")
+        seen, real = [], engine._step
+        monkeypatch.setattr(engine, "_step", lambda st_, stmt, in_place: (
+            seen.append(stmt), real(st_, stmt, in_place))[1])
+        run(p, observer=lambda *_: None)
+        assert seen == list(p.body)
+        seen.clear()
+        run(p)
+        assert seen == [engine._CoinRun(("a", "b"), True), engine._AffineRun(p.body[2:])]
+
+    def test_every_product_is_capped(self, monkeypatch):
+        # OpenBLAS may split a product of more multiply-adds across threads,
+        # which made groups of four coins on 16 bits 11x slower on two
+        # threads. Every product the coin kernel makes on a 16- and a 20-bit
+        # row, by a single coin at each target and by each run of all
+        # coins, is at most 2**16 multiply-adds; an item of a batched
+        # np.matmul is one product.
+        sizes = []
+
+        def counted(real):
+            def product(a, b, **kw):
+                sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+                return real(a, b, **kw)
+            return product
+        monkeypatch.setattr(np, "matmul", counted(np.matmul))
+        monkeypatch.setattr(np, "dot", counted(np.dot))
+        for n_bits in (16, 20):
+            env = Environment(tuple(f"x{i}" for i in range(n_bits)))
+            vec = np.random.default_rng(n_bits).standard_normal(env.dim)
+            for kind, foreign in ((QRand, CLASSICAL_ONLY), (RandBit, QUANTUM_ONLY)):
+                for name in env.names:
+                    apply_comp(vec, kind(name), env, foreign)
+                apply_comp(vec, engine._CoinRun(env.names, kind is QRand), env, foreign)
+        assert len(sizes) > 100 and max(sizes) <= 1 << 16
 
     def test_unobserved_runs_are_observed_runs(self, corpus):
         # Observed runs go one coin at a time: within 1e-13 by weights().
@@ -335,6 +373,155 @@ class TestCoinFusion:
         p = parse("def main(x, y : bit):\n" + source)
         with pytest.raises(ValueError, match="statement of the other mode"):
             (run if mode == "quantum" else qppl.run_classical)(p)
+
+
+def affine_body(n_bits, lines):
+    """The statements of ``lines`` over x0 ... x{n_bits - 1}, and their environment."""
+    xs = [f"x{i}" for i in range(n_bits)]
+    p = parse(f"def main({', '.join(xs)} : bit):\n" + "".join(f"  {line}\n" for line in lines))
+    return p.body, Environment(tuple(xs))
+
+
+def bv_middle(n_bits):
+    """A Bernstein-Vazirani middle, as `dense` has it: the XOR chain, parity
+    `if`s of negations and a global sign, then the chain undone."""
+    chain = [f"x{i} ^= x{i + 1}" for i in range(n_bits - 2, -1, -1)]
+    oracle = [f"if x{i} ^ x{(i * 5 + 3) % n_bits}:\n    qnegate()" for i in range(0, n_bits, 2)]
+    return chain + oracle + ["qnegate()"] + chain[::-1]
+
+
+AFFINE_RUNS = {
+    # `if`s read bits the run wrote before them
+    "reads-written": ["x1 ^= x0", "if x1:\n    qnegate()", "x0 ^= x2",
+                      "if x0 ^ x1:\n    qnegate()", "x0 ^= x2", "x1 ^= x0"],
+    # `==`, `!=`, `not` and constants, in XORs and conditions
+    "comparisons": ["x2 ^= x0 == 0", "if x1 != x4:\n    qnegate()", "if not x0:\n    qnegate()",
+                    "if 1:\n    qnegate()", "x2 ^= x0 == 0", "x3 ^= 1",
+                    "if x3 == x2:\n    qnegate()\n    qnegate()\n    qnegate()", "x3 ^= 1"],
+    # a linear part that is not the identity: the XORs are replayed
+    "moves": ["x0 ^= x1", "x1 ^= 1", "if x0:\n    qnegate()", "x3 ^= x0 ^ x2",
+              "if x3 ^ x1 ^ 1:\n    qnegate()"],
+    # statements that are not affine cut the run in three stretches
+    "cut": ["x0 ^= x1", "x2 ^= x0 and x1", "if x4:\n    qnegate()",
+            "if x0 or x1:\n    qnegate()", "x3 ^= x2", "qnegate()"],
+    # the phase is a global sign, and the XORs cancel
+    "global-sign": ["qnegate()", "x0 ^= x1 ^ 1", "if 1 ^ 1:\n    qnegate()", "x0 ^= x1 ^ 1"],
+    # signs and XORs all cancel
+    "cancel": ["x0 ^= x1", "qnegate()", "if x2 ^ 1:\n    qnegate()", "if not x2:\n    qnegate()",
+               "qnegate()", "x0 ^= x1"],
+    "bv": bv_middle(4),
+}
+
+
+class TestAffineRun:
+    """An unobserved quantum run applies each run of consecutive top-level
+    `x ^= E`, `qnegate()` and `if` statements as one step
+    (engine._AffineRun): each stretch of them whose expressions use only
+    not, ^, ==, != and constants, and whose `if`s hold an odd number of
+    negations, is one pass of signs, then its XORs, unless they cancel.
+    Signs of ±1 and swaps are exact, so the step gives its statements'
+    result one at a time bit for bit."""
+
+    @pytest.mark.parametrize("name", AFFINE_RUNS)
+    @pytest.mark.parametrize("n_bits", [5, 6, 11])
+    def test_a_run_is_its_statements_one_at_a_time(self, monkeypatch, name, n_bits):
+        # With _SUB_BLOCK_MIN at 0, so that every vector takes the sign
+        # pass, on a row and a batch of three, and through _step with
+        # state._CHUNK at its default and cut smaller than a row. The inputs
+        # hold zeros of both signs.
+        body, env = affine_body(n_bits, AFFINE_RUNS[name])
+        stmt = engine._AffineRun(body)
+        rows = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        rows[rows < -1.0] = 0.0
+        rows[rows > 1.0] = -0.0
+        alone = rows.copy()
+        for inner in body:
+            apply_comp(alone, inner, env, CLASSICAL_ONLY)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        for vec, want in ((rows[0], alone[0]), (rows, alone)):
+            got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        for chunk in (qppl.state._CHUNK, 4, 3 * env.dim // 2):
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+            got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt, True)
+            assert np.array_equal(got.amps, alone), chunk
+
+    def test_the_steps_of_each_run(self):
+        def steps(lines):
+            body, env = affine_body(5, lines)
+            return engine._affine_steps(engine._AffineRun(body), env)
+
+        def kinds(lines):
+            return [(step.high is not None, step.low is not None, len(step.xors))
+                    if type(step) is engine._SignPass else statement_source(step)
+                    for step in steps(lines)]
+        # Of 5 bits, x0 to x2 index the high half table and x3, x4 the low.
+        assert kinds(AFFINE_RUNS["reads-written"]) == [(True, False, 0)]  # x0 ^ x2
+        assert kinds(AFFINE_RUNS["comparisons"]) == [(True, True, 0)]  # x0 ^ x1 ^ x2 ^ x3 ^ x4
+        assert kinds(AFFINE_RUNS["moves"]) == [(True, True, 3)]  # x1 ^ x2 ^ x3
+        assert kinds(AFFINE_RUNS["cut"]) == [(False, False, 1), "x2 ^= x0 and x1", (False, True, 0),
+                                             "if x0 or x1: qnegate()", (True, False, 1)]
+        assert kinds(AFFINE_RUNS["cancel"]) == []
+        assert kinds(bv_middle(5)) == [(True, True, 0)]  # x0 ^ x1 ^ x3 ^ 1
+        (step,) = steps(bv_middle(5))
+        assert step.high.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
+        assert step.low.tolist() == [1.0, 1.0, -1.0, -1.0]
+        (step,) = steps(AFFINE_RUNS["global-sign"])
+        assert step.high.tolist() == [-1.0] * 8 and step.low is None and step.xors == ()
+
+    def test_a_small_vector_replays_its_statements(self, monkeypatch):
+        # Under _SUB_BLOCK_MIN entries no run is analysed: `sweep`'s
+        # programs of at most 5 bits keep the cost of their statements.
+        body, env = affine_body(5, AFFINE_RUNS["moves"])
+        vec = np.random.default_rng(5).standard_normal((3, env.dim))
+        want = vec.copy()
+        for stmt in body:
+            apply_comp(want, stmt, env, CLASSICAL_ONLY)
+        monkeypatch.setattr(engine, "_affine_steps", None)
+        got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
+        assert np.array_equal(got, want)
+
+    def test_runs_are_planned_in_quantum_mode_only(self):
+        p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  b ^= a\n  qnegate()\n"
+                  "  if a:\n    qnegate()\n    qnegate()\n  c ^= b\n  qrand_bit(c)\n  c ^= a\n"
+                  "  if b == 0:\n    qnegate()\n  b ^= a and c\n")
+        assert engine._plan(p.body, QRand) == [p.body[0], engine._AffineRun(p.body[1:5]),
+                                               p.body[5], engine._AffineRun(p.body[6:])]
+        assert engine._plan(p.body, RandBit) == list(p.body)
+
+    def test_programs_are_bit_identical_when_every_vector_takes_the_sign_pass(self, corpus):
+        # The corpus, random programs and Bernstein-Vazirani, whose oracle
+        # `y ^= xi` is a run whose XORs are replayed.
+        programs = [parse(src) for name, src in corpus.items() if name != "classical_coins"]
+        programs += [random_program(s) for s in range(300)]
+        programs += [bernstein_vazirani("1011001110001101")]
+        want = [run(p) for p in programs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_SUB_BLOCK_MIN", 0)
+            got = [run(p) for p in programs]
+        for a, b in zip(want, got):
+            assert np.array_equal(a.amps, b.amps) and np.array_equal(a.probs, b.probs)
+
+    def test_a_bv_middle_holds_no_second_block(self):
+        # On one 18-bit branch the sign pass multiplies the block in place:
+        # beside it the run holds its two tables of 2**9 signs, and no more
+        # than a chunk, so no index and no second block of 2 MiB.
+        body, env = affine_body(18, bv_middle(18))
+        stmt = engine._AffineRun(body)
+        st_ = TwoLayerState(env, np.random.default_rng(18).standard_normal((1, env.dim)),
+                            np.ones(1))
+        engine._affine_steps.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine._step(st_, stmt, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        (step,) = engine._affine_steps(stmt, env)
+        tables = step.high.nbytes + step.low.nbytes
+        assert step.xors == () and tables == 2 * 8 << 9
+        assert peak <= tables + qppl.state._CHUNK * 8
 
 
 class TestQNeg:
