@@ -9,7 +9,8 @@ been handed out, to a caller or an observer, is never written to.
 the world vector it is given, or into each row of a batch of them:
 signed amplitudes here and in ``comp_matrix``, probabilities in classical
 mode. It works on the (2,)*n view of the last axis, one axis per live
-variable with the rows of a batch in front, and builds no index array. A
+variable with the rows of a batch in front, and builds no index array but
+an affine stretch's, a chunk at a time. A
 block goes in a chunk of rows at a time (at most state._CHUNK entries, or
 one row), so a statement holds the block and a chunk's temporaries. An
 unobserved run writes its own block; a state that must stay as it was (an
@@ -26,42 +27,37 @@ the kron of its coins' matrices, then one exact scale. A group sums in
 another order than its coins one at a time, so an unobserved quantum run
 may differ from an observed one in the last bits (about 1e-15 in a
 weight); a classical run sums dyadic probabilities, exactly, and does not.
-``x ^= E`` swaps the two halves of x's axis where E holds; ``x := E``
-moves the worlds where E differs from x to their partner across that
-axis; an ``if`` whose body is an odd number of ``qnegate()`` and nothing
-else only negates the worlds where its condition holds.
+``x ^= E`` swaps the two halves of x's axis where E holds, in one
+``np.where`` on a vector of at most a chunk and a piece at a time on a
+longer one (_exchange); ``x := E`` moves the worlds where E differs from x
+to their partner across that axis and adds them to the rest, which merges
+worlds for ``x := 0``. An ``if`` whose body is an odd number of
+``qnegate()`` and nothing else multiplies the worlds by a table of signs;
+any other ``if`` runs its body on a masked copy of the worlds, added back
+to the worlds where the condition fails: the block form of the statement's
+matrix, never materialized.
 
 An expression built from variables, constants, ``not`` and ``^`` (which
-``==`` and ``!=`` parse to) is affine over GF(2). ``x ^= E`` with E affine
-and not reading x, an ``if`` of negations on an affine condition and a
-top-level ``qnegate()`` are affine statements: a run of them sends each
-world k to one world with the sign (-1)**(a·k ⊕ c). An unobserved quantum
-run takes each run of two or more consecutive top-level ``x ^= E``,
-``qnegate()`` and ``if`` statements, found by type alone, as one step
-(``_AffineRun``). Once per run and environment it follows each variable's
-value and the phase as affine forms over the bits of the world the run
-starts from, so the phase is taken in input coordinates (Amy, Maslov and
-Mosca's phase polynomials, IEEE TCAD 2014); a statement that is not
-affine ends one stretch and starts the next. Each
-stretch multiplies the (rows, high half, low half) view of the worlds by
-two tables of 2**(n/2) signs, then replays its XORs through ``apply_comp``,
-unless each variable ends at its own bit: then the XORs cancel and are
-skipped, as in a Bernstein-Vazirani middle. Signs of ±1 and swaps are
-exact, so the step gives its statements' states bit for bit. Under
-_SUB_BLOCK_MIN entries the step replays its statements one at a time.
-
-A table that holds on exactly one assignment of the variables it reads
-(a cube: a conjunction of literals such as ``x1``, ``x1 == 0`` or ``a and
-not b``) marks one basic-slice sub-block of the view. A swap or a
-negation on a cube touches only that sub-block, as state-vector
-simulators update the controlled block of a gate. Under _SUB_BLOCK_MIN
-entries, and for any other table, the statement takes the mask path:
-``np.where`` for a swap, a multiply by a table of signs for negations.
-A move that merges worlds, as ``x := 0`` does, always takes it: the
-masked worlds are flipped across x's axis and added to the rest. Any
-other ``if`` runs its body on a masked copy of the worlds, which is added
-back to the worlds where the condition fails. That is the block form of
-the statement's matrix without materializing it.
+``==`` and ``!=`` parse to) is affine over GF(2). A write ``x := F`` (and
+``x ^= E``, read as ``x := x ^ E``) with F affine and a bijection, an
+``if`` of negations on an affine condition, ``qnegate()``, and in classical
+mode ``if C: x := not x`` with x not in C (which is ``x ^= C``) are affine
+statements: a run of them sends each world k to one world with the sign
+(-1)**(a·k ⊕ c). An unobserved run takes each run of two or more
+consecutive top-level ``x ^= E``, ``x := E``, ``qnegate()`` and ``if``
+statements, found by type alone, as one step (``_AffineRun``). Once per
+run and environment it follows each variable's value and the phase as
+affine forms over the bits of the world the run starts from, so the phase
+is taken in input coordinates (Amy, Maslov and Mosca's phase polynomials,
+IEEE TCAD 2014); a statement that is not affine ends one stretch and is a
+step of its own. Each stretch multiplies the (rows, high half, low half)
+view of the worlds by two tables of 2**(n/2) signs; unless each variable
+ends at its own bit, as in a Bernstein-Vazirani middle, it then sends
+world k to the xor of two tables of 2**(n/2) destinations, indexed by k's
+halves, from a copy of the block (Aaronson and Gottesman's tableau composes
+affine maps so, PRA 2004). Signs of ±1 and moves are exact, so the step
+gives its statements' states bit for bit. Under _SUB_BLOCK_MIN entries it
+replays its statements one at a time.
 
 Measurement splits the block into one outcome per (branch, observed
 value), squaring amplitude mass into classical probability; return
@@ -88,14 +84,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .syntax import (
     CLASSICAL_ONLY, QUANTUM_ONLY, And, Assign, Expression, If, Measure, New, Not, Or, Program,
-    QNeg, QRand, RandBit, Statement, Var, Xor, XorAssign, fold, return_source, statement_source,
+    QNeg, QRand, RandBit, Statement, Var, Xor, XorAssign, fold, free_vars, return_source,
+    statement_source,
 )
 from . import state as _state
 from .state import PRUNE_EPS, CapacityError, ClassicalState, Environment, TwoLayerState, _chunks
@@ -144,34 +141,10 @@ def _bit_table(n_bits: int, pos: int) -> np.ndarray:
     return table
 
 
-_ALL, _AT = slice(None), (slice(0, 1), slice(1, 2))
-# Entries (worlds times rows) from which a statement on a cube takes the
-# sub-block path: below it the mask path's fewer numpy calls cost less.
+_ALL = slice(None)
+# Entries from which an affine run is taken apart into stretches: below it
+# its statements go one at a time, as their fewer numpy calls cost less.
 _SUB_BLOCK_MIN = 1 << 9
-# Worlds after a swap's last fixed axis from which the swap of a view of more
-# than one chunk goes through a copy of one half (see _swap).
-_SWAP_RUN = 1 << 6
-
-
-def _cube(table: np.ndarray) -> tuple[slice, ...] | None:
-    """The worlds where a table holds, as a basic-slice index of the world
-    view, if it holds on exactly one assignment of the variables it reads
-    (a conjunction of literals such as ``a and not b``); else None.
-
-    A read axis is fixed by a length-1 slice and the others stay whole, so
-    the sub-block keeps every axis; a leading Ellipsis keeps the rows of a
-    batch, and keeps the index a view on a 0-bit vector. The test counts
-    the table's 2**|FV| bytes, which costs less than a numpy call on the
-    tiny tables of most statements.
-    """
-    flat = table.tobytes()
-    if flat.count(1) != 1:
-        return None
-    k, cube = flat.index(1), []
-    for size in reversed(table.shape):
-        cube.append(_AT[k & 1] if size == 2 else _ALL)
-        k >>= size - 1
-    return (..., *reversed(cube))
 
 
 def _mask(table: np.ndarray) -> np.ndarray:
@@ -273,10 +246,10 @@ class _CoinRun(NamedTuple):
 
 
 class _AffineRun(NamedTuple):
-    """A run of consecutive top-level ``x ^= E``, ``qnegate()`` and ``if``
-    statements, which an unobserved quantum run applies as one step: each
-    stretch of them that is affine is one sign pass, then its XORs unless
-    they cancel (_affine_steps)."""
+    """A run of consecutive top-level ``x ^= E``, ``x := E``, ``qnegate()``
+    and ``if`` statements, which an unobserved run applies as one step: each
+    stretch of them that is affine is one sign pass, then one permutation
+    unless each variable ends at its own bit (_affine_steps)."""
     stmts: tuple[Statement, ...]
 
 
@@ -286,24 +259,31 @@ def _negations(stmt: Statement) -> bool:
     return type(stmt) is If and len(stmt.body) % 2 == 1 and all(type(s) is QNeg for s in stmt.body)
 
 
+def _flip(stmt: Statement) -> bool:
+    """Whether the statement is an ``if C:`` whose body is only ``x := not
+    x``, with x not read by C: it is ``x ^= C``."""
+    return (type(stmt) is If and len(stmt.body) == 1 and type(inner := stmt.body[0]) is Assign
+            and inner.rhs == Not(Var(inner.target)) and inner.target not in free_vars(stmt.cond))
+
+
 def _plan(body: Sequence[Statement], coin: type) -> list:
     """The steps of an unobserved run, in one pass over its body: each
     maximal run of two or more consecutive ``coin`` statements on distinct
-    targets as one _CoinRun and, in quantum mode, each maximal run of two
-    or more consecutive ``x ^= E``, ``qnegate()`` and ``if`` statements as
-    one _AffineRun; every other statement as itself. The test is by type
+    targets as one _CoinRun, each maximal run of two or more consecutive
+    ``x ^= E``, ``x := E``, ``qnegate()`` and ``if`` statements as one
+    _AffineRun, and every other statement as itself. The test is by type
     alone: which statements are affine is found when a run meets a wide
     vector (_affine_steps)."""
     steps: list = []
-    quantum, affine = coin is QRand, False  # affine: steps[-1] may start or extend a run
+    affine = False  # steps[-1] may start or extend a run
     for stmt in body:
         kind = type(stmt)
         if kind is coin and steps and type(last := steps[-1]) in (coin, _CoinRun):
             targets = last.targets if type(last) is _CoinRun else (last.target,)
             if stmt.target not in targets:
-                steps[-1] = _CoinRun(targets + (stmt.target,), quantum)
+                steps[-1] = _CoinRun(targets + (stmt.target,), coin is QRand)
                 continue
-        if quantum and (kind is XorAssign or kind is QNeg or kind is If):
+        if kind is XorAssign or kind is Assign or kind is QNeg or kind is If:
             if affine:
                 last = steps[-1]
                 steps[-1] = _AffineRun(last.stmts + (stmt,) if type(last) is _AffineRun
@@ -319,24 +299,25 @@ def _plan(body: Sequence[Statement], coin: type) -> list:
 class _SignPass(NamedTuple):
     """A stretch of affine statements: world k of a row, viewed as (high
     half, low half) of its index, is multiplied by high[k_high] * low[k_low]
-    (a table is None where it holds only 1), then the XORs are replayed."""
+    (a table is None where it holds only 1), then, unless ``moves`` is None,
+    moved to moves[0][k_high] ^ moves[1][k_low]."""
     high: np.ndarray | None
     low: np.ndarray | None
-    xors: tuple[XorAssign, ...]
+    moves: tuple[np.ndarray, np.ndarray] | None
 
 
 # An affine form over GF(2) is an int: bit 0 is its constant and bit 1 + s
 # its coefficient of the input bit at shift s. A form is None where the
-# expression uses `and` or `or`, or reads the target it is XORed into.
+# expression uses `and` or `or`.
 _FORM_OPS = {Not: lambda a: None if a is None else a ^ 1,
              Xor: lambda a, b: None if a is None or b is None else a ^ b,
              And: lambda a, b: None, Or: lambda a, b: None}
 
 
-def _form(e: Expression, values: dict[str, int], target: str | None = None) -> int | None:
+def _form(e: Expression, values: dict[str, int]) -> int | None:
     """The affine form of an expression whose variables hold ``values``."""
-    return fold(e, lambda leaf: (1 if leaf.value else 0) if type(leaf) is not Var
-                else None if leaf.name == target else values[leaf.name], _FORM_OPS)
+    return fold(e, lambda leaf: values[leaf.name] if type(leaf) is Var else 1 if leaf.value else 0,
+                _FORM_OPS)
 
 
 def _signs(mask: int, bits: int, negate: int) -> np.ndarray | None:
@@ -350,66 +331,104 @@ def _signs(mask: int, bits: int, negate: int) -> np.ndarray | None:
     return table
 
 
+def _span(images: Sequence[int], start: int) -> np.ndarray:
+    """start ^ the xor of images[s] over the bits s of i, for i < 2**len(images);
+    read-only, as it is shared."""
+    table = np.array([start], np.intp)
+    for image in images:  # as _signs builds its sign tables
+        table = np.concatenate((table, table ^ image))
+    table.flags.writeable = False
+    return table
+
+
+def _destinations(values: dict[str, int], env: Environment) -> tuple[np.ndarray, np.ndarray]:
+    """Where each world goes when each variable takes its affine form: the
+    high half table, with the forms' constants, and the low half table. The
+    image of input bit s sets the bits of the variables whose forms read it."""
+    n, forms = env.n_bits, [(values[name], env.shift(name)) for name in env.names]
+    images = [sum((form >> 1 + s & 1) << t for form, t in forms) for s in range(n)]
+    constant = sum((form & 1) << t for form, t in forms)
+    return _span(images[n // 2:], constant), _span(images[:n // 2], 0)
+
+
 # One run is kept, for the chunks of its step: looking a run up by its
 # statements costs most of what analysing it does (43 against 66 us for a
 # `dense` run on a shared 2-vCPU host), and keeping a `dense` round's runs
 # held 0.7 MB of syntax trees.
 @lru_cache(maxsize=1)
-def _affine_steps(run: _AffineRun, env: Environment) -> tuple:
-    """The steps that apply a run on the environment's worlds: each maximal
-    stretch of its affine statements as one _SignPass, and each other
-    statement as itself. ``x ^= E`` adds E's form to x's, an ``if`` of
-    negations its condition's form to the phase, and ``qnegate()`` 1. The
-    forms are over the bits of the world the stretch starts from, so its
-    signs go first and its XORs, if they do not cancel, after them."""
-    n, half = env.n_bits, env.n_bits // 2
+def _affine_steps(run: _AffineRun, env: Environment, quantum: bool) -> tuple:
+    """The steps that apply a run on the environment's worlds in one mode:
+    each maximal stretch of its affine statements as one _SignPass, and each
+    other statement as itself, or as ``x ^= C`` if it is ``if C: x := not
+    x`` in classical mode. A write ``x := F`` (``x ^= E`` is ``x := x ^ E``)
+    is affine if it is a bijection: F is x ^ G, that is F's form with x read
+    as a bit of its own, ``own``, reads that bit; x's form then gains G's.
+    An ``if`` of negations adds its condition's form to the phase, and
+    ``qnegate()`` 1. The forms are over the bits of the world the stretch
+    starts from, so its signs go first and its moves after them."""
+    n, half, own = env.n_bits, env.n_bits // 2, 2 << env.n_bits
     start = {name: 2 << env.shift(name) for name in env.names}
     steps: list = []
-    values, phase, xors = dict(start), 0, []
+    values, phase = dict(start), 0
     for stmt in run.stmts + (None,):
-        if type(stmt) is QNeg:
+        kind = type(stmt)
+        if quantum and kind is QNeg:
             phase ^= 1
             continue
-        if _negations(stmt) and (form := _form(stmt.cond, values)) is not None:
+        if quantum and _negations(stmt) and (form := _form(stmt.cond, values)) is not None:
             phase ^= form
             continue
-        if type(stmt) is XorAssign and (form := _form(stmt.rhs, values, stmt.target)) is not None:
-            values[stmt.target] ^= form
-            xors.append(stmt)
-            continue
+        if not quantum and _flip(stmt):
+            stmt, kind = XorAssign(stmt.body[0].target, stmt.cond), XorAssign
+        if kind is XorAssign or kind is Assign and not quantum:
+            kept, values[stmt.target] = values[stmt.target], own
+            form = _form(stmt.rhs, values)
+            values[stmt.target] = kept
+            if form is not None and form >> n + 1 == (kind is Assign):  # a bijection
+                values[stmt.target] ^= form & own - 1
+                continue
         # The stretch ends: at a statement that is not affine, or the end.
-        moves = () if values == start else tuple(xors)
+        moves = None if values == start else _destinations(values, env)
         if phase or moves:
             mask = phase >> 1
             steps.append(_SignPass(_signs(mask >> half, n - half, phase & 1),
                                    _signs(mask & ((1 << half) - 1), half, 0), moves))
         if stmt is not None:
             steps.append(stmt)
-        values, phase, xors = dict(start), 0, []
+        values, phase = dict(start), 0
     return tuple(steps)
 
 
 def _affine(vec: np.ndarray, run: _AffineRun, env: Environment, foreign: dict[type, str]):
     """Apply a run in place. Under _SUB_BLOCK_MIN entries its statements go
-    one at a time; otherwise each sign pass multiplies the (rows, high half,
-    low half) view by its tables in place, which holds no index and no
-    second block."""
+    one at a time. Otherwise each sign pass multiplies the (rows, high half,
+    low half) view by its tables in place, or into a copy of the block that
+    goes to its destinations a chunk of index at a time: a stretch holds at
+    most the block, a copy and a chunk of index."""
     if vec.size < _SUB_BLOCK_MIN:
         for stmt in run.stmts:
             apply_comp(vec, stmt, env, foreign)
         return vec
     half = env.n_bits // 2
     view = vec.reshape(-1, 1 << env.n_bits - half, 1 << half)
-    for step in _affine_steps(run, env):
+    for step in _affine_steps(run, env, QNeg not in foreign):
         if type(step) is not _SignPass:
             apply_comp(vec, step, env, foreign)
             continue
+        source = view if step.moves is None else view.copy()
         if step.high is not None:
-            np.multiply(view, step.high[:, None], out=view)
+            np.multiply(source, step.high[:, None], out=source)
         if step.low is not None:
-            np.multiply(view, step.low, out=view)
-        for stmt in step.xors:
-            apply_comp(vec, stmt, env, foreign)
+            np.multiply(source, step.low, out=source)
+        if step.moves is None:
+            continue
+        high, low = step.moves
+        rows, chunks = vec.reshape(len(view), -1), _chunks(len(high), len(low))
+        index = np.empty((len(high[chunks[0]]), len(low)), np.intp)  # one chunk, reused
+        for c in chunks:
+            part = high[c]
+            to = np.bitwise_xor(part[:, None], low, out=index[:len(part)]).ravel()
+            rows[:, to] = source[:, c].reshape(len(rows), -1)
     return vec
 
 
@@ -435,9 +454,6 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         return vec
     if isinstance(stmt, _AffineRun):
         return _affine(vec, stmt, env, foreign)
-    # Not np.negative: numpy 2.4.6 writes wrong values with it into a view
-    # whose world axes are all length 1 and whose rows are strided, as a
-    # sub-block of a batch is.
     if isinstance(stmt, QNeg):
         return np.multiply(vec, -1.0, out=vec)
     if not isinstance(stmt, (XorAssign, Assign, If)):
@@ -446,10 +462,7 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     if isinstance(stmt, If):
         table, body = truth_table(stmt.cond, env), stmt.body
         if QNeg not in foreign and _negations(stmt):  # negate where the condition holds
-            if vec.size >= _SUB_BLOCK_MIN and (cube := _cube(table)) is not None:
-                np.multiply(worlds[cube], -1.0, out=worlds[cube])
-            else:
-                worlds *= _mask(np.where(table, -1.0, 1.0))
+            worlds *= _mask(np.where(table, -1.0, 1.0))
             return vec
         # Linear in the vector: the body may write the condition's variables
         # in classical mode, so it must not be run on the whole vector.
@@ -467,62 +480,43 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     pos = env.position(stmt.target)
     value = truth_table(stmt.rhs, env)
     move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
-    if vec.size >= _SUB_BLOCK_MIN:
-        if value.shape[pos] == 2:
-            # E reads x (classical mode). A move alike on both halves of x's
-            # axis, as for x := x ^ y, is kept on one half: it is a swap.
-            halves = move[(_ALL,) * pos + (_AT[0],)], move[(_ALL,) * pos + (_AT[1],)]
-            if halves[0].tobytes() == halves[1].tobytes():
-                move = halves[0]
-        if move.shape[pos] == 1 and (cube := _cube(move)) is not None:
-            # The worlds that swap are one sub-block: swap its halves of the
-            # target axis, which is cube[pos + 1] after the Ellipsis.
-            _swap(worlds, *(cube[:pos + 1] + (at,) + cube[pos + 2:] for at in _AT))
-            return vec
     flip = (..., slice(None, None, -1)) + (_ALL,) * env.shift(stmt.target)
-    move = _mask(move)
-    if move.shape[pos] == 1:
+    # Read before _mask, which may widen the target's axis.
+    swap, move = move.shape[pos] == 1, _mask(move)
+    if swap and vec.size <= _state._CHUNK:
         # The move does not depend on the target, so the statement swaps the
         # two halves of the target axis wherever it holds.
         worlds[...] = np.where(move, worlds[flip], worlds)
-        return vec
-    # Otherwise worlds may merge.
-    moved = (worlds * move)[flip]
-    worlds *= ~move
-    worlds += moved
+    elif swap:
+        _exchange(worlds, move, pos)
+    else:  # worlds may merge
+        moved = (worlds * move)[flip]
+        worlds *= ~move
+        worlds += moved
     return vec
 
 
-def _swap(worlds: np.ndarray, zero: tuple, one: tuple):
-    """Exchange the halves ``zero`` and ``one`` of a sub-block of the world
-    view in place.
-
-    Both halves fix the same world axes, after an Ellipsis that keeps the
-    rows. On a view of more than one chunk whose worlds after the last
-    fixed axis are one world or a run of at least _SWAP_RUN, one half is
-    copied aside and written with a ufunc's ``out=``: an assignment between
-    interleaved halves of one array makes numpy copy the source first.
-    Shorter runs make numpy's strided loops slow, and a smaller view is
-    cheap to copy, so otherwise the worlds go a chunk of the rows and the
-    axes before the first fixed one at a time: the chunk is copied, and its
-    halves are assigned back from the copy.
-    """
-    fixed = [i for i in range(1 - len(zero), 0) if zero[i] is not _ALL]
-    run = 1 << -1 - fixed[-1]
-    if worlds.size > _state._CHUNK and (run == 1 or run >= _SWAP_RUN):
-        kept = worlds[zero].copy()
-        np.multiply(worlds[one], 1.0, out=worlds[zero])
-        worlds[one] = kept
-        return
-    rows = worlds.reshape((-1,) + worlds.shape[fixed[0]:])
-    zero, one = (_ALL,) + zero[fixed[0]:], (_ALL,) + one[fixed[0]:]
-    chunks = _chunks(len(rows), rows[0].size)
-    copied = np.empty(rows[chunks[0]].shape)
-    for c in chunks:
-        chunk = rows[c]
-        source = copied[:len(chunk)]
-        source[...] = chunk
-        chunk[zero], chunk[one] = source[one], source[zero]
+def _exchange(worlds: np.ndarray, move: np.ndarray, pos: int):
+    """Swap the halves of world axis ``pos`` where ``move`` holds, in place,
+    a piece of at most state._CHUNK entries at a time: a row, and one value
+    of each world axis the piece does not keep, those above ``pos`` first.
+    Slices keep the pieces views; the half at 0 is copied aside, so the swap
+    holds half a piece beside the block."""
+    n = move.ndim
+    fixed = [i for i in range(n) if i != pos][:max(0, n + 1 - _state._CHUNK.bit_length())]
+    for row in worlds.reshape((-1,) + worlds.shape[-n:]):
+        for bits in product((0, 1), repeat=len(fixed)):
+            at = [_ALL] * n
+            for i, bit in zip(fixed, bits):
+                at[i] = slice(bit, bit + 1)
+            at[pos] = slice(0, 1)
+            where = move[tuple(a if size == 2 else _ALL for a, size in zip(at, move.shape))]
+            zero = row[tuple(at)]
+            at[pos] = slice(1, 2)
+            one = row[tuple(at)]
+            kept = zero.copy()
+            np.copyto(zero, one, where=where)
+            np.copyto(one, kept, where=where)
 
 
 # ---------------------------------------------------------------------------

@@ -35,20 +35,16 @@ MUTANTS = {
         "engine.py", "for bit in reversed(range(lo, lo + bits)):", "for bit in range(lo, lo + bits):"),
     "coin-group-scale": (  # an even group of coins scales by one ½ too few
         "engine.py", "-(c // 2) * (1 if signed else 2)", "-((c - 1) // 2) * (1 if signed else 2)"),
-    "swap-chunk": (  # the chunked swap writes each half back in place
-        "engine.py", "chunk[zero], chunk[one] = source[one], source[zero]",
-        "chunk[zero], chunk[one] = source[zero], source[one]"),
-    "cube-literal": (  # a cube's sub-block fixes the other value of each read bit
-        "engine.py", "cube.append(_AT[k & 1] if size == 2 else _ALL)",
-        "cube.append(_AT[1 - (k & 1)] if size == 2 else _ALL)"),
+    "exchange-copy": (  # a piece's half at 1 is written from the half at 0 already swapped
+        "engine.py", "np.copyto(one, kept, where=where)", "np.copyto(one, zero, where=where)"),
+    "exchange-after-mask": (  # the swap test reads the widened mask: low targets merge
+        "engine.py", "swap, move = move.shape[pos] == 1, _mask(move)",
+        "move = _mask(move)\n    swap = move.shape[pos] == 1"),
     "sign-table": (  # the sign table negates nothing
         "engine.py", "worlds *= _mask(np.where(table, -1.0, 1.0))",
         "worlds *= _mask(np.where(table, 1.0, 1.0))"),
     "negation-count": (  # an even number of negations negates too
         "engine.py", "len(stmt.body) % 2 == 1 and", "len(stmt.body) and"),
-    "cube-swap-only": (  # a move that merges worlds on a cube swaps them
-        "engine.py", "if move.shape[pos] == 1 and (cube := _cube(move))",
-        "if (cube := _cube(move))"),
     "by-value-axes": (  # the other bits of the split's view in reverse order
         "engine.py", "[1 + i for i in range(env.n_bits) if i not in named]",
         "[1 + i for i in reversed(range(env.n_bits)) if i not in named]"),
@@ -79,8 +75,14 @@ MUTANTS = {
         "engine.py", "n - half, phase & 1)", "n - half, 0)"),
     "affine-low-table": (  # the low half table is built from the high half's mask
         "engine.py", "_signs(mask & ((1 << half) - 1), half, 0)", "_signs(mask >> half, half, 0)"),
-    "affine-identity": (  # the XORs are left out whether or not they cancel
-        "engine.py", "moves = () if values == start else", "moves = () if True else"),
+    "affine-identity": (  # no stretch moves worlds, whether or not it is the identity
+        "engine.py", "moves = None if values == start else", "moves = None if True else"),
+    "affine-destination-constant": (  # the destinations lose the forms' constants
+        "engine.py", "_span(images[n // 2:], constant)", "_span(images[n // 2:], 0)"),
+    "affine-bijection": (  # every affine write counts as a bijection
+        "engine.py", "form >> n + 1 == (kind is Assign)", "True"),
+    "fold-free-vars": (  # `if C: x := not x` folds also when C reads x
+        "engine.py", " and inner.target not in free_vars(stmt.cond))", ")"),
 }
 
 

@@ -411,16 +411,40 @@ AFFINE_RUNS = {
                "qnegate()", "x0 ^= x1"],
     "bv": bv_middle(4),
 }
+# Classical runs: `x := F` is affine when it is a bijection, `x ^= E` reads
+# as `x := x ^ E`, and `if C: x := not x` with x outside C is `x ^= C`.
+CLASSICAL_RUNS = {
+    # the prefix-parity chain, with constants and comparisons
+    "chain": ["x1 := x1 ^ x0", "x2 := x2 ^ x1", "x3 := not x3 ^ x2", "x0 ^= x4 == 1",
+              "x4 := x4 == x3", "x2 ^= 1"],
+    # folds, on an affine condition (in the stretch) and not (a swap of its
+    # own), and ifs that are no fold: x in C, and a body of two statements
+    "folds": ["x0 := x0 ^ x1", "if x1 ^ x2:\n    x0 := not x0", "if x1 and x2:\n    x3 := not x3",
+              "x4 := x4 ^ x0", "if x0:\n    x0 := not x0", "x1 := x1 ^ x3",
+              "if x2:\n    x1 := not x1\n    x3 := not x3", "x4 := x4 ^ 1"],
+    # writes that are not bijections cut the run
+    "merges": ["x1 := x1 ^ x0", "x1 := x2", "x3 := x3 ^ x0 ^ x3", "x2 := not x2", "x4 ^= x4 ^ x1",
+               "x0 := x0 and x4", "x3 := x3 ^ 1"],
+}
+
+
+def destinations(body, env):
+    """Where a run of affine statements sends each world, one world at a time."""
+    worlds = np.arange(env.dim)
+    for stmt in body:
+        worlds = np.array([world_moves(stmt, k, env)[0][0] for k in worlds])
+    return worlds
 
 
 class TestAffineRun:
-    """An unobserved quantum run applies each run of consecutive top-level
-    `x ^= E`, `qnegate()` and `if` statements as one step
+    """An unobserved run applies each run of consecutive top-level `x ^= E`,
+    `x := E`, `qnegate()` and `if` statements as one step
     (engine._AffineRun): each stretch of them whose expressions use only
-    not, ^, ==, != and constants, and whose `if`s hold an odd number of
-    negations, is one pass of signs, then its XORs, unless they cancel.
-    Signs of ±1 and swaps are exact, so the step gives its statements'
-    result one at a time bit for bit."""
+    not, ^, ==, != and constants, whose writes are bijections and whose
+    `if`s hold an odd number of negations (or, classical, only `x := not
+    x`), is one pass of signs, then one permutation unless every variable
+    ends at its own bit. Signs of ±1 and moves are exact, so the step gives
+    its statements' result one at a time bit for bit."""
 
     @pytest.mark.parametrize("name", AFFINE_RUNS)
     @pytest.mark.parametrize("n_bits", [5, 6, 11])
@@ -446,28 +470,76 @@ class TestAffineRun:
             got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt, True)
             assert np.array_equal(got.amps, alone), chunk
 
-    def test_the_steps_of_each_run(self):
-        def steps(lines):
-            body, env = affine_body(5, lines)
-            return engine._affine_steps(engine._AffineRun(body), env)
+    @pytest.mark.parametrize("name", CLASSICAL_RUNS)
+    @pytest.mark.parametrize("n_bits", [5, 6, 11])
+    def test_a_classical_run_is_its_statements_one_at_a_time(self, monkeypatch, name, n_bits):
+        # With _SUB_BLOCK_MIN at 0, on a row and a batch of three, with
+        # state._CHUNK at its default and at 4, so that the moves go a few
+        # entries of the index at a time, and through the classical step.
+        body, env = affine_body(n_bits, CLASSICAL_RUNS[name])
+        stmt = engine._AffineRun(body)
+        rows = np.random.default_rng(n_bits).random((3, env.dim))
+        alone = rows.copy()
+        for inner in body:
+            apply_comp(alone, inner, env, QUANTUM_ONLY)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        for chunk in (qppl.state._CHUNK, 4):
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+            for vec, want in ((rows[0], alone[0]), (rows, alone)):
+                assert np.array_equal(apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY), want)
+            got = engine._classical_step(qppl.ClassicalState(env, rows[0].copy()), stmt, True)
+            assert np.array_equal(got.probs, alone[0]), chunk
 
-        def kinds(lines):
-            return [(step.high is not None, step.low is not None, len(step.xors))
+    def test_the_steps_of_each_run(self):
+        def steps(lines, quantum=True):
+            body, env = affine_body(5, lines)
+            return engine._affine_steps(engine._AffineRun(body), env, quantum)
+
+        def kinds(lines, quantum=True):
+            return [(step.high is not None, step.low is not None, step.moves is not None)
                     if type(step) is engine._SignPass else statement_source(step)
-                    for step in steps(lines)]
+                    for step in steps(lines, quantum)]
         # Of 5 bits, x0 to x2 index the high half table and x3, x4 the low.
-        assert kinds(AFFINE_RUNS["reads-written"]) == [(True, False, 0)]  # x0 ^ x2
-        assert kinds(AFFINE_RUNS["comparisons"]) == [(True, True, 0)]  # x0 ^ x1 ^ x2 ^ x3 ^ x4
-        assert kinds(AFFINE_RUNS["moves"]) == [(True, True, 3)]  # x1 ^ x2 ^ x3
-        assert kinds(AFFINE_RUNS["cut"]) == [(False, False, 1), "x2 ^= x0 and x1", (False, True, 0),
-                                             "if x0 or x1: qnegate()", (True, False, 1)]
+        assert kinds(AFFINE_RUNS["reads-written"]) == [(True, False, False)]  # x0 ^ x2
+        assert kinds(AFFINE_RUNS["comparisons"]) == [(True, True, False)]  # x0 ^ ... ^ x4
+        assert kinds(AFFINE_RUNS["moves"]) == [(True, True, True)]  # x1 ^ x2 ^ x3
+        assert kinds(AFFINE_RUNS["cut"]) == [
+            (False, False, True), "x2 ^= x0 and x1", (False, True, False),
+            "if x0 or x1: qnegate()", (True, False, True)]
         assert kinds(AFFINE_RUNS["cancel"]) == []
-        assert kinds(bv_middle(5)) == [(True, True, 0)]  # x0 ^ x1 ^ x3 ^ 1
+        assert kinds(bv_middle(5)) == [(True, True, False)]  # x0 ^ x1 ^ x3 ^ 1
         (step,) = steps(bv_middle(5))
         assert step.high.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
         assert step.low.tolist() == [1.0, 1.0, -1.0, -1.0]
         (step,) = steps(AFFINE_RUNS["global-sign"])
-        assert step.high.tolist() == [-1.0] * 8 and step.low is None and step.xors == ()
+        assert step.high.tolist() == [-1.0] * 8 and step.low is None and step.moves is None
+        # Classical runs move worlds and never sign them.
+        assert kinds(CLASSICAL_RUNS["chain"], False) == [(False, False, True)]
+        assert kinds(CLASSICAL_RUNS["folds"], False) == [
+            (False, False, True), "x3 ^= x1 and x2", (False, False, True),
+            "if x0: x0 := not x0", (False, False, True), "if x2: x1 := not x1; x3 := not x3",
+            (False, False, True)]
+        assert kinds(CLASSICAL_RUNS["merges"], False) == [
+            (False, False, True), "x1 := x2", "x3 := x3 ^ x0 ^ x3", (False, False, True),
+            "x4 ^= x4 ^ x1", "x0 := x0 and x4", (False, False, True)]
+        # In quantum mode no `:=` and no fold is affine: the kernel refuses
+        # them, one at a time.
+        assert kinds(["x1 := x1 ^ x0", "if x1:\n    x2 := not x2"]) == [
+            "x1 := x1 ^ x0", "if x1: x2 := not x2"]
+
+    @pytest.mark.parametrize("lines, quantum", [
+        (AFFINE_RUNS["moves"], True), (["x1 ^= 1", "x3 ^= x1 ^ x4", "x0 ^= x3 == x2"], True),
+        (CLASSICAL_RUNS["chain"], False),
+        (["x1 ^= 1", "x3 := x3 ^ x1 ^ x4", "if x3 ^ 1:\n    x0 := not x0"], False),
+    ])
+    def test_the_destinations_are_the_statements_world_by_world(self, lines, quantum):
+        # A stretch's two half tables send world k where its statements
+        # send it, constants included.
+        body, env = affine_body(5, lines)
+        (step,) = engine._affine_steps(engine._AffineRun(body), env, quantum)
+        high, low = step.moves
+        k = np.arange(env.dim)
+        assert np.array_equal(high[k >> 2] ^ low[k & 3], destinations(body, env))
 
     def test_a_small_vector_replays_its_statements(self, monkeypatch):
         # Under _SUB_BLOCK_MIN entries no run is analysed: `sweep`'s
@@ -481,26 +553,36 @@ class TestAffineRun:
         got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
         assert np.array_equal(got, want)
 
-    def test_runs_are_planned_in_quantum_mode_only(self):
+    def test_runs_are_planned_in_both_modes(self):
+        # By type alone: `x ^= E`, `x := E`, `qnegate()` and `if`.
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  b ^= a\n  qnegate()\n"
                   "  if a:\n    qnegate()\n    qnegate()\n  c ^= b\n  qrand_bit(c)\n  c ^= a\n"
                   "  if b == 0:\n    qnegate()\n  b ^= a and c\n")
-        assert engine._plan(p.body, QRand) == [p.body[0], engine._AffineRun(p.body[1:5]),
-                                               p.body[5], engine._AffineRun(p.body[6:])]
-        assert engine._plan(p.body, RandBit) == list(p.body)
+        runs = [p.body[0], engine._AffineRun(p.body[1:5]), p.body[5], engine._AffineRun(p.body[6:])]
+        assert engine._plan(p.body, QRand) == engine._plan(p.body, RandBit) == runs
+        p = parse("def main(a, b, c : bit):\n  a := rand_bit()\n  b := rand_bit()\n  b := b ^ a\n"
+                  "  if a and b:\n    c := not c\n  c := a or b\n  a := rand_bit()\n  c ^= a\n")
+        assert engine._plan(p.body, RandBit) == [engine._CoinRun(("a", "b"), False),
+                                                 engine._AffineRun(p.body[2:5]), *p.body[5:]]
 
     def test_programs_are_bit_identical_when_every_vector_takes_the_sign_pass(self, corpus):
-        # The corpus, random programs and Bernstein-Vazirani, whose oracle
-        # `y ^= xi` is a run whose XORs are replayed.
+        # The corpus, random programs of both modes and Bernstein-Vazirani,
+        # whose oracle `y ^= xi` is a run that moves worlds.
         programs = [parse(src) for name, src in corpus.items() if name != "classical_coins"]
         programs += [random_program(s) for s in range(300)]
         programs += [bernstein_vazirani("1011001110001101")]
+        classical = [parse(corpus["classical_coins"])]
+        classical += [random_classical_program(s) for s in range(300)]
         want = [run(p) for p in programs]
+        want_classical = [qppl.run_classical(p).probs for p in classical]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_SUB_BLOCK_MIN", 0)
             got = [run(p) for p in programs]
+            got_classical = [qppl.run_classical(p).probs for p in classical]
         for a, b in zip(want, got):
             assert np.array_equal(a.amps, b.amps) and np.array_equal(a.probs, b.probs)
+        for a, b in zip(want_classical, got_classical):
+            assert np.array_equal(a, b)
 
     def test_a_bv_middle_holds_no_second_block(self):
         # On one 18-bit branch the sign pass multiplies the block in place:
@@ -518,10 +600,31 @@ class TestAffineRun:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        (step,) = engine._affine_steps(stmt, env)
+        (step,) = engine._affine_steps(stmt, env, True)
         tables = step.high.nbytes + step.low.nbytes
-        assert step.xors == () and tables == 2 * 8 << 9
+        assert step.moves is None and tables == 2 * 8 << 9
         assert peak <= tables + qppl.state._CHUNK * 8
+
+    def test_a_classical_chain_holds_a_copy_and_a_chunk_of_index(self):
+        # On an 18-bit distribution (2 MiB) the prefix-parity chain is one
+        # stretch that moves worlds: beside the block it holds one copy of
+        # it, its two tables of 2**9 destinations and a chunk of index, and
+        # numpy's buffers while it builds that chunk (under half a chunk).
+        body, env = affine_body(18, [f"x{i} := x{i} ^ x{i - 1}" for i in range(1, 18)])
+        stmt = engine._AffineRun(body)
+        state = qppl.ClassicalState(env, np.random.default_rng(18).random(env.dim))
+        engine._affine_steps.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine._classical_step(state, stmt, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        (step,) = engine._affine_steps(stmt, env, False)
+        tables = sum(table.nbytes for table in step.moves)
+        assert step.high is None and step.low is None and tables == 2 * 8 << 9
+        assert peak <= state.probs.nbytes + tables + qppl.state._CHUNK * 8 * 3 // 2
 
 
 class TestQNeg:
@@ -670,9 +773,6 @@ def kernel_cases(draw, kinds=None):
     return env, stmt, vec
 
 
-ALL, ZERO, ONE = slice(None), slice(0, 1), slice(1, 2)
-
-
 def literals(names):
     """x, not x, x == 0 and x == 1, as the parser builds them."""
     forms = (lambda v: v, Not, lambda v: Not(Xor(v, Const(0))), lambda v: Not(Xor(v, Const(1))))
@@ -680,18 +780,19 @@ def literals(names):
                      st.sampled_from(forms))
 
 
-def cubes(names):
+def conjunctions(names):
     """Conjunctions of literals, which may repeat or contradict each other,
-    and the constant 1."""
+    and the constant 1: conditions that hold on one assignment of the
+    variables they read, or on none."""
     conjunctions = st.lists(literals(names), min_size=1, max_size=4).map(
         lambda ls: functools.reduce(And, ls))
     return st.just(Const(1)) | conjunctions
 
 
 @st.composite
-def cube_cases(draw, quantum):
-    """An environment of 1-6 bits, a statement whose table is, or may be, a
-    cube, and a vector of weights in [0, 1).
+def conjunction_cases(draw, quantum):
+    """An environment of 1-6 bits, a statement on conjunctions of literals,
+    and a vector of weights in [0, 1).
 
     Quantum: x ^= C with x outside C, and if C: bodies of qnegate() and
     such ifs. Classical: x ^= C, x := x ^ C, x := 0 or 1, x := x and C, and
@@ -702,7 +803,7 @@ def cube_cases(draw, quantum):
     """
     env = Environment(NAMES[:draw(st.integers(1, 6))])
     names, target = env.names, st.sampled_from(env.names)
-    cond = cubes(names)
+    cond = conjunctions(names)
     if quantum:
         xor = st.builds(XorAssign, target, cond).filter(
             lambda s: s.target not in free_vars(s.rhs))
@@ -722,20 +823,13 @@ def cube_cases(draw, quantum):
     return env, stmt, vec
 
 
-def both_paths(apply):
-    """apply() with the sub-block path taken at any size, then with the
-    engine's own size threshold, below which cubes take the mask path."""
+def whole_and_in_pieces(apply):
+    """apply() with state._CHUNK at 4, so that a swap of a longer vector goes
+    in pieces of 4 entries, then at its default, where it is one np.where."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        mp.setattr(qppl.state, "_CHUNK", 4)
         first = apply()
     return first, apply()
-
-
-def spy_cubes(monkeypatch):
-    """The list that every later engine._cube result is appended to."""
-    found, real = [], engine._cube
-    monkeypatch.setattr(engine, "_cube", lambda table: found.append(real(table)) or found[-1])
-    return found
 
 
 STACKS = ("vector", "eye", "block")
@@ -822,133 +916,67 @@ class TestWorldKernels:
         assert table.shape == tuple(2 if i in (2, 7, 10) else 1 for i in range(11))
         assert list(flat_table(expr, env)) == [world_value(expr, k, env) for k in range(env.dim)]
 
-    @given(cube_cases(quantum=True), st.sampled_from(STACKS))
-    @example((Environment(("a", "b", "c")),  # a strided sub-block of one world per row
-              If(And(And(Var("a"), Var("b")), Not(Var("c"))), (QNeg(),)), np.arange(8) / 8),
-             "block")
+    @given(conjunction_cases(quantum=True), st.sampled_from(STACKS))
+    @example((Environment(("a", "b", "c", "d")),  # pieces that fix a and c, above and below b
+              XorAssign("b", And(Var("a"), Not(Var("c")))), np.arange(16) / 16), "vector")
     @settings(max_examples=150, deadline=None)
-    def test_quantum_statements_on_cubes(self, case, stack):
-        # Conditions that hold on one assignment of the variables they read
-        # take the sub-block path; the results must be exactly the reference's.
+    def test_quantum_statements_whole_and_in_pieces(self, case, stack):
         env, stmt, vec = case
         vec = stacked(vec - 0.5, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)):
+        for got in whole_and_in_pieces(lambda: apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
-    @given(cube_cases(quantum=False), st.sampled_from(STACKS))
+    @given(conjunction_cases(quantum=False), st.sampled_from(STACKS))
     @settings(max_examples=150, deadline=None)
-    def test_classical_statements_on_cubes(self, case, stack):
+    def test_classical_statements_whole_and_in_pieces(self, case, stack):
         env, stmt, vec = case
         vec = stacked(vec, env, stack)
         expected = kernel_reference(vec, stmt, env)
-        for got in both_paths(lambda: apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY)):
+        for got in whole_and_in_pieces(lambda: apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY)):
             np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("source, cube", [
-        ("x1", (ALL, ONE, ALL)), ("x1 == 0", (ALL, ZERO, ALL)), ("not x0", (ZERO, ALL, ALL)),
-        ("x0 and not x2", (ONE, ALL, ZERO)), ("(x2 == 1) and x1 and x2", (ALL, ONE, ONE)),
-        ("1", (ALL, ALL, ALL)), ("0", None), ("x0 or x1", None), ("x0 ^ x1", None),
-        ("x0 and not x0", None), ("x0 == x1", None),
-    ])
-    def test_conjunctions_of_literals_are_cubes(self, source, cube):
-        env = Environment(("x0", "x1", "x2"))
-        expr = parse(f"def main(x0, x1, x2, y : bit):\n  y ^= {source}\n").body[0].rhs
-        assert engine._cube(engine.truth_table(expr, env)) == (cube and (...,) + cube)
-
-    @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
-    def test_a_sub_block_of_no_bits(self, monkeypatch, vec):
-        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
-        stmt = If(Const(1), (QNeg(),))
-        got = apply_comp(vec.copy(), stmt, Environment(()), CLASSICAL_ONLY)
-        np.testing.assert_array_equal(got, -vec)
-
-    @pytest.mark.parametrize("source, found", [
-        ("a := a ^ b", [(ALL, ONE, ALL)]), ("a := not b ^ not a", [(ALL, ONE, ALL)]),
-        ("a := a ^ b ^ c", [None]), ("a := 0", []), ("a := 1", []), ("a := a and not c", []),
-        ("b ^= b and a", []), ("a := a or b", []), ("a := b", []),
-    ])
-    def test_classical_writes_that_move_one_sub_block(self, monkeypatch, source, found):
-        # x := x ^ y moves alike on both halves of x's axis: its move table
-        # is taken on one half, where it is a cube, and the statement is a
-        # swap. A write that merges worlds, as x := 0 does, looks up no cube:
-        # it takes the mask path.
-        env = Environment(("a", "b", "c"))
-        stmt = parse(f"def main(a, b, c : bit):\n  {source}\n").body[0]
-        probs = np.random.default_rng(3).random(env.dim)
-        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
-        cubes_found = spy_cubes(monkeypatch)
-        got = apply_comp(probs.copy(), stmt, env, QUANTUM_ONLY)
-        assert cubes_found == [cube and (...,) + cube for cube in found]
-        np.testing.assert_array_equal(got, kernel_reference(probs, stmt, env))
-
-    @pytest.mark.parametrize("n_bits, takes_sub_block", [(8, False), (9, True)])
-    def test_small_vectors_take_the_mask_path(self, monkeypatch, n_bits, takes_sub_block):
-        # Under engine._SUB_BLOCK_MIN entries a cube is not looked for: the
-        # mask path's fewer numpy calls cost less there.
-        names = tuple(f"x{i}" for i in range(n_bits))
+    @pytest.mark.parametrize("target", ["x0", "x3", "x7"])  # the top, a middle and the bottom bit
+    @pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+    def test_a_swap_of_more_than_a_chunk_goes_in_pieces(self, monkeypatch, target, classical):
+        # With state._CHUNK at 16 a piece keeps 4 of the 8 world axes, the
+        # target's among them, and fixes the others: those above the target
+        # first, then those below it, so x3's pieces fix x0 to x2 and x4.
+        # Three branches go through _step a row at a time; a distribution
+        # goes whole.
+        names = tuple(f"x{i}" for i in range(8))
         env = Environment(names)
-        vec = np.random.default_rng(n_bits).standard_normal(env.dim)
-        for source in ("x0 ^= x1", "if x1:\n    qnegate()"):
+        others = [n for n in names if n != target]
+        monkeypatch.setattr(qppl.state, "_CHUNK", 16)
+        halves, copyto = [], np.copyto
+        monkeypatch.setattr(np, "copyto", lambda dst, src, **kw: (
+            halves.append(dst.size), copyto(dst, src, **kw))[1])
+        rng = np.random.default_rng(8)
+        for source in (f"{target} ^= {others[0]} and not {others[-1]}",
+                       f"{target} ^= {others[2]} ^ {others[3]}", f"{target} ^= 1"):
             stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
-            with pytest.MonkeyPatch.context() as mp:
-                cubes_found = spy_cubes(mp)
-                got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
-            assert len(cubes_found) == takes_sub_block
-            np.testing.assert_array_equal(got, kernel_reference(vec, stmt, env))
-
-    @pytest.mark.parametrize("n_bits, chunk", [(15, None), (3, 16)])
-    @pytest.mark.parametrize("source", [
-        "x1 ^= x0 and not {last}", "{last} ^= x0 == 0", "if x2 and {last}:\n    qnegate()",
-        "if not x1:\n    if x0 and x2 and {last}:\n      qnegate()",
-    ])
-    def test_a_block_of_several_chunks_takes_the_sub_block_path(self, monkeypatch, n_bits,
-                                                                chunk, source):
-        # Three branches are more than state._CHUNK entries, so _step writes
-        # the block back in place a chunk of rows at a time: two rows, then
-        # one. At 3 bits the last source fixes every world axis of the
-        # sub-block.
-        names = tuple(f"x{i}" for i in range(n_bits))
-        env = Environment(names)
-        source = source.format(last=names[-1])
-        stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
-        amps = np.random.default_rng(n_bits).standard_normal((3, env.dim))
-        state = TwoLayerState(env, amps.copy(), np.full(3, 1 / 3))
-        if chunk:
-            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
-            monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
-        assert len(qppl.state._chunks(3, env.dim)) == 2
-        cubes_found = spy_cubes(monkeypatch)
-        got = engine._step(state, stmt, in_place=True)
-        assert got.amps is state.amps
-        assert len(cubes_found) == 2 and None not in cubes_found
-        # The statement's map, by world index: where each world goes and its sign.
-        k = np.arange(env.dim)
-        bit = {n: (k >> env.shift(n)) & 1 for n in names}
-        last = bit[names[-1]]
-        if isinstance(stmt, XorAssign):
-            cond = bit["x0"] & (1 - last) if stmt.target == "x1" else 1 - bit["x0"]
-            expected = np.empty_like(amps)
-            expected[:, k ^ (cond << env.shift(stmt.target))] = amps
-        else:
-            cond = bit["x2"] & last
-            if "not x1" in source:
-                cond = (1 - bit["x1"]) & bit["x0"] & cond
-            expected = amps * np.where(cond, -1.0, 1.0)
-        np.testing.assert_array_equal(got.amps, expected)
+            if classical:
+                probs = rng.random(env.dim)
+                got = engine._classical_step(qppl.ClassicalState(env, probs.copy()), stmt, True)
+                np.testing.assert_array_equal(got.probs, kernel_reference(probs, stmt, env))
+            else:
+                amps = rng.standard_normal((3, env.dim))
+                got = engine._step(TwoLayerState(env, amps.copy(), np.full(3, 1 / 3)), stmt, True)
+                np.testing.assert_array_equal(got.amps, kernel_reference(amps, stmt, env))
+        # Each half of a piece is written once: 16 pieces a row.
+        assert halves == [8] * (3 * 16 * 2 * (1 if classical else 3))
 
 
 # Statements of every kernel path, on a target x, with a and b the two
-# lowest-order other variables, so the cubes fix the lowest bits, and h the
-# highest-order one.
+# lowest-order other variables and h the highest-order one.
 QUANTUM_FORMS = (
     "qrand_bit({x})",
-    "{x} ^= {a} and {b}",  # a swap on a cube
+    "{x} ^= {a} and {b}",  # a swap on the low bits
     "{x} ^= not {a}",
     "{x} ^= {h}",
-    "{x} ^= {rest}",  # a cube that fixes every world axis
-    "{x} ^= {a} ^ {b}",  # a swap on a mask
-    "if {x}:\n    qnegate()",  # negations on a cube
+    "{x} ^= {rest}",  # a swap of one world pair in each row
+    "{x} ^= {a} ^ {b}",
+    "if {x}:\n    qnegate()",  # a table of signs
     "if {a} and {b}:\n    qnegate()",
     "if not {h}:\n    qnegate()",
     "if {x} == {a}:\n    qnegate()",  # a table of signs
@@ -959,10 +987,10 @@ QUANTUM_FORMS = (
 CLASSICAL_FORMS = (
     "{x} := rand_bit()",
     "{x} ^= {a} and {b}",
-    "{x} := {x} ^ {a}",  # a swap on a cube of one half of x's axis
-    "{x} := 0",  # a merge whose move is a cube: the mask path
-    "{x} := {a} or {b}",  # a merge on a mask
-    "if {a} and {b}:\n    {x} := not {x}",  # a mask
+    "{x} := {x} ^ {a}",  # a bijection, alone: the merge path
+    "{x} := 0",  # a merge
+    "{x} := {a} or {b}",
+    "if {a} and {b}:\n    {x} := not {x}",  # a mask, alone: in an affine run, a swap
 )
 
 
@@ -996,8 +1024,7 @@ def step_both_ways(state, stmt, classical):
 class TestInPlace:
     """A statement in place and on a copy gives the same numbers, bit for
     bit, and with state._CHUNK patched small, so that vectors go in pieces
-    and chunks and the swap of a long run takes the in-place path, it gives
-    them too."""
+    and chunks and a swap of a long row goes in pieces, it gives them too."""
 
     @pytest.mark.parametrize("n_bits", [9, 10, 11, 12])
     @pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
@@ -1049,8 +1076,6 @@ class TestBatches:
     @pytest.mark.parametrize("n_bits", [4, 8, 10])
     @pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
     def test_a_batch_is_its_rows(self, n_bits, classical):
-        # At 8 bits a row alone takes the mask path and a batch of three
-        # the sub-block path (engine._SUB_BLOCK_MIN counts rows too).
         names = tuple(f"x{i}" for i in range(n_bits))
         env = Environment(names)
         forms, foreign = ((CLASSICAL_FORMS, QUANTUM_ONLY) if classical
@@ -1571,9 +1596,9 @@ class TestBlockStore:
     def test_peak_memory_of_a_one_branch_run_stays_under_two_blocks(self):
         # One branch of 18 bits (2 MiB): qrand every bit, the
         # x{i+2} ^= x{i} and x{i+1} chain, then if x{i} == x{i+5}: qnegate().
-        # Unobserved, each statement writes the block with at most half a
-        # sub-block or a chunk beside it; a new vector built beside the old
-        # one would peak at two blocks.
+        # Unobserved, each statement writes the block with at most a chunk
+        # beside it, and a swap half a piece of at most a chunk; a new
+        # vector built beside the old one would peak at two blocks.
         n = 18
         xs = [f"x{i}" for i in range(n)]
         body = [f"new {', '.join(xs)}", *(f"qrand_bit({x})" for x in xs),
