@@ -553,6 +553,21 @@ class TestAffineRun:
         got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_bits, rows, analysed", [(8, 1, False), (9, 1, True), (8, 3, True)])
+    def test_a_run_is_analysed_from_sub_block_min_entries(self, monkeypatch, n_bits, rows,
+                                                          analysed):
+        # engine._SUB_BLOCK_MIN is 2**9 entries, rows of a batch included.
+        body, env = affine_body(n_bits, AFFINE_RUNS["moves"])
+        vec = np.random.default_rng(n_bits).standard_normal((rows, env.dim))
+        want = vec.copy()
+        for stmt in body:
+            apply_comp(want, stmt, env, CLASSICAL_ONLY)
+        calls, real = [], engine._affine_steps
+        monkeypatch.setattr(engine, "_affine_steps", lambda *args: calls.append(args) or real(*args))
+        got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
+        assert len(calls) == analysed
+        assert np.array_equal(got, want)
+
     def test_runs_are_planned_in_both_modes(self):
         # By type alone: `x ^= E`, `x := E`, `qnegate()` and `if`.
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  b ^= a\n  qnegate()\n"
@@ -965,6 +980,77 @@ class TestWorldKernels:
                 np.testing.assert_array_equal(got.amps, kernel_reference(amps, stmt, env))
         # Each half of a piece is written once: 16 pieces a row.
         assert halves == [8] * (3 * 16 * 2 * (1 if classical else 3))
+
+    @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
+    def test_a_statement_on_no_bits(self, monkeypatch, vec):
+        # With no variables there is one world: `if 1: qnegate()` negates
+        # it, alone and as the sign of a run of three negations.
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        stmt, env = If(Const(1), (QNeg(),)), Environment(())
+        run = engine._AffineRun((stmt, QNeg(), QNeg()))
+        (step,) = engine._affine_steps(run, env, True)
+        assert step.high.tolist() == [-1.0] and step.low is None and step.moves is None
+        for each in (stmt, run):
+            np.testing.assert_array_equal(apply_comp(vec.copy(), each, env, CLASSICAL_ONLY), -vec)
+
+    @pytest.mark.parametrize("source, bijection", [
+        ("a := a ^ b", True), ("a := not b ^ not a", True), ("a := a ^ b ^ c", True),
+        ("a := 0", False), ("a := 1", False), ("a := a and not c", False),
+        ("b ^= b and a", False), ("a := a or b", False), ("a := b", False),
+    ])
+    def test_classical_writes_that_are_bijections_join_a_stretch(self, monkeypatch, source,
+                                                                 bijection):
+        # x := F with F = x ^ G moves worlds one to one: followed by
+        # c := c ^ b, it makes one stretch of moves. A write that merges
+        # worlds, as x := 0 does, is a step of its own, on the merge path.
+        # Alone or in the run, the result is exactly the reference's.
+        env = Environment(("a", "b", "c"))
+        body = parse(f"def main(a, b, c : bit):\n  {source}\n  c := c ^ b\n").body
+        run = engine._AffineRun(body)
+        kinds = [type(step) for step in engine._affine_steps(run, env, False)]
+        assert kinds == ([engine._SignPass] if bijection else [type(body[0]), engine._SignPass])
+        probs = np.random.default_rng(3).random(env.dim)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        want = kernel_reference(probs, body[0], env)
+        np.testing.assert_array_equal(apply_comp(probs.copy(), body[0], env, QUANTUM_ONLY), want)
+        np.testing.assert_array_equal(apply_comp(probs.copy(), run, env, QUANTUM_ONLY),
+                                      kernel_reference(want, body[1], env))
+
+    @pytest.mark.parametrize("n_bits, chunk", [(15, None), (3, 16)])
+    @pytest.mark.parametrize("source", [
+        "x1 ^= x0 and not {last}", "{last} ^= x0 == 0", "if x2 and {last}:\n    qnegate()",
+        "if not x1:\n    if x0 and x2 and {last}:\n      qnegate()",
+    ])
+    def test_a_block_of_several_chunks_is_written_in_place(self, monkeypatch, n_bits, chunk,
+                                                           source):
+        # Three branches are more than state._CHUNK entries, so _step writes
+        # the block back in place a chunk of rows at a time: two rows, then
+        # one.
+        names = tuple(f"x{i}" for i in range(n_bits))
+        env = Environment(names)
+        source = source.format(last=names[-1])
+        stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+        amps = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        state = TwoLayerState(env, amps.copy(), np.full(3, 1 / 3))
+        if chunk:
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+        assert len(qppl.state._chunks(3, env.dim)) == 2
+        got = engine._step(state, stmt, in_place=True)
+        assert got.amps is state.amps
+        # The statement's map, by world index: where each world goes and its sign.
+        k = np.arange(env.dim)
+        bit = {n: (k >> env.shift(n)) & 1 for n in names}
+        last = bit[names[-1]]
+        if isinstance(stmt, XorAssign):
+            cond = bit["x0"] & (1 - last) if stmt.target == "x1" else 1 - bit["x0"]
+            expected = np.empty_like(amps)
+            expected[:, k ^ (cond << env.shift(stmt.target))] = amps
+        else:
+            cond = bit["x2"] & last
+            if "not x1" in source:
+                cond = (1 - bit["x1"]) & bit["x0"] & cond
+            expected = amps * np.where(cond, -1.0, 1.0)
+        np.testing.assert_array_equal(got.amps, expected)
 
 
 # Statements of every kernel path, on a target x, with a and b the two
