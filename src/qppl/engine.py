@@ -10,9 +10,12 @@ the world vector it is given, or into each row of a batch of them:
 signed amplitudes here and in ``comp_matrix``, probabilities in classical
 mode. It works on the (2,)*n view of the last axis, one axis per live
 variable with the rows of a batch in front, and builds no index array but
-an affine stretch's, a chunk at a time. A
-block goes in a chunk of rows at a time (at most state._CHUNK entries, or
-one row), so a statement holds the block and a chunk's temporaries. An
+a sign pass's, a chunk at a time. A block goes in a chunk of rows at a
+time (at most state._CHUNK entries, or one row). Beside the block a coin,
+``x ^= E`` and an ``if`` of negations hold at most a chunk's temporaries;
+``x := E``, any other ``if`` and a sign pass that moves worlds hold a copy
+of the chunk too, which is the whole row when a row is wider than a chunk
+(an ``if``'s body holds its own beside it). An
 unobserved run writes its own block; a state that must stay as it was (an
 observed run's, or the argument of ``apply_qrand``) is copied once and the
 copy is written. An expression's truth table has a length-2 axis only for
@@ -43,21 +46,22 @@ An expression built from variables, constants, ``not`` and ``^`` (which
 ``if`` of negations on an affine condition, ``qnegate()``, and in classical
 mode ``if C: x := not x`` with x not in C (which is ``x ^= C``) are affine
 statements: a run of them sends each world k to one world with the sign
-(-1)**(a·k ⊕ c). An unobserved run takes each run of two or more
-consecutive top-level ``x ^= E``, ``x := E``, ``qnegate()`` and ``if``
-statements, found by type alone, as one step (``_AffineRun``). Once per
-run and environment it follows each variable's value and the phase as
-affine forms over the bits of the world the run starts from, so the phase
+(-1)**(a·k ⊕ c). ``_plan`` plans an unobserved run once, following the
+environment through each ``new``: between two ``new`` or ``measure``
+statements, on an environment of _SUB_BLOCK_MIN worlds or more, it
+follows each variable's value and the phase as affine forms over the
+bits of the world a run of affine statements starts from, so the phase
 is taken in input coordinates (Amy, Maslov and Mosca's phase polynomials,
-IEEE TCAD 2014); a statement that is not affine ends one stretch and is a
-step of its own. Each stretch multiplies the (rows, high half, low half)
-view of the worlds by two tables of 2**(n/2) signs; unless each variable
-ends at its own bit, as in a Bernstein-Vazirani middle, it then sends
-world k to the xor of two tables of 2**(n/2) destinations, indexed by k's
-halves, from a copy of the block (Aaronson and Gottesman's tableau composes
-affine maps so, PRA 2004). Signs of ±1 and moves are exact, so the step
-gives its statements' states bit for bit. Under _SUB_BLOCK_MIN entries it
-replays its statements one at a time.
+IEEE TCAD 2014). Each run of two or more consecutive top-level affine
+statements is one step, a sign pass (``_SignPass``): it multiplies the
+(rows, high half, low half) view of the worlds by two tables of 2**(n/2)
+signs; unless each variable ends at its own bit, as in a
+Bernstein-Vazirani middle, it then sends world k to the xor of two tables
+of 2**(n/2) destinations, indexed by k's halves, from a copy of the
+worlds (Aaronson and Gottesman's tableau composes affine maps so, PRA
+2004). A run that is the identity is no step. Signs of ±1 and moves are
+exact, so the step gives its statements' states bit for bit. On fewer
+worlds, and for a lone affine statement, each statement is its own step.
 
 Measurement splits the block into one outcome per (branch, observed
 value), squaring amplitude mass into classical probability; return
@@ -142,8 +146,8 @@ def _bit_table(n_bits: int, pos: int) -> np.ndarray:
 
 
 _ALL = slice(None)
-# Entries from which an affine run is taken apart into stretches: below it
-# its statements go one at a time, as their fewer numpy calls cost less.
+# Worlds from which the planner takes runs of affine statements apart: on
+# fewer, its statements go one at a time, as their fewer numpy calls cost less.
 _SUB_BLOCK_MIN = 1 << 9
 
 
@@ -238,19 +242,22 @@ def _coins(vec: np.ndarray, shifts: tuple[int, ...], signed: bool) -> np.ndarray
 
 
 class _CoinRun(NamedTuple):
-    """A run of consecutive top-level coins of one kind on distinct targets,
-    which an unobserved run applies as one step: coins on distinct bits
-    commute, so each aligned group of four bits is one product."""
+    """A run of two or more consecutive top-level coins of one kind on
+    distinct targets, as one kernel step: coins on distinct bits commute,
+    so each aligned group of four bits is one product."""
     targets: tuple[str, ...]
     signed: bool
 
 
-class _AffineRun(NamedTuple):
-    """A run of consecutive top-level ``x ^= E``, ``x := E``, ``qnegate()``
-    and ``if`` statements, which an unobserved run applies as one step: each
-    stretch of them that is affine is one sign pass, then one permutation
-    unless each variable ends at its own bit (_affine_steps)."""
-    stmts: tuple[Statement, ...]
+class _SignPass(NamedTuple):
+    """A run of two or more consecutive affine statements, as one kernel
+    step: world k of a row, viewed as (high half, low half) of its index, is
+    multiplied by high[k_high] * low[k_low] (a table is None where it holds
+    only 1), then, unless ``moves`` is None, moved to moves[0][k_high] ^
+    moves[1][k_low]."""
+    high: np.ndarray | None
+    low: np.ndarray | None
+    moves: tuple[np.ndarray, np.ndarray] | None
 
 
 def _negations(stmt: Statement) -> bool:
@@ -264,46 +271,6 @@ def _flip(stmt: Statement) -> bool:
     x``, with x not read by C: it is ``x ^= C``."""
     return (type(stmt) is If and len(stmt.body) == 1 and type(inner := stmt.body[0]) is Assign
             and inner.rhs == Not(Var(inner.target)) and inner.target not in free_vars(stmt.cond))
-
-
-def _plan(body: Sequence[Statement], coin: type) -> list:
-    """The steps of an unobserved run, in one pass over its body: each
-    maximal run of two or more consecutive ``coin`` statements on distinct
-    targets as one _CoinRun, each maximal run of two or more consecutive
-    ``x ^= E``, ``x := E``, ``qnegate()`` and ``if`` statements as one
-    _AffineRun, and every other statement as itself. The test is by type
-    alone: which statements are affine is found when a run meets a wide
-    vector (_affine_steps)."""
-    steps: list = []
-    affine = False  # steps[-1] may start or extend a run
-    for stmt in body:
-        kind = type(stmt)
-        if kind is coin and steps and type(last := steps[-1]) in (coin, _CoinRun):
-            targets = last.targets if type(last) is _CoinRun else (last.target,)
-            if stmt.target not in targets:
-                steps[-1] = _CoinRun(targets + (stmt.target,), coin is QRand)
-                continue
-        if kind is XorAssign or kind is Assign or kind is QNeg or kind is If:
-            if affine:
-                last = steps[-1]
-                steps[-1] = _AffineRun(last.stmts + (stmt,) if type(last) is _AffineRun
-                                       else (last, stmt))
-                continue
-            affine = True
-        else:
-            affine = False
-        steps.append(stmt)
-    return steps
-
-
-class _SignPass(NamedTuple):
-    """A stretch of affine statements: world k of a row, viewed as (high
-    half, low half) of its index, is multiplied by high[k_high] * low[k_low]
-    (a table is None where it holds only 1), then, unless ``moves`` is None,
-    moved to moves[0][k_high] ^ moves[1][k_low]."""
-    high: np.ndarray | None
-    low: np.ndarray | None
-    moves: tuple[np.ndarray, np.ndarray] | None
 
 
 # An affine form over GF(2) is an int: bit 0 is its constant and bit 1 + s
@@ -321,23 +288,18 @@ def _form(e: Expression, values: dict[str, int]) -> int | None:
 
 
 def _signs(mask: int, bits: int, negate: int) -> np.ndarray | None:
-    """(-1)**(parity(mask & i) ^ negate) for i < 2**bits; None if all 1."""
+    """(-1)**(parity(mask & i) ^ negate) for i < 2**bits, from the parity of
+    the span of the mask's bits; None if all 1."""
     if not mask and not negate:
         return None
-    table = np.array([-1.0 if negate else 1.0])
-    for s in range(bits):  # bit s is the high bit of the next table
-        table = np.concatenate((table, -table if mask >> s & 1 else table))
-    table.flags.writeable = False
-    return table
+    return 1.0 - 2.0 * (_span([mask >> s & 1 for s in range(bits)], negate) & 1)
 
 
 def _span(images: Sequence[int], start: int) -> np.ndarray:
-    """start ^ the xor of images[s] over the bits s of i, for i < 2**len(images);
-    read-only, as it is shared."""
+    """start ^ the xor of images[s] over the bits s of i, for i < 2**len(images)."""
     table = np.array([start], np.intp)
-    for image in images:  # as _signs builds its sign tables
+    for image in images:
         table = np.concatenate((table, table ^ image))
-    table.flags.writeable = False
     return table
 
 
@@ -351,84 +313,105 @@ def _destinations(values: dict[str, int], env: Environment) -> tuple[np.ndarray,
     return _span(images[n // 2:], constant), _span(images[:n // 2], 0)
 
 
-# One run is kept, for the chunks of its step: looking a run up by its
-# statements costs most of what analysing it does (43 against 66 us for a
-# `dense` run on a shared 2-vCPU host), and keeping a `dense` round's runs
-# held 0.7 MB of syntax trees.
-@lru_cache(maxsize=1)
-def _affine_steps(run: _AffineRun, env: Environment, quantum: bool) -> tuple:
-    """The steps that apply a run on the environment's worlds in one mode:
-    each maximal stretch of its affine statements as one _SignPass, and each
-    other statement as itself, or as ``x ^= C`` if it is ``if C: x := not
-    x`` in classical mode. A write ``x := F`` (``x ^= E`` is ``x := x ^ E``)
-    is affine if it is a bijection: F is x ^ G, that is F's form with x read
-    as a bit of its own, ``own``, reads that bit; x's form then gains G's.
-    An ``if`` of negations adds its condition's form to the phase, and
-    ``qnegate()`` 1. The forms are over the bits of the world the stretch
-    starts from, so its signs go first and its moves after them."""
-    n, half, own = env.n_bits, env.n_bits // 2, 2 << env.n_bits
-    start = {name: 2 << env.shift(name) for name in env.names}
-    steps: list = []
-    values, phase = dict(start), 0
-    for stmt in run.stmts + (None,):
+def _start(env: Environment) -> dict[str, int] | None:
+    """Each variable's form where a run of affine statements starts: its
+    own bit; None under _SUB_BLOCK_MIN worlds, where no run is analysed."""
+    return {name: 2 << env.shift(name) for name in env.names} if env.dim >= _SUB_BLOCK_MIN else None
+
+
+def _plan(body: Sequence[Statement], env: Environment, coin: type) -> list[list]:
+    """The steps of an unobserved run, planned once, in one pass over its
+    body that follows the environment through each ``new``: ``[new]`` and
+    ``[measure]``, and each stretch of computational statements between
+    them as one list of kernel steps, which _step sends each chunk of rows
+    through in turn. In a stretch, each run of two or more consecutive
+    ``coin`` statements on distinct targets is one _CoinRun. From
+    _SUB_BLOCK_MIN worlds on, ``if C: x := not x`` with x not read by C is
+    ``x ^= C`` in classical mode, and each run of two or more consecutive
+    affine statements is one _SignPass, or no step if it is the identity;
+    a lone one keeps its own kernel, in place.
+
+    A write ``x := F`` (``x ^= E`` is ``x := x ^ E``; ``:=`` only in
+    classical mode) is affine if it is a bijection: F is x ^ G, that is F's
+    form with x read as a bit of its own, ``own``, reads that bit; x's form
+    then gains G's. In quantum mode ``qnegate()`` adds 1 to the phase, and
+    an ``if`` of negations on an affine condition the condition's form. The
+    forms are over the bits of the world the run starts from, so its signs
+    go first and its moves after them."""
+    quantum, plan, steps, run, phase = coin is QRand, [], [], [], 0
+    start = _start(env)
+    values = None if start is None else dict(start)
+    for stmt in (*body, None):
         kind = type(stmt)
-        if quantum and kind is QNeg:
-            phase ^= 1
-            continue
-        if quantum and _negations(stmt) and (form := _form(stmt.cond, values)) is not None:
-            phase ^= form
-            continue
-        if not quantum and _flip(stmt):
-            stmt, kind = XorAssign(stmt.body[0].target, stmt.cond), XorAssign
-        if kind is XorAssign or kind is Assign and not quantum:
-            kept, values[stmt.target] = values[stmt.target], own
-            form = _form(stmt.rhs, values)
-            values[stmt.target] = kept
-            if form is not None and form >> n + 1 == (kind is Assign):  # a bijection
-                values[stmt.target] ^= form & own - 1
+        if start is not None:  # an affine statement joins the run
+            if not quantum and _flip(stmt):
+                stmt, kind = XorAssign(stmt.body[0].target, stmt.cond), XorAssign
+            if affine := quantum and kind is QNeg:
+                phase ^= 1
+            elif quantum and _negations(stmt) and (form := _form(stmt.cond, values)) is not None:
+                phase, affine = phase ^ form, True
+            elif kind is XorAssign or kind is Assign and not quantum:
+                n, own = env.n_bits, 2 << env.n_bits
+                kept, values[stmt.target] = values[stmt.target], own
+                form = _form(stmt.rhs, values)
+                values[stmt.target] = kept
+                if affine := form is not None and form >> n + 1 == (kind is Assign):  # a bijection
+                    values[stmt.target] ^= form & own - 1
+            if affine:
+                run.append(stmt)
                 continue
-        # The stretch ends: at a statement that is not affine, or the end.
-        moves = None if values == start else _destinations(values, env)
-        if phase or moves:
-            mask = phase >> 1
-            steps.append(_SignPass(_signs(mask >> half, n - half, phase & 1),
-                                   _signs(mask & ((1 << half) - 1), half, 0), moves))
-        if stmt is not None:
+        # A coin joins the step before it only if that is the coins just before it.
+        if (kind is coin and not run and steps and type(last := steps[-1]) in (coin, _CoinRun)
+                and stmt.target not in (targets := last.targets if type(last) is _CoinRun
+                                        else (last.target,))):
+            steps[-1] = _CoinRun(targets + (stmt.target,), quantum)
+            continue
+        if run:  # the run ends, at a statement that is not affine or at the end
+            if len(run) == 1:
+                steps.append(run[0])
+            elif phase or values != start:
+                moves = None if values == start else _destinations(values, env)
+                n, half, mask = env.n_bits, env.n_bits // 2, phase >> 1
+                steps.append(_SignPass(_signs(mask >> half, n - half, phase & 1),
+                                       _signs(mask & ((1 << half) - 1), half, 0), moves))
+            run, values, phase = [], dict(start), 0
+        if stmt is not None and kind is not New and kind is not Measure:
             steps.append(stmt)
-        values, phase = dict(start), 0
-    return tuple(steps)
+            continue
+        if steps:
+            plan.append(steps)
+            steps = []
+        if stmt is not None:
+            plan.append([stmt])
+        if kind is New:
+            env = env.extended(stmt.names)
+            start = _start(env)
+            values = None if start is None else dict(start)
+    return plan
 
 
-def _affine(vec: np.ndarray, run: _AffineRun, env: Environment, foreign: dict[type, str]):
-    """Apply a run in place. Under _SUB_BLOCK_MIN entries its statements go
-    one at a time. Otherwise each sign pass multiplies the (rows, high half,
-    low half) view by its tables in place, or into a copy of the block that
-    goes to its destinations a chunk of index at a time: a stretch holds at
-    most the block, a copy and a chunk of index."""
-    if vec.size < _SUB_BLOCK_MIN:
-        for stmt in run.stmts:
-            apply_comp(vec, stmt, env, foreign)
-        return vec
+def _sign_pass(vec: np.ndarray, step: _SignPass, env: Environment) -> np.ndarray:
+    """Apply a _SignPass in place: its tables multiply the (rows, high
+    half, low half) view of the worlds in place, or, if it moves worlds, a
+    copy of them, which goes to its destinations a chunk of index at a time.
+    A sign pass holds at most a copy of the vector and a chunk of index."""
     half = env.n_bits // 2
     view = vec.reshape(-1, 1 << env.n_bits - half, 1 << half)
-    for step in _affine_steps(run, env, QNeg not in foreign):
-        if type(step) is not _SignPass:
-            apply_comp(vec, step, env, foreign)
-            continue
-        source = view if step.moves is None else view.copy()
-        if step.high is not None:
-            np.multiply(source, step.high[:, None], out=source)
-        if step.low is not None:
-            np.multiply(source, step.low, out=source)
-        if step.moves is None:
-            continue
+    source = view if step.moves is None else view.copy()
+    if step.high is not None:
+        np.multiply(source, step.high[:, None], out=source)
+    if step.low is not None:
+        np.multiply(source, step.low, out=source)
+    if step.moves is not None:
         high, low = step.moves
         rows, chunks = vec.reshape(len(view), -1), _chunks(len(high), len(low))
         index = np.empty((len(high[chunks[0]]), len(low)), np.intp)  # one chunk, reused
         for c in chunks:
             part = high[c]
-            to = np.bitwise_xor(part[:, None], low, out=index[:len(part)]).ravel()
-            rows[:, to] = source[:, c].reshape(len(rows), -1)
+            to = index[:len(part)]
+            to[...] = part[:, None]
+            to ^= low
+            rows[:, to.ravel()] = source[:, c].reshape(len(rows), -1)
     return vec
 
 
@@ -452,8 +435,8 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
         for _, group in groupby(sorted(map(env.shift, stmt.targets)), lambda s: s >> 2):
             _coins(vec, tuple(group), stmt.signed)
         return vec
-    if isinstance(stmt, _AffineRun):
-        return _affine(vec, stmt, env, foreign)
+    if isinstance(stmt, _SignPass):
+        return _sign_pass(vec, stmt, env)
     if isinstance(stmt, QNeg):
         return np.multiply(vec, -1.0, out=vec)
     if not isinstance(stmt, (XorAssign, Assign, If)):
@@ -741,46 +724,51 @@ def apply_return(state: TwoLayerState, returns: Sequence[str]) -> TwoLayerState:
 # Whole-program execution
 # ---------------------------------------------------------------------------
 
-def _step(state: TwoLayerState, stmt: Statement, in_place: bool) -> TwoLayerState:
-    """One top-level statement on a state. With ``in_place`` the state's
-    block is written; otherwise it is copied once and the copy is written.
+def _step(state: TwoLayerState, steps: list, in_place: bool) -> TwoLayerState:
+    """One list of _plan's steps on a state: ``[new]``, ``[measure]``, or
+    kernel steps, which each chunk of rows goes through in turn. With
+    ``in_place`` the state's block is written; otherwise it is copied once
+    and the copy is written.
 
-    The kernel takes a chunk of rows at a time as a batch, so a statement
-    holds the block and a chunk's temporaries; a one-branch block is one
-    chunk.
+    A chunk is at most state._CHUNK entries, or one row. Beside the block a
+    step holds at most a chunk's temporaries, or for ``x := E``, an ``if``
+    whose body is not only negations and a sign pass that moves worlds,
+    one copy of the chunk (a row wider than a chunk is one chunk).
     """
-    if isinstance(stmt, New):
-        return extend(state, stmt.names)
-    if isinstance(stmt, Measure):
-        return apply_measure(state, stmt.names)
+    first = steps[0]
+    if isinstance(first, New):
+        return extend(state, first.names)
+    if isinstance(first, Measure):
+        return apply_measure(state, first.names)
     env, out = state.env, state.amps if in_place else state.amps.copy()
     for c in _chunks(*out.shape):
-        apply_comp(out[c], stmt, env, CLASSICAL_ONLY)
+        rows = out[c]
+        for stmt in steps:
+            apply_comp(rows, stmt, env, CLASSICAL_ONLY)
     return TwoLayerState(env, out, state.probs)
 
 
 def apply_qrand(state: TwoLayerState, target: str) -> TwoLayerState:
     """One coin on a copy of the state, unfused: the state is left alone."""
-    return _step(state, QRand(target), in_place=False)
+    return _step(state, [QRand(target)], in_place=False)
 
 
 def _run(p: Program, state, step: Callable, finish: Callable, observer: Observer | None,
          coin: type):
-    """The run loop of both modes: ``step(state, stmt, in_place)`` runs each
-    top-level statement and ``finish(state, returns)`` the return, if any.
-    The observer, if given, gets ("", initial state), then (statement text,
-    state) after each statement and the return. Only an unobserved run lets
-    a step overwrite its state, so no state the observer saw changes later;
-    and only an unobserved run goes by _plan's steps, which take a run of
-    the mode's own ``coin`` statements, or in quantum mode of affine ones,
-    as one step.
+    """The run loop of both modes: ``step(state, steps, in_place)`` runs
+    each list of steps and ``finish(state, returns)`` the return, if any.
+    An unobserved run goes by _plan's lists, planned once with the mode's
+    own ``coin``, and lets each step write its state. An observed run gives
+    each statement a list of its own, whose step writes a copy, so no state
+    the observer saw changes later; the observer gets ("", initial state),
+    then (statement text, state) after each statement and the return.
     """
     if observer:
         observer("", state)
-    for stmt in p.body if observer else _plan(p.body, coin):
-        state = step(state, stmt, observer is None)
+    for steps in ([stmt] for stmt in p.body) if observer else _plan(p.body, state.env, coin):
+        state = step(state, steps, observer is None)
         if observer:
-            observer(statement_source(stmt), state)
+            observer(statement_source(steps[0]), state)
     if p.returns is not None:
         state = finish(state, p.returns)
         if observer:
@@ -793,9 +781,11 @@ def run(p: Program, *, observer: Observer | None = None) -> TwoLayerState:
     return _run(p, initial_state(p.inputs), _step, apply_return, observer, QRand)
 
 
-def _classical_step(state: ClassicalState, stmt: Statement, in_place: bool) -> ClassicalState:
+def _classical_step(state: ClassicalState, steps: list, in_place: bool) -> ClassicalState:
     probs = state.probs if in_place else state.probs.copy()
-    return ClassicalState(state.env, apply_comp(probs, stmt, state.env, QUANTUM_ONLY))
+    for stmt in steps:
+        apply_comp(probs, stmt, state.env, QUANTUM_ONLY)
+    return ClassicalState(state.env, probs)
 
 
 def _marginalize(state: ClassicalState, returns: Sequence[str]) -> ClassicalState:

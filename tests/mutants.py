@@ -71,11 +71,12 @@ MUTANTS = {
         "engine.py", "enumerate(env.names) if n not in kept)", "enumerate(env.names) if n in kept)"),
     "coin-product-cap": (  # products big enough for OpenBLAS to split across threads
         "engine.py", "_PRODUCT = 1 << 16", "_PRODUCT = 1 << 26"),
-    "affine-phase-constant": (  # a stretch's phase loses its constant
+    # The planner: each run of affine statements becomes one sign pass.
+    "affine-phase-constant": (  # a sign pass's phase loses its constant
         "engine.py", "n - half, phase & 1)", "n - half, 0)"),
     "affine-low-table": (  # the low half table is built from the high half's mask
         "engine.py", "_signs(mask & ((1 << half) - 1), half, 0)", "_signs(mask >> half, half, 0)"),
-    "affine-identity": (  # no stretch moves worlds, whether or not it is the identity
+    "affine-identity": (  # no sign pass moves worlds, whether or not its run is the identity
         "engine.py", "moves = None if values == start else", "moves = None if True else"),
     "affine-destination-constant": (  # the destinations lose the forms' constants
         "engine.py", "_span(images[n // 2:], constant)", "_span(images[n // 2:], 0)"),
@@ -83,6 +84,12 @@ MUTANTS = {
         "engine.py", "form >> n + 1 == (kind is Assign)", "True"),
     "fold-free-vars": (  # `if C: x := not x` folds also when C reads x
         "engine.py", " and inner.target not in free_vars(stmt.cond))", ")"),
+    "plan-env-before-new": (  # a stretch after `new` is planned on the environment before it
+        "engine.py", "env = env.extended(stmt.names)", "env.extended(stmt.names)"),
+    "plan-coins-across-run": (  # coins join across a run of affine statements that cancels
+        "engine.py", "kind is coin and not run and steps", "kind is coin and steps"),
+    "step-first-chunk": (  # only a block's first chunk goes through a stretch's steps
+        "engine.py", "for c in _chunks(*out.shape):", "for c in _chunks(*out.shape)[:1]:"),
 }
 
 

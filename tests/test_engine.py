@@ -282,30 +282,32 @@ class TestCoinFusion:
             for chunk in (4, 100, env.dim * 3 // 2):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(qppl.state, "_CHUNK", chunk)
-                    got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt,
+                    got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), [stmt],
                                        True)
                 assert np.array_equal(got.amps, alone), (shifts, chunk)
 
     def test_runs_of_coins_are_grouped_in_order(self):
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  qrand_bit(b)\n  qrand_bit(a)\n"
                   "  qrand_bit(c)\n  qnegate()\n  qrand_bit(b)\n  b := rand_bit()\n")
-        steps = engine._plan(p.body, QRand)
+        env = Environment(p.inputs)
+        (steps,) = engine._plan(p.body, env, QRand)
         assert steps[:2] == [engine._CoinRun(("a", "b"), True), engine._CoinRun(("a", "c"), True)]
         assert steps[2:] == list(p.body[4:])
-        assert engine._plan(p.body, RandBit) == list(p.body)
+        assert engine._plan(p.body, env, RandBit) == [list(p.body)]
 
     def test_an_observed_run_keeps_every_statement(self, monkeypatch):
-        # Coins and affine statements alike reach the step one at a time.
+        # Coins and affine statements alike reach the step one at a time;
+        # an unobserved run's one stretch reaches it as one list of steps.
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  qrand_bit(b)\n  c ^= a\n"
                   "  if c:\n    qnegate()\n  qnegate()\n  c ^= a\n")
         seen, real = [], engine._step
-        monkeypatch.setattr(engine, "_step", lambda st_, stmt, in_place: (
-            seen.append(stmt), real(st_, stmt, in_place))[1])
+        monkeypatch.setattr(engine, "_step", lambda st_, steps, in_place: (
+            seen.append(steps), real(st_, steps, in_place))[1])
         run(p, observer=lambda *_: None)
-        assert seen == list(p.body)
+        assert seen == [[stmt] for stmt in p.body]
         seen.clear()
         run(p)
-        assert seen == [engine._CoinRun(("a", "b"), True), engine._AffineRun(p.body[2:])]
+        assert seen == [[engine._CoinRun(("a", "b"), True), *p.body[2:]]]
 
     def test_every_product_is_capped(self, monkeypatch):
         # OpenBLAS may split a product of more multiply-adds across threads,
@@ -401,8 +403,9 @@ AFFINE_RUNS = {
     # a linear part that is not the identity: the XORs are replayed
     "moves": ["x0 ^= x1", "x1 ^= 1", "if x0:\n    qnegate()", "x3 ^= x0 ^ x2",
               "if x3 ^ x1 ^ 1:\n    qnegate()"],
-    # statements that are not affine cut the run in three stretches
-    "cut": ["x0 ^= x1", "x2 ^= x0 and x1", "if x4:\n    qnegate()",
+    # statements that are not affine cut the run in three stretches, and
+    # the middle one is a lone statement
+    "cut": ["x0 ^= x1", "x3 ^= 1", "x2 ^= x0 and x1", "if x4:\n    qnegate()",
             "if x0 or x1:\n    qnegate()", "x3 ^= x2", "qnegate()"],
     # the phase is a global sign, and the XORs cancel
     "global-sign": ["qnegate()", "x0 ^= x1 ^ 1", "if 1 ^ 1:\n    qnegate()", "x0 ^= x1 ^ 1"],
@@ -422,9 +425,10 @@ CLASSICAL_RUNS = {
     "folds": ["x0 := x0 ^ x1", "if x1 ^ x2:\n    x0 := not x0", "if x1 and x2:\n    x3 := not x3",
               "x4 := x4 ^ x0", "if x0:\n    x0 := not x0", "x1 := x1 ^ x3",
               "if x2:\n    x1 := not x1\n    x3 := not x3", "x4 := x4 ^ 1"],
-    # writes that are not bijections cut the run
-    "merges": ["x1 := x1 ^ x0", "x1 := x2", "x3 := x3 ^ x0 ^ x3", "x2 := not x2", "x4 ^= x4 ^ x1",
-               "x0 := x0 and x4", "x3 := x3 ^ 1"],
+    # writes that are not bijections cut the run, and the last stretch is
+    # a lone statement
+    "merges": ["x1 := x1 ^ x0", "x3 := not x3", "x1 := x2", "x3 := x3 ^ x0 ^ x3", "x2 := not x2",
+               "x4 := x4 ^ x2", "x4 ^= x4 ^ x1", "x0 := x0 and x4", "x3 := x3 ^ 1"],
 }
 
 
@@ -436,38 +440,53 @@ def destinations(body, env):
     return worlds
 
 
+def stretch(body, env, coin=QRand):
+    """_plan's list of kernel steps for a body of computational statements;
+    [] if they cancel."""
+    plan = engine._plan(body, env, coin)
+    assert len(plan) <= 1
+    return plan[0] if plan else []
+
+
+def through(steps, vec, env, foreign):
+    """Each kernel step on the vector in turn, in place, as _step applies a chunk's."""
+    for step in steps:
+        apply_comp(vec, step, env, foreign)
+    return vec
+
+
 class TestAffineRun:
-    """An unobserved run applies each run of consecutive top-level `x ^= E`,
-    `x := E`, `qnegate()` and `if` statements as one step
-    (engine._AffineRun): each stretch of them whose expressions use only
-    not, ^, ==, != and constants, whose writes are bijections and whose
-    `if`s hold an odd number of negations (or, classical, only `x := not
-    x`), is one pass of signs, then one permutation unless every variable
-    ends at its own bit. Signs of ±1 and moves are exact, so the step gives
-    its statements' result one at a time bit for bit."""
+    """_plan applies each run of two or more consecutive top-level affine
+    statements of an unobserved run on an environment of 2**9 worlds or
+    more as one step: statements whose expressions use only not, ^, ==,
+    != and constants, whose writes are bijections and whose `if`s hold an
+    odd number of negations (or, classical, only `x := not x`). The step
+    is one pass of signs (engine._SignPass), then one permutation unless
+    every variable ends at its own bit. Signs of ±1 and moves are exact,
+    so the step gives its statements' result one at a time bit for bit."""
 
     @pytest.mark.parametrize("name", AFFINE_RUNS)
     @pytest.mark.parametrize("n_bits", [5, 6, 11])
     def test_a_run_is_its_statements_one_at_a_time(self, monkeypatch, name, n_bits):
-        # With _SUB_BLOCK_MIN at 0, so that every vector takes the sign
-        # pass, on a row and a batch of three, and through _step with
+        # With _SUB_BLOCK_MIN at 0, so that every run is planned as sign
+        # passes, on a row and a batch of three, and through _step with
         # state._CHUNK at its default and cut smaller than a row. The inputs
         # hold zeros of both signs.
         body, env = affine_body(n_bits, AFFINE_RUNS[name])
-        stmt = engine._AffineRun(body)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        steps = stretch(body, env)
         rows = np.random.default_rng(n_bits).standard_normal((3, env.dim))
         rows[rows < -1.0] = 0.0
         rows[rows > 1.0] = -0.0
-        alone = rows.copy()
-        for inner in body:
-            apply_comp(alone, inner, env, CLASSICAL_ONLY)
-        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        alone = through(body, rows.copy(), env, CLASSICAL_ONLY)
         for vec, want in ((rows[0], alone[0]), (rows, alone)):
-            got = apply_comp(vec.copy(), stmt, env, CLASSICAL_ONLY)
+            got = through(steps, vec.copy(), env, CLASSICAL_ONLY)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        if not steps:  # a run that cancels is no step: _step never sees it
+            return
         for chunk in (qppl.state._CHUNK, 4, 3 * env.dim // 2):
             monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
-            got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), stmt, True)
+            got = engine._step(TwoLayerState(env, rows.copy(), np.full(3, 1 / 3)), steps, True)
             assert np.array_equal(got.amps, alone), chunk
 
     @pytest.mark.parametrize("name", CLASSICAL_RUNS)
@@ -477,23 +496,22 @@ class TestAffineRun:
         # state._CHUNK at its default and at 4, so that the moves go a few
         # entries of the index at a time, and through the classical step.
         body, env = affine_body(n_bits, CLASSICAL_RUNS[name])
-        stmt = engine._AffineRun(body)
-        rows = np.random.default_rng(n_bits).random((3, env.dim))
-        alone = rows.copy()
-        for inner in body:
-            apply_comp(alone, inner, env, QUANTUM_ONLY)
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        steps = stretch(body, env, RandBit)
+        rows = np.random.default_rng(n_bits).random((3, env.dim))
+        alone = through(body, rows.copy(), env, QUANTUM_ONLY)
         for chunk in (qppl.state._CHUNK, 4):
             monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
             for vec, want in ((rows[0], alone[0]), (rows, alone)):
-                assert np.array_equal(apply_comp(vec.copy(), stmt, env, QUANTUM_ONLY), want)
-            got = engine._classical_step(qppl.ClassicalState(env, rows[0].copy()), stmt, True)
+                assert np.array_equal(through(steps, vec.copy(), env, QUANTUM_ONLY), want)
+            got = engine._classical_step(qppl.ClassicalState(env, rows[0].copy()), steps, True)
             assert np.array_equal(got.probs, alone[0]), chunk
 
-    def test_the_steps_of_each_run(self):
+    def test_the_steps_of_each_run(self, monkeypatch):
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+
         def steps(lines, quantum=True):
-            body, env = affine_body(5, lines)
-            return engine._affine_steps(engine._AffineRun(body), env, quantum)
+            return stretch(*affine_body(5, lines), QRand if quantum else RandBit)
 
         def kinds(lines, quantum=True):
             return [(step.high is not None, step.low is not None, step.moves is not None)
@@ -504,7 +522,7 @@ class TestAffineRun:
         assert kinds(AFFINE_RUNS["comparisons"]) == [(True, True, False)]  # x0 ^ ... ^ x4
         assert kinds(AFFINE_RUNS["moves"]) == [(True, True, True)]  # x1 ^ x2 ^ x3
         assert kinds(AFFINE_RUNS["cut"]) == [
-            (False, False, True), "x2 ^= x0 and x1", (False, True, False),
+            (False, False, True), "x2 ^= x0 and x1", "if x4: qnegate()",
             "if x0 or x1: qnegate()", (True, False, True)]
         assert kinds(AFFINE_RUNS["cancel"]) == []
         assert kinds(bv_middle(5)) == [(True, True, False)]  # x0 ^ x1 ^ x3 ^ 1
@@ -513,15 +531,15 @@ class TestAffineRun:
         assert step.low.tolist() == [1.0, 1.0, -1.0, -1.0]
         (step,) = steps(AFFINE_RUNS["global-sign"])
         assert step.high.tolist() == [-1.0] * 8 and step.low is None and step.moves is None
-        # Classical runs move worlds and never sign them.
+        # Classical runs move worlds and never sign them; a fold is `x ^= C`,
+        # alone when C is not affine.
         assert kinds(CLASSICAL_RUNS["chain"], False) == [(False, False, True)]
         assert kinds(CLASSICAL_RUNS["folds"], False) == [
-            (False, False, True), "x3 ^= x1 and x2", (False, False, True),
-            "if x0: x0 := not x0", (False, False, True), "if x2: x1 := not x1; x3 := not x3",
-            (False, False, True)]
+            (False, False, True), "x3 ^= x1 and x2", "x4 := x4 ^ x0", "if x0: x0 := not x0",
+            "x1 := x1 ^ x3", "if x2: x1 := not x1; x3 := not x3", "x4 := x4 ^ 1"]
         assert kinds(CLASSICAL_RUNS["merges"], False) == [
             (False, False, True), "x1 := x2", "x3 := x3 ^ x0 ^ x3", (False, False, True),
-            "x4 ^= x4 ^ x1", "x0 := x0 and x4", (False, False, True)]
+            "x4 ^= x4 ^ x1", "x0 := x0 and x4", "x3 := x3 ^ 1"]
         # In quantum mode no `:=` and no fold is affine: the kernel refuses
         # them, one at a time.
         assert kinds(["x1 := x1 ^ x0", "if x1:\n    x2 := not x2"]) == [
@@ -532,53 +550,112 @@ class TestAffineRun:
         (CLASSICAL_RUNS["chain"], False),
         (["x1 ^= 1", "x3 := x3 ^ x1 ^ x4", "if x3 ^ 1:\n    x0 := not x0"], False),
     ])
-    def test_the_destinations_are_the_statements_world_by_world(self, lines, quantum):
+    def test_the_destinations_are_the_statements_world_by_world(self, monkeypatch, lines,
+                                                                quantum):
         # A stretch's two half tables send world k where its statements
         # send it, constants included.
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         body, env = affine_body(5, lines)
-        (step,) = engine._affine_steps(engine._AffineRun(body), env, quantum)
+        (step,) = stretch(body, env, QRand if quantum else RandBit)
         high, low = step.moves
         k = np.arange(env.dim)
         assert np.array_equal(high[k >> 2] ^ low[k & 3], destinations(body, env))
 
-    def test_a_small_vector_replays_its_statements(self, monkeypatch):
-        # Under _SUB_BLOCK_MIN entries no run is analysed: `sweep`'s
-        # programs of at most 5 bits keep the cost of their statements.
+    def test_a_narrow_environment_keeps_its_statements(self, monkeypatch):
+        # Under _SUB_BLOCK_MIN worlds no run is analysed: `sweep`'s programs
+        # of at most 5 bits keep the cost of their statements.
         body, env = affine_body(5, AFFINE_RUNS["moves"])
-        vec = np.random.default_rng(5).standard_normal((3, env.dim))
-        want = vec.copy()
-        for stmt in body:
-            apply_comp(want, stmt, env, CLASSICAL_ONLY)
-        monkeypatch.setattr(engine, "_affine_steps", None)
-        got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
-        assert np.array_equal(got, want)
+        monkeypatch.setattr(engine, "_form", None)
+        assert stretch(body, env) == list(body)
 
-    @pytest.mark.parametrize("n_bits, rows, analysed", [(8, 1, False), (9, 1, True), (8, 3, True)])
-    def test_a_run_is_analysed_from_sub_block_min_entries(self, monkeypatch, n_bits, rows,
-                                                          analysed):
-        # engine._SUB_BLOCK_MIN is 2**9 entries, rows of a batch included.
+    @pytest.mark.parametrize("n_bits, analysed", [(8, False), (9, True)])
+    def test_a_run_is_analysed_from_sub_block_min_worlds(self, monkeypatch, n_bits, analysed):
+        # engine._SUB_BLOCK_MIN is 2**9 worlds, however many rows a block has.
         body, env = affine_body(n_bits, AFFINE_RUNS["moves"])
-        vec = np.random.default_rng(n_bits).standard_normal((rows, env.dim))
-        want = vec.copy()
-        for stmt in body:
-            apply_comp(want, stmt, env, CLASSICAL_ONLY)
-        calls, real = [], engine._affine_steps
-        monkeypatch.setattr(engine, "_affine_steps", lambda *args: calls.append(args) or real(*args))
-        got = apply_comp(vec, engine._AffineRun(body), env, CLASSICAL_ONLY)
-        assert len(calls) == analysed
-        assert np.array_equal(got, want)
+        vec = np.random.default_rng(n_bits).standard_normal((3, env.dim))
+        want = through(body, vec.copy(), env, CLASSICAL_ONLY)
+        steps = stretch(body, env)
+        assert [type(step) for step in steps] == (
+            [engine._SignPass] if analysed else [type(stmt) for stmt in body])
+        got = engine._step(TwoLayerState(env, vec, np.full(3, 1 / 3)), steps, True)
+        assert np.array_equal(got.amps, want)
 
-    def test_runs_are_planned_in_both_modes(self):
-        # By type alone: `x ^= E`, `x := E`, `qnegate()` and `if`.
+    def test_runs_are_planned_in_both_modes(self, monkeypatch):
+        # Each mode's own coins make runs, and its own affine statements
+        # stretches; a lone affine statement, and every statement on a
+        # narrow environment, is itself.
         p = parse("def main(a, b, c : bit):\n  qrand_bit(a)\n  b ^= a\n  qnegate()\n"
                   "  if a:\n    qnegate()\n    qnegate()\n  c ^= b\n  qrand_bit(c)\n  c ^= a\n"
                   "  if b == 0:\n    qnegate()\n  b ^= a and c\n")
-        runs = [p.body[0], engine._AffineRun(p.body[1:5]), p.body[5], engine._AffineRun(p.body[6:])]
-        assert engine._plan(p.body, QRand) == engine._plan(p.body, RandBit) == runs
+        env = Environment(p.inputs)
+        assert engine._plan(p.body, env, QRand) == engine._plan(p.body, env, RandBit) == [
+            list(p.body)]
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        (steps,) = engine._plan(p.body, env, QRand)
+        assert [type(step) for step in steps] == [
+            QRand, engine._SignPass, If, XorAssign, QRand, engine._SignPass, XorAssign]
+        assert engine._plan(p.body, env, RandBit) == [list(p.body)]
         p = parse("def main(a, b, c : bit):\n  a := rand_bit()\n  b := rand_bit()\n  b := b ^ a\n"
                   "  if a and b:\n    c := not c\n  c := a or b\n  a := rand_bit()\n  c ^= a\n")
-        assert engine._plan(p.body, RandBit) == [engine._CoinRun(("a", "b"), False),
-                                                 engine._AffineRun(p.body[2:5]), *p.body[5:]]
+        assert engine._plan(p.body, env, RandBit) == [[
+            engine._CoinRun(("a", "b"), False), p.body[2], XorAssign("c", p.body[3].cond),
+            *p.body[4:]]]
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 1 << 9)
+        assert engine._plan(p.body, env, RandBit) == [[engine._CoinRun(("a", "b"), False),
+                                                       *p.body[2:]]]
+
+    @pytest.mark.parametrize("threshold", [None, 0], ids=["shipped", "every-environment"])
+    def test_new_and_measure_cut_stretches(self, monkeypatch, threshold):
+        # 8 input bits (2**8 worlds), then `new y` (2**9): each side of the
+        # `new` and of the `measure` is planned with its own environment,
+        # and the run is bit for bit the observed one, whose statements go
+        # one at a time. Its coins are single, so no group sums them.
+        if threshold is not None:
+            monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", threshold)
+        xs = ", ".join(f"x{i}" for i in range(8))
+        p = parse(f"def main({xs} : bit):\n  qrand_bit(x0)\n  x1 ^= x0\n  x2 ^= x1\n"
+                  "  if x2:\n    qnegate()\n  new y\n  qrand_bit(y)\n  y ^= x2\n  x3 ^= y\n"
+                  "  if y ^ x3:\n    qnegate()\n  qnegate()\n  measure(x0)\n  x4 ^= x1\n"
+                  "  x5 ^= x4 ^ y\n  if x5:\n    qnegate()\n")
+        plan = engine._plan(p.body, Environment(p.inputs), QRand)
+        first = [QRand, engine._SignPass] if threshold == 0 else [QRand, XorAssign, XorAssign, If]
+        assert [[type(step) for step in steps] for steps in plan] == [
+            first, [qppl.New], [QRand, engine._SignPass], [qppl.Measure], [engine._SignPass]]
+        final, observed = run(p), run(p, observer=lambda *_: None)
+        assert np.array_equal(final.amps, observed.amps)
+        assert np.array_equal(final.probs, observed.probs)
+
+    def test_the_coins_around_a_cancelled_run_stay_apart(self, monkeypatch):
+        # A run that cancels is no step, but the coins on either side of it
+        # are not consecutive, so they are not one group: a group would
+        # sum them in another order, as in random_program(157).
+        body, env = affine_body(3, ["qrand_bit(x0)", "qnegate()", "qnegate()", "qrand_bit(x1)"])
+        p = random_program(157)
+        want = run(p)
+        monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        assert stretch(body, env) == [body[0], body[3]]
+        got = run(p)
+        assert np.array_equal(got.amps, want.amps) and np.array_equal(got.probs, want.probs)
+
+    @pytest.mark.parametrize("chunk", [None, 2048, 1024, 100])
+    def test_a_block_of_several_chunks_goes_through_one_stretch(self, monkeypatch, chunk):
+        # Three rows of 10 bits through coin runs, a sign pass that moves
+        # worlds and a swap: in one chunk; two rows, then one; a row a
+        # chunk; and a row in pieces. Each chunk goes through every step,
+        # bit for bit as each row alone.
+        body, env = affine_body(10, ["qrand_bit(x0)", "qrand_bit(x5)", "qrand_bit(x9)",
+                                     "x1 ^= x0", "if x1 ^ x9:\n    qnegate()", "x9 ^= 1",
+                                     "x3 ^= x0 and x9", "qrand_bit(x1)", "qrand_bit(x3)"])
+        steps = stretch(body, env)
+        assert [type(step) for step in steps] == [
+            engine._CoinRun, engine._SignPass, XorAssign, engine._CoinRun]
+        rows = np.random.default_rng(10).standard_normal((3, env.dim))
+        alone = [engine._step(TwoLayerState(env, row[None].copy(), np.ones(1)), steps, True).amps
+                 for row in rows]
+        if chunk:
+            monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
+        got = engine._step(TwoLayerState(env, rows, np.full(3, 1 / 3)), steps, True)
+        assert got.amps is rows and np.array_equal(got.amps, np.concatenate(alone))
 
     def test_programs_are_bit_identical_when_every_vector_takes_the_sign_pass(self, corpus):
         # The corpus, random programs of both modes and Bernstein-Vazirani,
@@ -604,18 +681,17 @@ class TestAffineRun:
         # beside it the run holds its two tables of 2**9 signs, and no more
         # than a chunk, so no index and no second block of 2 MiB.
         body, env = affine_body(18, bv_middle(18))
-        stmt = engine._AffineRun(body)
         st_ = TwoLayerState(env, np.random.default_rng(18).standard_normal((1, env.dim)),
                             np.ones(1))
-        engine._affine_steps.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            engine._step(st_, stmt, True)
+            steps = stretch(body, env)
+            engine._step(st_, steps, True)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        (step,) = engine._affine_steps(stmt, env, True)
+        (step,) = steps
         tables = step.high.nbytes + step.low.nbytes
         assert step.moves is None and tables == 2 * 8 << 9
         assert peak <= tables + qppl.state._CHUNK * 8
@@ -624,22 +700,21 @@ class TestAffineRun:
         # On an 18-bit distribution (2 MiB) the prefix-parity chain is one
         # stretch that moves worlds: beside the block it holds one copy of
         # it, its two tables of 2**9 destinations and a chunk of index, and
-        # numpy's buffers while it builds that chunk (under half a chunk).
+        # numpy's buffers while it builds that chunk (66 KB on numpy 2.4).
         body, env = affine_body(18, [f"x{i} := x{i} ^ x{i - 1}" for i in range(1, 18)])
-        stmt = engine._AffineRun(body)
         state = qppl.ClassicalState(env, np.random.default_rng(18).random(env.dim))
-        engine._affine_steps.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            engine._classical_step(state, stmt, True)
+            steps = stretch(body, env, RandBit)
+            engine._classical_step(state, steps, True)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        (step,) = engine._affine_steps(stmt, env, False)
+        (step,) = steps
         tables = sum(table.nbytes for table in step.moves)
         assert step.high is None and step.low is None and tables == 2 * 8 << 9
-        assert peak <= state.probs.nbytes + tables + qppl.state._CHUNK * 8 * 3 // 2
+        assert peak <= state.probs.nbytes + tables + qppl.state._CHUNK * 8 + (72 << 10)
 
 
 class TestQNeg:
@@ -972,11 +1047,13 @@ class TestWorldKernels:
             stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
             if classical:
                 probs = rng.random(env.dim)
-                got = engine._classical_step(qppl.ClassicalState(env, probs.copy()), stmt, True)
+                got = engine._classical_step(qppl.ClassicalState(env, probs.copy()), [stmt],
+                                             True)
                 np.testing.assert_array_equal(got.probs, kernel_reference(probs, stmt, env))
             else:
                 amps = rng.standard_normal((3, env.dim))
-                got = engine._step(TwoLayerState(env, amps.copy(), np.full(3, 1 / 3)), stmt, True)
+                got = engine._step(TwoLayerState(env, amps.copy(), np.full(3, 1 / 3)), [stmt],
+                                   True)
                 np.testing.assert_array_equal(got.amps, kernel_reference(amps, stmt, env))
         # Each half of a piece is written once: 16 pieces a row.
         assert halves == [8] * (3 * 16 * 2 * (1 if classical else 3))
@@ -987,10 +1064,9 @@ class TestWorldKernels:
         # it, alone and as the sign of a run of three negations.
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
         stmt, env = If(Const(1), (QNeg(),)), Environment(())
-        run = engine._AffineRun((stmt, QNeg(), QNeg()))
-        (step,) = engine._affine_steps(run, env, True)
+        (step,) = stretch((stmt, QNeg(), QNeg()), env)
         assert step.high.tolist() == [-1.0] and step.low is None and step.moves is None
-        for each in (stmt, run):
+        for each in (stmt, step):
             np.testing.assert_array_equal(apply_comp(vec.copy(), each, env, CLASSICAL_ONLY), -vec)
 
     @pytest.mark.parametrize("source, bijection", [
@@ -1002,18 +1078,19 @@ class TestWorldKernels:
                                                                  bijection):
         # x := F with F = x ^ G moves worlds one to one: followed by
         # c := c ^ b, it makes one stretch of moves. A write that merges
-        # worlds, as x := 0 does, is a step of its own, on the merge path.
-        # Alone or in the run, the result is exactly the reference's.
+        # worlds, as x := 0 does, is a step of its own, on the merge path,
+        # and leaves c := c ^ b a lone statement. Alone or in the run, the
+        # result is exactly the reference's.
         env = Environment(("a", "b", "c"))
         body = parse(f"def main(a, b, c : bit):\n  {source}\n  c := c ^ b\n").body
-        run = engine._AffineRun(body)
-        kinds = [type(step) for step in engine._affine_steps(run, env, False)]
-        assert kinds == ([engine._SignPass] if bijection else [type(body[0]), engine._SignPass])
-        probs = np.random.default_rng(3).random(env.dim)
         monkeypatch.setattr(engine, "_SUB_BLOCK_MIN", 0)
+        steps = stretch(body, env, RandBit)
+        assert [type(step) for step in steps] == (
+            [engine._SignPass] if bijection else [type(body[0]), Assign])
+        probs = np.random.default_rng(3).random(env.dim)
         want = kernel_reference(probs, body[0], env)
         np.testing.assert_array_equal(apply_comp(probs.copy(), body[0], env, QUANTUM_ONLY), want)
-        np.testing.assert_array_equal(apply_comp(probs.copy(), run, env, QUANTUM_ONLY),
+        np.testing.assert_array_equal(through(steps, probs.copy(), env, QUANTUM_ONLY),
                                       kernel_reference(want, body[1], env))
 
     @pytest.mark.parametrize("n_bits, chunk", [(15, None), (3, 16)])
@@ -1035,7 +1112,7 @@ class TestWorldKernels:
         if chunk:
             monkeypatch.setattr(qppl.state, "_CHUNK", chunk)
         assert len(qppl.state._chunks(3, env.dim)) == 2
-        got = engine._step(state, stmt, in_place=True)
+        got = engine._step(state, [stmt], in_place=True)
         assert got.amps is state.amps
         # The statement's map, by world index: where each world goes and its sign.
         k = np.arange(env.dim)
@@ -1098,10 +1175,10 @@ def step_both_ways(state, stmt, classical):
     step = engine._classical_step if classical else engine._step
     numbers = (lambda s: s.probs) if classical else (lambda s: s.amps)
     before = numbers(state).copy()
-    copied = step(state, stmt, False)
+    copied = step(state, [stmt], False)
     assert numbers(copied) is not numbers(state)
     assert np.array_equal(numbers(state), before)
-    got = step(state, stmt, True)
+    got = step(state, [stmt], True)
     assert numbers(got) is numbers(state)
     np.testing.assert_array_equal(numbers(got), numbers(copied))
     return numbers(got)
@@ -1189,7 +1266,7 @@ class TestBatches:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(qppl.state, "_CHUNK", chunk)
                 assert len(qppl.state._chunks(3, env.dim)) > 1
-                got = engine._step(TwoLayerState(env, rows, np.full(3, 1 / 3)), stmt, True)
+                got = engine._step(TwoLayerState(env, rows, np.full(3, 1 / 3)), [stmt], True)
             assert got.amps is rows
             np.testing.assert_array_equal(got.amps, alone)
 
@@ -1837,6 +1914,34 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("source, classical, copies", [
+        ("x5 ^= x1 and x2", False, 0),  # a swap, half a piece at a time
+        ("if x1 and x2:\n    qnegate()", False, 0),  # a table of signs
+        ("x5 := x1 or x2", True, 1),  # a merge: the moved worlds
+        ("if x1 and x2:\n    x5 ^= x3\n    qnegate()", False, 1),  # a masked copy
+    ], ids=["xor", "negations", "assign", "if"])
+    def test_a_statement_on_a_row_wider_than_a_chunk(self, source, classical, copies):
+        # One 18-bit row (2 MiB) is four chunks, but _step hands the kernel
+        # a whole row: beside it `x ^= E` and an `if` of negations hold at
+        # most a chunk, and `x := E` and any other `if` one copy of the row
+        # and a chunk. Tables and numpy's buffers take a few KiB more.
+        xs = [f"x{i}" for i in range(18)]
+        stmt = parse(f"def main({', '.join(xs)} : bit):\n  {source}\n").body[0]
+        env = Environment(tuple(xs))
+        row = np.random.default_rng(18).random(env.dim)
+        state = (qppl.ClassicalState(env, row) if classical
+                 else TwoLayerState(env, row[None], np.ones(1)))
+        step = engine._classical_step if classical else engine._step
+        step(state, [stmt], True)  # the truth tables, which are cached, are built
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(state, [stmt], True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= copies * row.nbytes + qppl.state._CHUNK * 8 + (16 << 10)
 
     def test_many_narrow_heads_are_refused_within_four_budgets(self, monkeypatch):
         # Returning x0 from two random 16-bit branches gives 65,536 distinct
