@@ -12,10 +12,10 @@ mode. It works on the (2,)*n view of the last axis, one axis per live
 variable with the rows of a batch in front, and builds no index array but
 a sign pass's, a chunk at a time. A block goes in a chunk of rows at a
 time (at most state._CHUNK entries, or one row). Beside the block a coin,
-``x ^= E`` and an ``if`` of negations hold at most a chunk's temporaries;
-``x := E``, any other ``if`` and a sign pass that moves worlds hold a copy
-of the chunk too, which is the whole row when a row is wider than a chunk
-(an ``if``'s body holds its own beside it). An
+a write and an ``if`` of negations hold at most a chunk's temporaries, or
+two for ``x := E``, however wide the row; any other ``if`` and a sign pass
+that moves worlds hold a copy of the chunk too, which is the whole row when
+a row is wider than a chunk (an ``if``'s body holds its own beside it). An
 unobserved run writes its own block; a state that must stay as it was (an
 observed run's, or the argument of ``apply_qrand``) is copied once and the
 copy is written. An expression's truth table has a length-2 axis only for
@@ -30,15 +30,15 @@ the kron of its coins' matrices, then one exact scale. A group sums in
 another order than its coins one at a time, so an unobserved quantum run
 may differ from an observed one in the last bits (about 1e-15 in a
 weight); a classical run sums dyadic probabilities, exactly, and does not.
-``x ^= E`` swaps the two halves of x's axis where E holds, in one
-``np.where`` on a vector of at most a chunk and a piece at a time on a
-longer one (_exchange); ``x := E`` moves the worlds where E differs from x
-to their partner across that axis and adds them to the rest, which merges
-worlds for ``x := 0``. An ``if`` whose body is an odd number of
-``qnegate()`` and nothing else multiplies the worlds by a table of signs;
-any other ``if`` runs its body on a masked copy of the worlds, added back
-to the worlds where the condition fails: the block form of the statement's
-matrix, never materialized.
+``x ^= E`` swaps the two halves of x's axis where E holds, and ``x := E``
+moves the worlds where E differs from x to their partner across that axis
+and adds them to the rest, which merges worlds for ``x := 0``. Both go
+whole on a vector of at most a chunk (a swap in one ``np.where``) and a
+piece of at most a chunk at a time on a longer one (_pieces). An ``if``
+whose body is an odd number of ``qnegate()`` and nothing else multiplies
+the worlds by a table of signs; any other ``if`` runs its body on a masked
+copy of the worlds, added back to the worlds where the condition fails:
+the block form of the statement's matrix, never materialized.
 
 An expression built from variables, constants, ``not`` and ``^`` (which
 ``==`` and ``!=`` parse to) is affine over GF(2). A write ``x := F`` (and
@@ -460,31 +460,36 @@ def apply_comp(vec: np.ndarray, stmt: Statement, env: Environment,
     # Each world whose target bit must change moves to its partner across
     # the target axis: for x ^= E where E holds, for x := E where E differs
     # from x.
-    pos = env.position(stmt.target)
+    pos, below = env.position(stmt.target), (_ALL,) * env.shift(stmt.target)
     value = truth_table(stmt.rhs, env)
     move = value if isinstance(stmt, XorAssign) else value ^ _bit_table(env.n_bits, pos)
-    flip = (..., slice(None, None, -1)) + (_ALL,) * env.shift(stmt.target)
+    flip = (..., slice(None, None, -1)) + below
     # Read before _mask, which may widen the target's axis.
     swap, move = move.shape[pos] == 1, _mask(move)
     if swap and vec.size <= _state._CHUNK:
         # The move does not depend on the target, so the statement swaps the
         # two halves of the target axis wherever it holds.
         worlds[...] = np.where(move, worlds[flip], worlds)
-    elif swap:
-        _exchange(worlds, move, pos)
-    else:  # worlds may merge
-        moved = (worlds * move)[flip]
-        worlds *= ~move
-        worlds += moved
+        return vec
+    zero, one = (..., 0) + below, (..., 1) + below
+    pieces = [(worlds, move)] if vec.size <= _state._CHUNK else _pieces(worlds, move, pos)
+    for piece, where in pieces:
+        if swap:  # the half at 0 is copied aside
+            low, high, where = piece[zero], piece[one], where[zero]
+            kept = low.copy()
+            np.copyto(low, high, where=where)
+            np.copyto(high, kept, where=where)
+        else:  # worlds may merge
+            moved = (piece * where)[flip]
+            piece *= ~where
+            piece += moved
     return vec
 
 
-def _exchange(worlds: np.ndarray, move: np.ndarray, pos: int):
-    """Swap the halves of world axis ``pos`` where ``move`` holds, in place,
-    a piece of at most state._CHUNK entries at a time: a row, and one value
-    of each world axis the piece does not keep, those above ``pos`` first.
-    Slices keep the pieces views; the half at 0 is copied aside, so the swap
-    holds half a piece beside the block."""
+def _pieces(worlds: np.ndarray, move: np.ndarray, pos: int):
+    """Yield the worlds in pieces of at most state._CHUNK entries, each a
+    view with its slice of ``move``: a row and one value of each world axis
+    the piece does not keep, those above ``pos`` first."""
     n = move.ndim
     fixed = [i for i in range(n) if i != pos][:max(0, n + 1 - _state._CHUNK.bit_length())]
     for row in worlds.reshape((-1,) + worlds.shape[-n:]):
@@ -492,14 +497,7 @@ def _exchange(worlds: np.ndarray, move: np.ndarray, pos: int):
             at = [_ALL] * n
             for i, bit in zip(fixed, bits):
                 at[i] = slice(bit, bit + 1)
-            at[pos] = slice(0, 1)
-            where = move[tuple(a if size == 2 else _ALL for a, size in zip(at, move.shape))]
-            zero = row[tuple(at)]
-            at[pos] = slice(1, 2)
-            one = row[tuple(at)]
-            kept = zero.copy()
-            np.copyto(zero, one, where=where)
-            np.copyto(one, kept, where=where)
+            yield row[tuple(at)], move[tuple(a if m == 2 else _ALL for a, m in zip(at, move.shape))]
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +729,9 @@ def _step(state: TwoLayerState, steps: list, in_place: bool) -> TwoLayerState:
     and the copy is written.
 
     A chunk is at most state._CHUNK entries, or one row. Beside the block a
-    step holds at most a chunk's temporaries, or for ``x := E``, an ``if``
-    whose body is not only negations and a sign pass that moves worlds,
-    one copy of the chunk (a row wider than a chunk is one chunk).
+    step holds at most two chunks' temporaries, or for an ``if`` whose body
+    is not only negations and a sign pass that moves worlds, one copy of the
+    chunk (a row wider than a chunk is one chunk).
     """
     first = steps[0]
     if isinstance(first, New):

@@ -35,11 +35,19 @@ MUTANTS = {
         "engine.py", "for bit in reversed(range(lo, lo + bits)):", "for bit in range(lo, lo + bits):"),
     "coin-group-scale": (  # an even group of coins scales by one ½ too few
         "engine.py", "-(c // 2) * (1 if signed else 2)", "-((c - 1) // 2) * (1 if signed else 2)"),
-    "exchange-copy": (  # a piece's half at 1 is written from the half at 0 already swapped
-        "engine.py", "np.copyto(one, kept, where=where)", "np.copyto(one, zero, where=where)"),
-    "exchange-after-mask": (  # the swap test reads the widened mask: low targets merge
+    # The piece walker: each write to a vector wider than a chunk.
+    "swap-copy": (  # a piece's half at 1 is written from the half at 0 already swapped
+        "engine.py", "np.copyto(high, kept, where=where)", "np.copyto(high, low, where=where)"),
+    "swap-after-mask": (  # the swap test reads the widened mask: low targets merge
         "engine.py", "swap, move = move.shape[pos] == 1, _mask(move)",
         "move = _mask(move)\n    swap = move.shape[pos] == 1"),
+    "pieces-fix-target": (  # a piece may fix the target's own axis, leaving no partner
+        "engine.py", "[i for i in range(n) if i != pos]", "list(range(n))"),
+    "pieces-whole-row": (  # a row wider than a chunk is one piece
+        "engine.py", "[(worlds, move)] if vec.size <= _state._CHUNK else",
+        "[(worlds, move)] if True else"),
+    "merge-unflipped": (  # a merge adds the moving worlds back where they were
+        "engine.py", "moved = (piece * where)[flip]", "moved = piece * where"),
     "sign-table": (  # the sign table negates nothing
         "engine.py", "worlds *= _mask(np.where(table, -1.0, 1.0))",
         "worlds *= _mask(np.where(table, 1.0, 1.0))"),

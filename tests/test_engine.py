@@ -1058,6 +1058,33 @@ class TestWorldKernels:
         # Each half of a piece is written once: 16 pieces a row.
         assert halves == [8] * (3 * 16 * 2 * (1 if classical else 3))
 
+    @pytest.mark.parametrize("target", ["x0", "x3", "x7"])  # the top, a middle and the bottom bit
+    def test_a_merge_of_more_than_a_chunk_goes_in_pieces(self, monkeypatch, target):
+        # A merge goes in a swap's pieces: with state._CHUNK at 16 an 8-bit
+        # distribution is 16 pieces of 16 entries, and each piece's worlds
+        # move across the target's axis within the piece. The last two
+        # writes read their target, so they merge too.
+        names = tuple(f"x{i}" for i in range(8))
+        env = Environment(names)
+        others = [n for n in names if n != target]
+        monkeypatch.setattr(qppl.state, "_CHUNK", 16)
+        sizes, pieces = [], engine._pieces
+
+        def spy(worlds, move, pos):
+            for piece, where in pieces(worlds, move, pos):
+                sizes.append(piece.size)
+                yield piece, where
+        monkeypatch.setattr(engine, "_pieces", spy)
+        rng = np.random.default_rng(8)
+        sources = (f"{target} := {others[0]} or not {others[-1]}", f"{target} := 0",
+                   f"{target} := {target} and {others[2]}", f"{target} ^= {target} and {others[3]}")
+        for source in sources:
+            stmt = parse(f"def main({', '.join(names)} : bit):\n  {source}\n").body[0]
+            probs = rng.random(env.dim)
+            got = engine._classical_step(qppl.ClassicalState(env, probs.copy()), [stmt], True)
+            np.testing.assert_array_equal(got.probs, kernel_reference(probs, stmt, env))
+        assert sizes == [16] * (16 * len(sources))
+
     @pytest.mark.parametrize("vec", [np.array([-0.5]), np.eye(1)])
     def test_a_statement_on_no_bits(self, monkeypatch, vec):
         # With no variables there is one world: `if 1: qnegate()` negates
@@ -1915,18 +1942,23 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    @pytest.mark.parametrize("source, classical, copies", [
-        ("x5 ^= x1 and x2", False, 0),  # a swap, half a piece at a time
-        ("if x1 and x2:\n    qnegate()", False, 0),  # a table of signs
-        ("x5 := x1 or x2", True, 1),  # a merge: the moved worlds
-        ("if x1 and x2:\n    x5 ^= x3\n    qnegate()", False, 1),  # a masked copy
-    ], ids=["xor", "negations", "assign", "if"])
-    def test_a_statement_on_a_row_wider_than_a_chunk(self, source, classical, copies):
+    @pytest.mark.parametrize("source, classical, bits, copies, chunks, slack", [
+        ("x5 ^= x1 and x2", False, 18, 0, 1, 16),  # a swap, half a piece at a time
+        ("x17 ^= x15 and x16", False, 18, 0, 1, 16),  # a swap whose mask _mask widens
+        ("if x1 and x2:\n    qnegate()", False, 18, 0, 1, 16),  # a table of signs
+        ("x5 := x1 or x2", True, 18, 0, 2, 96),  # a merge, a piece at a time
+        ("x5 := x1 or x2", True, 20, 0, 2, 96),
+        ("if x1 and x2:\n    x5 ^= x3\n    qnegate()", False, 18, 1, 1, 16),  # a masked copy
+    ], ids=["xor", "xor_low", "negations", "assign", "assign20", "if"])
+    def test_a_statement_on_a_row_wider_than_a_chunk(self, source, classical, bits, copies,
+                                                     chunks, slack):
         # One 18-bit row (2 MiB) is four chunks, but _step hands the kernel
         # a whole row: beside it `x ^= E` and an `if` of negations hold at
-        # most a chunk, and `x := E` and any other `if` one copy of the row
-        # and a chunk. Tables and numpy's buffers take a few KiB more.
-        xs = [f"x{i}" for i in range(18)]
+        # most a chunk, `x := E` two, whatever the row's width (a piece's
+        # moved worlds, and the last piece's until the next one's are
+        # built), and any other `if` one copy of the row and a chunk.
+        # Tables and numpy's buffers take the slack in KiB.
+        xs = [f"x{i}" for i in range(bits)]
         stmt = parse(f"def main({', '.join(xs)} : bit):\n  {source}\n").body[0]
         env = Environment(tuple(xs))
         row = np.random.default_rng(18).random(env.dim)
@@ -1941,7 +1973,7 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= copies * row.nbytes + qppl.state._CHUNK * 8 + (16 << 10)
+        assert peak <= copies * row.nbytes + chunks * qppl.state._CHUNK * 8 + (slack << 10)
 
     def test_many_narrow_heads_are_refused_within_four_budgets(self, monkeypatch):
         # Returning x0 from two random 16-bit branches gives 65,536 distinct
